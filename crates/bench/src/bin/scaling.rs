@@ -100,7 +100,7 @@ fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Kn
                 .find(|p| p.stats.coord.workload == 0)
                 .map(|p| metric(p))
                 .unwrap_or(0.0);
-            // Without a positive baseline the knee criterion is
+            // Without a positive baseline the knee test is
             // meaningless (e.g. p99s zeroed by cells resumed from a
             // pre-tail v1 log): report "no knee" rather than flagging
             // the first point with any measurement.

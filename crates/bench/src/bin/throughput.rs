@@ -13,23 +13,16 @@
 //! the hot loop, and the cycles-per-second figures tracked per commit
 //! would expose any regression there.
 //!
-//! Each scenario also runs a third time through the retained legacy
-//! advance loop ([`SimulationBuilder::legacy_scheduler`]): the harness
-//! asserts the component-clock scheduler's `RunOutput` is identical
-//! and reports `sched_overhead` — the component loop's wall clock over
-//! the legacy loop's — so the scheduler refactor's cost is tracked per
-//! commit and CI can guard a floor on it.
-//!
 //! Besides the wall clocks, each scenario row carries a
 //! `tag_pass_frac` estimate — the scenario re-run in the cache's
 //! tag-pass-only diagnostic mode ([`SimulationBuilder::tag_pass_only`])
 //! and its wall clock divided by the batched wall clock — and the
-//! `tag_bound_sweep_w*` family re-times the contention workload across
-//! ways counts at a fixed 16 MiB footprint, so a tag-pass regression
-//! shows up per lane width, not just in aggregate.
+//! `tag_bound_sweep_w*` family re-times the contention workload at 4
+//! and 8 ways of the same 16 MiB footprint (`baseline_contention` is the
+//! 16-way point), so a tag-pass regression shows up per lane width, not
+//! just in aggregate.
 //!
 //! [`SimulationBuilder::tag_pass_only`]: camdn_runtime::SimulationBuilder::tag_pass_only
-//! [`SimulationBuilder::legacy_scheduler`]: camdn_runtime::SimulationBuilder::legacy_scheduler
 //!
 //! Usage: `cargo run --release -p camdn-bench --bin throughput`
 //!
@@ -117,11 +110,8 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     // set × way splits of the same 16 MiB footprint. Each ways count
     // monomorphizes a different tag-compare lane width, so a lane-level
     // regression is visible even when the 16-way headline number holds.
-    for (name, ways) in [
-        ("tag_bound_sweep_w4", 4u32),
-        ("tag_bound_sweep_w8", 8),
-        ("tag_bound_sweep_w16", 16),
-    ] {
+    // The 16-way point is `baseline_contention` itself.
+    for (name, ways) in [("tag_bound_sweep_w4", 4u32), ("tag_bound_sweep_w8", 8)] {
         v.push(Scenario {
             name,
             policy: PolicyKind::SharedBaseline,
@@ -132,37 +122,29 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     v
 }
 
-/// Runs one scenario through both memory models, the legacy advance
-/// loop, and the tag-pass-only diagnostic on the sweep executor (one
-/// worker: the wall-clock numbers must not contend), returning
-/// `(reference, batched, legacy_sched, tag_only_wall)` with per-cell
-/// wall seconds.
+/// Runs one scenario through both memory models and the tag-pass-only
+/// diagnostic on the sweep executor (one worker: the wall-clock numbers
+/// must not contend), returning `(reference, batched, tag_only_wall)`
+/// with per-cell wall seconds.
 type TimedRun = (RunOutput, f64);
 
-fn run_quad(sc: &Scenario) -> (TimedRun, TimedRun, TimedRun, f64) {
-    let mk = |reference, legacy, tag_only| {
+fn run_triple(sc: &Scenario) -> (TimedRun, TimedRun, f64) {
+    let mk = |reference, tag_only| {
         Simulation::builder()
             .soc(sc.soc)
             .policy(sc.policy)
             .workload(sc.workload.clone())
             .reference_model(reference)
-            .legacy_scheduler(legacy)
             .tag_pass_only(tag_only)
     };
     // Reference (seed-equivalent per-line path) first, then the
-    // batched component-clock loop, then the batched legacy loop, then
-    // the batched tag pass alone (timings meaningless, wall real).
+    // batched fast paths, then the batched tag pass alone (timings
+    // meaningless, wall real).
     let mut runs = run_cells(
-        vec![
-            mk(true, false, false),
-            mk(false, false, false),
-            mk(false, true, false),
-            mk(false, false, true),
-        ],
+        vec![mk(true, false), mk(false, false), mk(false, true)],
         Some(1),
     );
     let tag_only = runs.pop().expect("tag-only cell");
-    let legacy = runs.pop().expect("legacy-scheduler cell");
     let fast = runs.pop().expect("batched cell");
     let reference = runs.pop().expect("reference cell");
     let unwrap = |name: &str, r: camdn_sweep::CellRun| match r.outcome {
@@ -172,7 +154,6 @@ fn run_quad(sc: &Scenario) -> (TimedRun, TimedRun, TimedRun, f64) {
     (
         unwrap("reference", reference),
         unwrap("batched", fast),
-        unwrap("legacy-scheduler", legacy),
         unwrap("tag-only", tag_only).1,
     )
 }
@@ -181,17 +162,11 @@ fn main() {
     let quick = quick_mode();
     let mut rows = Vec::new();
     for sc in scenarios(quick) {
-        let ((r_ref, wall_ref), (r_fast, wall_fast), (r_legacy, wall_legacy), wall_tag) =
-            run_quad(&sc);
-        let identical = r_ref == r_fast && r_legacy == r_fast;
+        let ((r_ref, wall_ref), (r_fast, wall_fast), wall_tag) = run_triple(&sc);
+        let identical = r_ref == r_fast;
         assert!(
-            r_ref == r_fast,
+            identical,
             "{}: batched result diverged from the reference model",
-            sc.name
-        );
-        assert!(
-            r_legacy == r_fast,
-            "{}: component-clock scheduler diverged from the legacy advance loop",
             sc.name
         );
         // Tail stats cost O(bins) and are filled during aggregation:
@@ -220,19 +195,14 @@ fn main() {
         let cps_fast = sim_cycles as f64 / wall_fast.max(1e-9);
         let cps_ref = sim_cycles as f64 / wall_ref.max(1e-9);
         let speedup = cps_fast / cps_ref.max(1e-9);
-        // The scheduler refactor's cost: component-clock loop wall over
-        // the retained legacy loop's, on the same batched memory model.
-        // 1.0 is parity; CI guards a coarse ceiling on the tracked
-        // scenarios.
-        let sched_overhead = wall_fast / wall_legacy.max(1e-9);
         // The tag-only run replays a (behaviorally different) simulation
         // with the memory pass elided, so its wall over the batched wall
         // is an estimate, clamped into [0, 1] against clock noise.
         let tag_pass_frac = (wall_tag / wall_fast.max(1e-9)).clamp(0.0, 1.0);
         let lane_width = (sc.soc.cache.ways as usize).min(TAG_LANE_WIDTH);
         println!(
-            "{:<24} {:>12} sim-cycles  batched {:>10.3e} cyc/s  reference {:>10.3e} cyc/s  speedup {:>5.2}x  tag-frac {:.2}  sched-overhead {:.2}",
-            sc.name, sim_cycles, cps_fast, cps_ref, speedup, tag_pass_frac, sched_overhead
+            "{:<24} {:>12} sim-cycles  batched {:>10.3e} cyc/s  reference {:>10.3e} cyc/s  speedup {:>5.2}x  tag-frac {:.2}",
+            sc.name, sim_cycles, cps_fast, cps_ref, speedup, tag_pass_frac
         );
         rows.push(format!(
             concat!(
@@ -243,8 +213,6 @@ fn main() {
                 "      \"sim_cycles\": {},\n",
                 "      \"wall_s_batched\": {:.6},\n",
                 "      \"wall_s_reference\": {:.6},\n",
-                "      \"wall_s_legacy_sched\": {:.6},\n",
-                "      \"sched_overhead\": {:.3},\n",
                 "      \"cycles_per_sec_batched\": {:.1},\n",
                 "      \"cycles_per_sec_reference\": {:.1},\n",
                 "      \"speedup\": {:.3},\n",
@@ -259,8 +227,6 @@ fn main() {
             sim_cycles,
             wall_fast,
             wall_ref,
-            wall_legacy,
-            sched_overhead,
             cps_fast,
             cps_ref,
             speedup,
@@ -270,7 +236,7 @@ fn main() {
         ));
     }
     let json = format!(
-        "{{\n  \"schema\": \"camdn-bench-engine/1\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"camdn-bench-engine/2\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         quick,
         rows.join(",\n")
     );

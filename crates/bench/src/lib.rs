@@ -16,8 +16,8 @@
 //! | `throughput` | engine throughput, batched vs reference → `BENCH_engine.json` |
 //! | `serve` | trace-driven rate ramp → per-policy SLO knee → `BENCH_serve.json` |
 //!
-//! Set `CAMDN_QUICK=1` to run reduced sweeps (used by CI and the
-//! Criterion wrappers); see [`quick_mode`] for the accepted values.
+//! Set `CAMDN_QUICK=1` to run reduced sweeps (used by CI); see
+//! [`quick_mode`] for the accepted values.
 //!
 //! Grid-shaped experiments run through the
 //! [`camdn_sweep`](../camdn_sweep/index.html) subsystem
@@ -31,9 +31,7 @@
 #![deny(deprecated)]
 
 use camdn_models::Model;
-use camdn_runtime::{
-    EngineError, PolicyKind, Simulation, SimulationBuilder, TaskSummary, Workload,
-};
+use camdn_runtime::{EngineError, PolicyKind, Simulation, TaskSummary, Workload};
 use std::collections::HashMap;
 
 /// True when the `CAMDN_QUICK` environment variable requests reduced
@@ -101,7 +99,7 @@ pub fn qos_workload() -> Vec<Model> {
 ///
 /// Latencies are keyed by the abbreviation each [`TaskSummary`] itself
 /// reports (not by the order models were submitted), so a reordered
-/// `RunResult` cannot mis-attribute them; failures propagate as
+/// task table cannot mis-attribute them; failures propagate as
 /// [`EngineError`] instead of panicking.
 ///
 /// [`TaskSummary`]: camdn_runtime::TaskSummary
@@ -145,81 +143,6 @@ pub fn dram_by_model(tasks: &[TaskSummary]) -> HashMap<String, f64> {
     sums.into_iter()
         .map(|(k, (s, n))| (k, s / f64::from(n)))
         .collect()
-}
-
-/// Builds and runs several simulations in parallel threads (each
-/// engine is single-threaded and independent), preserving input order.
-///
-/// This is a thin shim over [`camdn_sweep::run_cells`]: every cell runs
-/// to completion even when another fails (the old implementation
-/// panicked inside a scoped worker on the first failing run, aborting
-/// the whole sweep and poisoning its slot locks).
-///
-/// # Panics
-///
-/// Panics *after the full batch has run* when any cell failed, naming
-/// every failed index. Callers that want the per-cell
-/// `Result<RunResult, EngineError>` should use
-/// [`camdn_sweep::run_cells`] or `camdn_sweep::Sweep::grid()` directly.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `camdn_sweep::Sweep::grid()` or `camdn_sweep::run_cells` for per-cell errors"
-)]
-#[allow(deprecated)]
-pub fn parallel_sims(builders: Vec<SimulationBuilder>) -> Vec<camdn_runtime::RunResult> {
-    let runs = camdn_sweep::run_cells(builders, None);
-    let failures: Vec<String> = runs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.outcome.as_ref().err().map(|e| format!("cell {i}: {e}")))
-        .collect();
-    assert!(
-        failures.is_empty(),
-        "parallel_sims: {} of {} cells failed\n{}",
-        failures.len(),
-        runs.len(),
-        failures.join("\n")
-    );
-    runs.into_iter()
-        .map(|r| {
-            r.outcome
-                // camdn-lint: allow(panic-in-lib, reason = "the assert above established every outcome is Ok")
-                .expect("checked above")
-                .legacy_result()
-                // camdn-lint: allow(panic-in-lib, reason = "this deprecated shim always builds cells with per-task detail")
-                .expect("builder cells retain per-task detail by default")
-        })
-        .collect()
-}
-
-/// Runs several engine configurations in parallel threads.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `camdn_sweep::Sweep::grid()` or `camdn_sweep::run_cells` with `SimulationBuilder`s"
-)]
-#[allow(deprecated)]
-pub fn parallel_runs(
-    configs: Vec<(camdn_runtime::EngineConfig, Vec<Model>)>,
-) -> Vec<camdn_runtime::RunResult> {
-    parallel_sims(
-        configs
-            .into_iter()
-            .map(|(cfg, models)| {
-                let mut b = Simulation::builder()
-                    .policy(cfg.policy)
-                    .soc(cfg.soc)
-                    .seed(cfg.seed)
-                    .workload(Workload::closed(models, cfg.rounds_per_task))
-                    .warmup_rounds(cfg.warmup_rounds)
-                    .epoch_cycles(cfg.epoch_cycles)
-                    .mapper(cfg.mapper);
-                if let Some(scale) = cfg.qos_scale {
-                    b = b.qos_scale(scale);
-                }
-                b
-            })
-            .collect(),
-    )
 }
 
 /// Prints a simple aligned table.
@@ -269,36 +192,6 @@ mod tests {
     fn workloads_have_expected_shapes() {
         assert_eq!(speedup_workload().len(), 16);
         assert_eq!(qos_workload().len(), 8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn parallel_sims_preserve_order() {
-        let models = vec![camdn_models::zoo::mobilenet_v2()];
-        let mk = |seed| {
-            Simulation::builder()
-                .policy(PolicyKind::SharedBaseline)
-                .seed(seed)
-                .warmup_rounds(0)
-                .workload(Workload::closed(models.clone(), 1))
-        };
-        let res = parallel_sims(vec![mk(1), mk(2), mk(1)]);
-        assert_eq!(res.len(), 3);
-        assert_eq!(res[0], res[2], "same seed must give identical results");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "1 of 2 cells failed")]
-    fn parallel_sims_shim_reports_failures_after_the_batch() {
-        let ok = Simulation::builder()
-            .policy(PolicyKind::SharedBaseline)
-            .warmup_rounds(0)
-            .workload(Workload::closed(vec![camdn_models::zoo::mobilenet_v2()], 1));
-        let bad = Simulation::builder()
-            .policy(PolicyKind::SharedBaseline)
-            .workload(Workload::closed(vec![], 2));
-        parallel_sims(vec![ok, bad]);
     }
 
     #[test]

@@ -62,8 +62,6 @@ pub use camdn_sweep as sweep;
 pub use camdn_trace as trace;
 
 pub use camdn_mapper::{PlanCache, PlanCacheStats};
-#[allow(deprecated)]
-pub use camdn_runtime::RunResult;
 pub use camdn_runtime::{
     qos_metrics, register_policy, ArrivalProcess, BudgetKind, DetailLevel, EngineError, FaultEvent,
     FaultGenConfig, FaultKind, FaultPlan, LatencyTail, Policy, PolicyKind, PolicyRegistry,

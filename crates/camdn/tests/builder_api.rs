@@ -1,6 +1,5 @@
 //! Tests of the public simulation API: builder determinism, custom
-//! policy registration, workload scenarios and backward compatibility
-//! of the deprecated shims.
+//! policy registration and workload scenarios.
 
 use camdn::models::zoo;
 use camdn::runtime::{
@@ -138,34 +137,5 @@ fn open_loop_scenarios_run_every_builtin() {
             r.tasks().iter().any(|t| t.inferences > 0),
             "{policy:?} open loop must complete arrivals"
         );
-    }
-}
-
-#[allow(deprecated)]
-fn shim_run(policy: PolicyKind, models: &[camdn::models::Model]) -> camdn::RunResult {
-    use camdn::runtime::{simulate, EngineConfig};
-    simulate(EngineConfig::speedup(policy), models)
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_the_builder() {
-    // The EngineConfig/simulate shims and the builder drive the same
-    // engine: identical knobs must give identical results, so existing
-    // callers can migrate without re-baselining experiments.
-    let models = vec![zoo::mobilenet_v2(), zoo::gnmt()];
-    for policy in [PolicyKind::SharedBaseline, PolicyKind::CamdnFull] {
-        let old = shim_run(policy, &models);
-        let new = Simulation::builder()
-            .policy(policy)
-            .workload(Workload::closed(models.clone(), 3))
-            .seed(0xCA3D41)
-            .warmup_rounds(1)
-            .epoch_cycles(200_000)
-            .run()
-            .expect("builder run")
-            .legacy_result()
-            .expect("default detail retains the per-task table");
-        assert_eq!(old, new, "{policy:?} shim and builder must agree");
     }
 }

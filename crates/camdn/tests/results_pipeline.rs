@@ -1,8 +1,7 @@
-//! Acceptance tests of the split result pipeline: the deprecated
-//! `RunResult` shim must be bit-for-bit assembled from the
-//! `RunSummary` + `RunDetail` pair for every built-in policy across
-//! closed-loop, Poisson, bursty and QoS workloads, and the summary
-//! must be identical at every `DetailLevel`.
+//! Acceptance tests of the split result pipeline: the `RunSummary` must
+//! be identical at every `DetailLevel` for every built-in policy across
+//! closed-loop, Poisson and bursty workloads, and the QoS metrics and
+//! SLA rate must be derived consistently from it.
 
 use camdn::models::zoo;
 use camdn::{DetailLevel, PolicyKind, Simulation, SimulationBuilder, Workload};
@@ -16,42 +15,11 @@ fn scenarios() -> Vec<(&'static str, Workload)> {
     ]
 }
 
-fn builder(policy: PolicyKind, workload: &Workload, qos: bool) -> SimulationBuilder {
-    let mut b = Simulation::builder()
+fn builder(policy: PolicyKind, workload: &Workload) -> SimulationBuilder {
+    Simulation::builder()
         .policy(policy)
         .workload(workload.clone())
-        .warmup_rounds(0);
-    if qos {
-        b = b.qos_scale(1.0);
-    }
-    b
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_shim_is_bit_for_bit_across_policies_and_workloads() {
-    // RunOutput::legacy_result must reproduce exactly what the
-    // pre-split aggregate returned: same policy label, same per-task
-    // table, same scalars — across all 5 policies × 4 scenario kinds.
-    for policy in PolicyKind::ALL {
-        for qos in [false, true] {
-            for (name, workload) in scenarios() {
-                let out = builder(policy, &workload, qos).run().expect("run");
-                let legacy = out.legacy_result().expect("default detail keeps tasks");
-                assert_eq!(legacy.policy, out.policy, "{policy:?}/{name}/qos={qos}");
-                assert_eq!(
-                    legacy.tasks,
-                    out.detail.as_ref().unwrap().tasks,
-                    "{policy:?}/{name}/qos={qos}"
-                );
-                assert_eq!(legacy.cache_hit_rate, out.summary.cache_hit_rate);
-                assert_eq!(legacy.avg_latency_ms, out.summary.avg_latency_ms);
-                assert_eq!(legacy.mem_mb_per_model, out.summary.mem_mb_per_model);
-                assert_eq!(legacy.makespan_ms, out.summary.makespan_ms);
-                assert_eq!(legacy.multicast_saved_mb, out.summary.multicast_saved_mb);
-            }
-        }
-    }
+        .warmup_rounds(0)
 }
 
 #[test]
@@ -64,12 +32,7 @@ fn summary_is_identical_at_every_detail_level() {
             let levels = [DetailLevel::Summary, DetailLevel::Tasks, DetailLevel::Full];
             let runs: Vec<_> = levels
                 .iter()
-                .map(|&level| {
-                    builder(policy, &workload, false)
-                        .detail(level)
-                        .run()
-                        .expect("run")
-                })
+                .map(|&level| builder(policy, &workload).detail(level).run().expect("run"))
                 .collect();
             assert_eq!(
                 runs[0].summary, runs[1].summary,

@@ -1,307 +1,67 @@
-//! Cross-engine differential tests: the component-clock scheduler loop
-//! (the default) must reproduce the retained legacy monolithic advance
-//! loop (`SimulationBuilder::legacy_scheduler`) **exactly** — identical
-//! `RunOutput` aggregates — across all five built-in policies, every
-//! workload kind (closed, Poisson, bursty, QoS, traced), fault and
-//! fault-free plans, every detail level, and `BudgetExceeded` partials.
-//!
-//! `RunOutput` derives `PartialEq` over every field (the scalar
-//! summary plus, at the default detail level and above, per-task
-//! latencies, DRAM traffic and queue-depth samples), so one equality
-//! assert covers the full observable surface of a run. The suite is
-//! the gate on the scheduler refactor: any drift between the two
-//! loops — event order, epoch drift, RNG consumption, fault timing —
-//! lands here as a bit-for-bit mismatch.
+//! The event-driven run loop must reproduce, bit for bit, the outcomes
+//! of the monolithic advance loop it replaced. Those outcomes are the
+//! golden corpus (`tests/golden/run_outputs.txt`): it was generated
+//! while both loops still existed, and both produced it byte for byte.
+//! Each test below runs one group of the corpus matrix and compares
+//! every outcome — the whole `RunOutput`, or the `BudgetExceeded`
+//! error with its cycle and partial — with its recorded line.
 
-use camdn::models::zoo;
-use camdn::{
-    DetailLevel, EngineError, FaultEvent, FaultGenConfig, FaultKind, FaultPlan, PolicyKind,
-    RunOutput, Simulation, SimulationBuilder, Workload,
-};
+mod golden;
 
-/// Runs `build` through both advance loops and returns
-/// `(scheduled, legacy)`.
-fn diff(build: impl Fn() -> SimulationBuilder) -> (RunOutput, RunOutput) {
-    let sched = build()
-        .legacy_scheduler(false)
-        .run()
-        .expect("component run");
-    let legacy = build().legacy_scheduler(true).run().expect("legacy run");
-    (sched, legacy)
-}
-
-/// A mid-run fault plan touching every fault kind the engine knows:
-/// an NPU outage-and-repair, a DRAM brownout, a fractional channel
-/// degrade, and a DVFS throttle that later recovers (the throttle is
-/// the clock-divider path the refactor moved onto the NPU clock
-/// component).
-fn mixed_fault_plan() -> FaultPlan {
-    FaultPlan::new(vec![
-        FaultEvent {
-            at: 200_000,
-            kind: FaultKind::ClockThrottle { factor: 0.6 },
-        },
-        FaultEvent {
-            at: 400_000,
-            kind: FaultKind::NpuDown(1),
-        },
-        FaultEvent {
-            at: 600_000,
-            kind: FaultKind::DramChannelDown(0),
-        },
-        FaultEvent {
-            at: 900_000,
-            kind: FaultKind::DramDegrade {
-                channel: 1,
-                factor: 0.5,
-            },
-        },
-        FaultEvent {
-            at: 1_400_000,
-            kind: FaultKind::NpuUp(1),
-        },
-        FaultEvent {
-            at: 1_800_000,
-            kind: FaultKind::DramChannelUp(0),
-        },
-        FaultEvent {
-            at: 2_200_000,
-            kind: FaultKind::ClockThrottle { factor: 1.0 },
-        },
-    ])
-    .expect("plan is time-ordered")
-}
-
+/// 5 policies × a four-tenant closed loop.
 #[test]
 fn all_policies_match_legacy_on_closed_multi_tenant() {
-    let models = vec![
-        zoo::mobilenet_v2(),
-        zoo::efficientnet_b0(),
-        zoo::resnet50(),
-        zoo::gnmt(),
-    ];
-    for kind in PolicyKind::ALL {
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(kind)
-                .workload(Workload::closed(models.clone(), 2))
-        });
-        assert_eq!(sched, legacy, "{kind:?} diverged on the closed workload");
-    }
+    golden::assert_group_matches("closed");
 }
 
+/// QoS mode redistributes bandwidth shares and NPU quotas at every
+/// epoch tick, so an epoch boundary one event early or late diverges.
 #[test]
 fn all_policies_match_legacy_in_qos_mode() {
-    // QoS mode exercises the epoch component hardest: every epoch tick
-    // redistributes bandwidth shares and NPU quotas, so an epoch
-    // boundary firing one event early or late diverges immediately.
-    let models = vec![zoo::mobilenet_v2(), zoo::bert_base(), zoo::mobilenet_v2()];
-    for kind in PolicyKind::ALL {
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(kind)
-                .workload(Workload::closed(models.clone(), 2))
-                .qos_scale(0.8)
-        });
-        assert_eq!(sched, legacy, "{kind:?} diverged in QoS mode");
-    }
+    golden::assert_group_matches("qos0.8");
 }
 
+/// Baseline and CaMDN(Full) on Poisson arrivals at every detail level.
 #[test]
 fn open_loop_poisson_matches_legacy_at_every_detail_level() {
-    let models = vec![zoo::mobilenet_v2(), zoo::efficientnet_b0()];
-    for kind in [PolicyKind::SharedBaseline, PolicyKind::CamdnFull] {
-        for detail in [DetailLevel::Summary, DetailLevel::Tasks, DetailLevel::Full] {
-            let (sched, legacy) = diff(|| {
-                Simulation::builder()
-                    .policy(kind)
-                    .workload(Workload::poisson(models.clone(), 0.05, 60.0))
-                    .warmup_rounds(0)
-                    .detail(detail)
-            });
-            assert_eq!(
-                sched, legacy,
-                "{kind:?} diverged on the Poisson workload at {detail:?}"
-            );
-        }
-    }
+    golden::assert_group_matches("poisson");
 }
 
+/// Queue-depth sampling drains its boundaries in the recorded order.
 #[test]
 fn bursty_arrivals_with_queue_sampling_match_legacy() {
-    // The sampler component must drain exactly the boundaries the
-    // legacy loop's inline while-loop drained, in the same order.
-    let models: Vec<_> = (0..4).map(|_| zoo::mobilenet_v2()).collect();
-    for kind in [PolicyKind::Moca, PolicyKind::Aurora] {
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(kind)
-                .workload(Workload::bursty(models.clone(), 2, 3, 10.0))
-                .qos_scale(1.0)
-                .warmup_rounds(0)
-                .sample_queue_depth(50_000)
-        });
-        assert_eq!(sched, legacy, "{kind:?} diverged on the bursty workload");
-    }
+    golden::assert_group_matches("bursty-sampled");
 }
 
+/// Same-cycle arrivals keep the FIFO tie-break (task order).
 #[test]
 fn traced_arrivals_match_legacy() {
-    let models = vec![zoo::mobilenet_v2(), zoo::efficientnet_b0()];
-    // Deliberately collide arrivals on the same cycle: the FIFO
-    // tie-break (task order) must match between the loops.
-    let schedules = vec![vec![0, 500_000, 500_000], vec![0, 500_000]];
-    for kind in PolicyKind::ALL {
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(kind)
-                .workload(Workload::traced(models.clone(), schedules.clone()))
-                .warmup_rounds(0)
-        });
-        assert_eq!(sched, legacy, "{kind:?} diverged on the traced workload");
-    }
+    golden::assert_group_matches("traced");
 }
 
+/// A mixed mid-run fault plan (NPU outage, DRAM brownout and degrade,
+/// clock throttle) under every policy.
 #[test]
 fn mid_run_faults_match_legacy_for_all_policies() {
-    // Faults stress every component at once: the fault component's
-    // cursor, the NPU clock's DVFS retune, and the requeue/retry
-    // machinery whose back-off events interleave with arrivals.
-    let models = vec![zoo::mobilenet_v2(), zoo::resnet50(), zoo::mobilenet_v2()];
-    for kind in PolicyKind::ALL {
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(kind)
-                .workload(Workload::closed(models.clone(), 3))
-                .fault_plan(mixed_fault_plan())
-        });
-        assert_eq!(
-            sched, legacy,
-            "{kind:?} diverged under the mixed fault plan"
-        );
-    }
+    golden::assert_group_matches("faults");
 }
 
+/// Seeded MTBF/MTTR fault processes.
 #[test]
 fn generated_chaos_schedules_match_legacy() {
-    // Seeded MTBF/MTTR fault processes: denser, less hand-picked
-    // schedules than the mixed plan, across several seeds.
-    let models = vec![zoo::mobilenet_v2(), zoo::efficientnet_b0()];
-    for seed in [3u64, 17, 0xFA11] {
-        let plan = FaultPlan::generate(&FaultGenConfig {
-            seed,
-            horizon: 3_000_000,
-            npu_cores: 4,
-            dram_channels: 2,
-            npu_mtbf_cycles: 800_000.0,
-            npu_mttr_cycles: 200_000.0,
-            dram_mtbf_cycles: 1_000_000.0,
-            dram_mttr_cycles: 150_000.0,
-            dram_degrade_factor: 0.3,
-            throttle_mtbf_cycles: 700_000.0,
-            throttle_mttr_cycles: 250_000.0,
-            throttle_factor: 0.5,
-        })
-        .expect("generated plan is valid");
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(PolicyKind::CamdnFull)
-                .workload(Workload::closed(models.clone(), 3))
-                .fault_plan(plan.clone())
-        });
-        assert_eq!(sched, legacy, "chaos seed {seed} diverged");
-    }
+    golden::assert_group_matches("chaos");
 }
 
+/// A run stopped by the cycle budget stops at the recorded cycle with
+/// the recorded partial, with and without a racing fault plan.
 #[test]
 fn budget_exceeded_partials_match_legacy() {
-    // A run stopped mid-flight by the cycle budget must stop at the
-    // same event and surface an identical partial in both loops.
-    let models = vec![zoo::gnmt(), zoo::bert_base(), zoo::resnet50()];
-    let mk = |legacy: bool| {
-        Simulation::builder()
-            .policy(PolicyKind::SharedBaseline)
-            .workload(Workload::closed(models.clone(), 2))
-            .max_sim_cycles(1_500_000)
-            .legacy_scheduler(legacy)
-            .run()
-    };
-    let sched = mk(false);
-    let old = mk(true);
-    match (sched, old) {
-        (
-            Err(EngineError::BudgetExceeded {
-                at_cycle: a1,
-                partial: p1,
-                ..
-            }),
-            Err(EngineError::BudgetExceeded {
-                at_cycle: a2,
-                partial: p2,
-                ..
-            }),
-        ) => {
-            assert_eq!(a1, a2, "the budget must trip at the same event");
-            assert_eq!(p1, p2, "partials diverged");
-        }
-        other => panic!("expected BudgetExceeded from both loops, got {other:?}"),
-    }
-    // A fault plan racing the budget: partial aggregation after a
-    // mid-run DVFS retune and an NPU kill.
-    let mk = |legacy: bool| {
-        Simulation::builder()
-            .policy(PolicyKind::CamdnFull)
-            .workload(Workload::closed(models.clone(), 3))
-            .fault_plan(mixed_fault_plan())
-            .max_sim_cycles(1_000_000)
-            .legacy_scheduler(legacy)
-            .run()
-    };
-    match (mk(false), mk(true)) {
-        (
-            Err(EngineError::BudgetExceeded { partial: p1, .. }),
-            Err(EngineError::BudgetExceeded { partial: p2, .. }),
-        ) => {
-            assert_eq!(p1, p2, "faulted partials diverged");
-        }
-        other => panic!("expected BudgetExceeded from both loops, got {other:?}"),
-    }
+    golden::assert_group_matches("budget");
 }
 
+/// Engine seeds reshuffle NPU assignment and arrival draws into
+/// different event interleavings.
 #[test]
 fn seed_sweep_matches_legacy() {
-    // Different seeds shuffle NPU assignment and arrival draws into
-    // different event interleavings; RNG consumption order is part of
-    // the equivalence contract (the dispatch shuffle draws in pop
-    // order).
-    let models = vec![zoo::mobilenet_v2(), zoo::efficientnet_b0()];
-    for seed in [1u64, 42, 0xDEAD, 0xCA3D41] {
-        let (sched, legacy) = diff(|| {
-            Simulation::builder()
-                .policy(PolicyKind::CamdnFull)
-                .workload(Workload::closed(models.clone(), 2))
-                .seed(seed)
-        });
-        assert_eq!(sched, legacy, "seed {seed} diverged");
-    }
-}
-
-#[test]
-fn scheduler_choice_is_orthogonal_to_memory_model() {
-    // The two differential axes compose: legacy loop + reference
-    // memory model still equals the default batched component loop.
-    let models = vec![zoo::mobilenet_v2(), zoo::resnet50()];
-    let base = Simulation::builder()
-        .policy(PolicyKind::CamdnFull)
-        .workload(Workload::closed(models.clone(), 2))
-        .run()
-        .expect("default run");
-    let cross = Simulation::builder()
-        .policy(PolicyKind::CamdnFull)
-        .workload(Workload::closed(models, 2))
-        .legacy_scheduler(true)
-        .reference_model(true)
-        .run()
-        .expect("legacy+reference run");
-    assert_eq!(base, cross, "legacy loop × reference model diverged");
+    golden::assert_group_matches("seed");
 }

@@ -5,7 +5,6 @@
 //! * [`types`] — strongly-typed cycles, addresses and byte sizes;
 //! * [`config`] — the SoC configuration of Table II of the paper
 //!   ([`SocConfig::paper_default`]);
-//! * [`event`] — a deterministic discrete-event queue;
 //! * [`rng`] — a seedable, dependency-free PRNG ([`SimRng`]) so every
 //!   experiment is exactly reproducible;
 //! * [`stats`] — counters, histograms and summary statistics used by the
@@ -25,13 +24,11 @@
 #![deny(deprecated)]
 
 pub mod config;
-pub mod event;
 pub mod rng;
 pub mod stats;
 pub mod types;
 
 pub use config::{CacheConfig, DramConfig, NpuConfig, SocConfig};
-pub use event::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, MeanTracker};
 pub use types::{Cycle, PhysAddr, VirtCacheAddr, KIB, MIB};

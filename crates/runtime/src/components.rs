@@ -1,24 +1,19 @@
-//! The engine's concrete scheduler components.
+//! The engine's phase components.
 //!
-//! The run loop in [`crate::engine`] is organized as a set of phase
-//! components over the master event heap ([`crate::sched::Scheduler`]):
-//! fault application, the epoch boundary, queue sampling, and the NPU
-//! clock domain each own their scheduling state here, while the task
-//! state machine itself stays on the `Engine` (it owns the hardware
-//! models). Each component mirrors the [`crate::sched::Component`]
-//! shape — a `next_tick`-style query plus a tick-time action — but is
-//! driven directly by the engine loop rather than boxed into a
-//! [`crate::sched::ComponentSet`], because its tick needs `&mut Engine`
-//! (the generic set covers the heterogeneous-clock/DVFS substrate and
-//! is property-tested standalone; see `docs/ENGINE.md`).
+//! The run loop in [`crate::engine`] pops a master event heap
+//! ([`crate::sched::Scheduler`]) and routes every event through a fixed
+//! sequence of phases: fault application, the epoch boundary, queue
+//! sampling, and the NPU clock domain each own their scheduling state
+//! here, while the task state machine itself stays on the `Engine` (it
+//! owns the hardware models). The components are plain structs the loop
+//! calls directly, because their actions need `&mut Engine`.
 //!
-//! Determinism contract: all components observe the exact event
-//! sequence the legacy monolithic loop produced — same heap, same
-//! insertion order, same FIFO tie-break — so `RunOutput` is bit-for-bit
-//! identical between the two loops (proven by
-//! `crates/camdn/tests/sched_equivalence.rs`).
+//! Determinism contract: the components add no heap events of their
+//! own beyond the fault sentinels, so the event order is fixed by the
+//! heap's `(cycle, insertion)` order alone. The golden corpus
+//! (`crates/camdn/tests/golden/run_outputs.txt`) pins the resulting
+//! `RunOutput` bit for bit.
 
-use crate::fault::FaultPlan;
 use camdn_common::types::Cycle;
 
 /// Scheduling state of the engine's phase components. Owned by the
@@ -66,13 +61,6 @@ pub(crate) struct FaultComponent {
 }
 
 impl FaultComponent {
-    /// `next_tick`: master cycle of the next unapplied fault, `None`
-    /// once the plan is drained (or absent).
-    #[allow(dead_code)] // mirrors the Component shape; the loop drives ticks off the heap
-    pub fn next_tick(&self, plan: Option<&FaultPlan>) -> Option<Cycle> {
-        plan.and_then(|p| p.events().get(self.cursor)).map(|e| e.at)
-    }
-
     /// Advances past the event just applied, returning its index.
     pub fn advance(&mut self) -> usize {
         let idx = self.cursor;
@@ -84,9 +72,8 @@ impl FaultComponent {
 /// The epoch boundary — a *lazy* clock: rather than scheduling its own
 /// heap events, it fires piggybacked on the first task event popped at
 /// or past the boundary, and the next boundary is measured from that
-/// event's cycle (the boundary drifts with activity, exactly like the
-/// monolithic loop's `maybe_rebalance`). An idle stretch therefore
-/// produces no empty epoch ticks.
+/// event's cycle, so the boundary drifts with activity. An idle
+/// stretch therefore produces no empty epoch ticks.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochComponent {
     /// Master cycle at or past which the next epoch tick fires.
@@ -121,8 +108,8 @@ pub(crate) struct SamplerComponent {
 }
 
 impl SamplerComponent {
-    /// `next_tick`-and-advance: the next due boundary at or before
-    /// `now`, or `None` when caught up (or disabled). Call in a loop —
+    /// Returns the next due boundary at or before `now` and advances
+    /// past it, or `None` when caught up (or disabled). Call in a loop —
     /// several boundaries may have passed between events.
     pub fn next_due(&mut self, now: Cycle) -> Option<Cycle> {
         let every = self.every?;
@@ -139,9 +126,8 @@ impl SamplerComponent {
 /// this clock; compute charges route through
 /// [`compute_master_cycles`](NpuClock::compute_master_cycles), which
 /// divides local compute cycles by the current rate to get master
-/// cycles — the clock-divider relationship of `crate::sched`, held in
-/// rational (f64) form so the full-rate 1.0 stays IEEE-exact and a
-/// fault-free run is untouched bit for bit.
+/// cycles. The rate is held in rational (f64) form so the full-rate 1.0
+/// stays IEEE-exact and a fault-free run is untouched bit for bit.
 #[derive(Debug, Clone)]
 pub(crate) struct NpuClock {
     /// Clock rate relative to the master clock (1.0 = full rate;
@@ -225,7 +211,6 @@ mod tests {
     #[test]
     fn fault_cursor_walks_the_plan() {
         let mut f = FaultComponent { cursor: 0 };
-        assert_eq!(f.next_tick(None), None);
         assert_eq!(f.advance(), 0);
         assert_eq!(f.advance(), 1);
         assert_eq!(f.cursor, 2);

@@ -22,8 +22,7 @@ use crate::fault::{
 };
 use crate::layout::TaskLayout;
 use crate::policies::{
-    builtin_policy, AllocFailure, EpochSlot, InstallEvent, PartitionCtx, Policy,
-    PolicyCapabilities, Selection,
+    AllocFailure, EpochSlot, InstallEvent, PartitionCtx, Policy, PolicyCapabilities, Selection,
 };
 use crate::result::{DetailLevel, QueueSample, RunDetail, RunOutput, RunSummary, TaskSummary};
 use crate::scenario::Workload;
@@ -117,78 +116,6 @@ impl PolicyKind {
     }
 }
 
-/// Engine configuration of the original (pre-builder) API.
-#[deprecated(
-    since = "0.2.0",
-    note = "assemble runs with `Simulation::builder()` instead"
-)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// SoC parameters (Table II).
-    pub soc: SocConfig,
-    /// System configuration to simulate.
-    pub policy: PolicyKind,
-    /// RNG seed (dispatch jitter, NPU choice).
-    pub seed: u64,
-    /// Inferences per task.
-    pub rounds_per_task: u32,
-    /// Leading inferences per task excluded from statistics (cache
-    /// warm-up).
-    pub warmup_rounds: u32,
-    /// QoS mode: deadline scale over Table I targets (0.8 = QoS-H,
-    /// 1.0 = QoS-M, 1.2 = QoS-L). `None` = closed-loop speedup mode.
-    pub qos_scale: Option<f64>,
-    /// Bandwidth/NPU reallocation epoch for MoCA/AuRORA/CaMDN-QoS.
-    pub epoch_cycles: Cycle,
-    /// Offline mapper settings.
-    pub mapper: MapperConfig,
-}
-
-#[allow(deprecated)]
-impl EngineConfig {
-    /// Speedup-experiment configuration (Section IV-A4) for a policy.
-    pub fn speedup(policy: PolicyKind) -> Self {
-        EngineConfig {
-            soc: SocConfig::paper_default(),
-            policy,
-            seed: 0xCA3D41,
-            rounds_per_task: 3,
-            warmup_rounds: 1,
-            qos_scale: None,
-            epoch_cycles: 200_000,
-            mapper: MapperConfig::paper_default(),
-        }
-    }
-
-    /// QoS-experiment configuration for a policy at a deadline scale.
-    pub fn qos(policy: PolicyKind, scale: f64) -> Self {
-        EngineConfig {
-            qos_scale: Some(scale),
-            ..EngineConfig::speedup(policy)
-        }
-    }
-
-    pub(crate) fn params(&self) -> SimParams {
-        SimParams {
-            soc: self.soc,
-            seed: self.seed,
-            warmup_rounds: self.warmup_rounds,
-            qos_scale: self.qos_scale,
-            epoch_cycles: self.epoch_cycles,
-            mapper: self.mapper.clone(),
-            reference_model: false,
-            // The pre-split API always returned the per-task table.
-            detail: DetailLevel::Tasks,
-            queue_sample_cycles: None,
-            fault_plan: None,
-            max_sim_cycles: None,
-            max_wall: None,
-            admission_control: false,
-            legacy_scheduler: false,
-        }
-    }
-}
-
 /// Policy-independent engine parameters (the builder assembles these).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimParams {
@@ -224,12 +151,6 @@ pub(crate) struct SimParams {
     /// Deadline-aware admission control: shed open-loop QoS arrivals
     /// whose predicted completion already misses the deadline.
     pub admission_control: bool,
-    /// Drive the run with the retained legacy monolithic advance loop
-    /// instead of the component-structured one. Results are bit-for-bit
-    /// identical either way (`sched_equivalence.rs` is the gate); the
-    /// knob exists so the differential suite can hold the two loops
-    /// against each other.
-    pub legacy_scheduler: bool,
 }
 
 /// The multi-tenant discrete-event engine.
@@ -288,31 +209,6 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine with one task per entry of `task_models`,
-    /// running the built-in system named by `cfg.policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid (e.g. an empty
-    /// workload); the builder path reports [`EngineError`] instead.
-    #[deprecated(
-        since = "0.2.0",
-        note = "assemble runs with `Simulation::builder()` instead"
-    )]
-    #[allow(deprecated)]
-    pub fn new(cfg: EngineConfig, task_models: &[Model]) -> Self {
-        let workload = Workload::closed(task_models.to_vec(), cfg.rounds_per_task);
-        Engine::with_policy(
-            cfg.params(),
-            builtin_policy(cfg.policy),
-            &workload,
-            None,
-            None,
-        )
-        // camdn-lint: allow(panic-in-lib, reason = "deprecated pre-builder shim; its documented contract is to panic on invalid configs")
-        .expect("invalid engine configuration")
-    }
-
     /// Builds an engine from parameters, a policy instance and a
     /// workload scenario. Model mappings are served from `plan_cache`
     /// when one is supplied (sweeps share one across cells), and the
@@ -513,14 +409,10 @@ impl Engine {
     ///
     /// The run primes the master heap — fault events first (plan
     /// order), then one arrival per task in task order; insertion
-    /// order is part of the determinism contract — and then drives it
-    /// with either the component-structured loop
-    /// ([`run_scheduled`](Self::run_scheduled), the default) or the
-    /// retained legacy monolithic loop
-    /// ([`run_legacy`](Self::run_legacy), behind
-    /// `SimulationBuilder::legacy_scheduler`). The two are bit-for-bit
-    /// equivalent; `crates/camdn/tests/sched_equivalence.rs` is the
-    /// gate.
+    /// order is part of the determinism contract — and then runs the
+    /// advance loop until the heap drains or a budget trips. The golden
+    /// corpus in `crates/camdn/tests/golden/run_outputs.txt` pins the
+    /// outcome.
     pub fn run(&mut self) -> Result<RunOutput, EngineError> {
         if self.started {
             return Err(EngineError::InvalidConfig(
@@ -554,21 +446,17 @@ impl Engine {
                 }
             }
         }
-        if self.params.legacy_scheduler {
-            self.run_legacy()
-        } else {
-            self.run_scheduled()
-        }
+        self.advance()
     }
 
-    /// The component-structured advance loop (the default). Every
-    /// popped master-heap event flows through the phase components in
-    /// a fixed, documented order: budget guards, the sampler drains
-    /// its fixed-period clock up to the event, a fault-sentinel event
-    /// ticks the fault component, the lazy epoch clock fires if its
-    /// boundary was reached, and finally the task state machine steps.
-    /// See `docs/ENGINE.md` for the architecture.
-    fn run_scheduled(&mut self) -> Result<RunOutput, EngineError> {
+    /// The advance loop. Every popped master-heap event flows through
+    /// the phase components in a fixed, documented order: budget
+    /// guards, the sampler drains its fixed-period clock up to the
+    /// event, a fault-sentinel event ticks the fault component, the
+    /// lazy epoch clock fires if its boundary was reached, and finally
+    /// the task state machine steps. See `docs/ENGINE.md` for the
+    /// architecture.
+    fn advance(&mut self) -> Result<RunOutput, EngineError> {
         // camdn-lint: allow(wall-clock-in-sim, reason = "max_wall budget guard: wall time only decides when to stop, never what the simulation computes")
         let wall_start = Instant::now();
         let mut wall_tick = 0u32;
@@ -618,60 +506,6 @@ impl Engine {
         Ok(self.aggregate())
     }
 
-    /// The retained pre-component monolithic advance loop — the seed
-    /// engine's `run` body, kept verbatim so the differential suite
-    /// can hold the component-structured loop bit-for-bit against it.
-    /// Selected by `SimulationBuilder::legacy_scheduler`.
-    fn run_legacy(&mut self) -> Result<RunOutput, EngineError> {
-        // Queue sampling walks fixed boundaries between events: state
-        // only changes at events, so sampling just before the first
-        // event at-or-past a boundary observes the state *at* it.
-        let sample_every = self.params.queue_sample_cycles;
-        let mut next_sample = sample_every.unwrap_or(0);
-        // camdn-lint: allow(wall-clock-in-sim, reason = "max_wall budget guard: wall time only decides when to stop, never what the simulation computes")
-        let wall_start = Instant::now();
-        let mut wall_tick = 0u32;
-        while let Some((now, tid)) = self.events.pop() {
-            // Budget guards. The cycle budget trips on the first event
-            // *past* the limit (deterministic); the wall-clock budget is
-            // polled every few thousand events and depends on host
-            // speed. Both surface the work done so far as a partial.
-            if let Some(max) = self.params.max_sim_cycles {
-                if now > max {
-                    return Err(EngineError::BudgetExceeded {
-                        budget: BudgetKind::SimCycles,
-                        at_cycle: now,
-                        partial: Box::new(self.aggregate()),
-                    });
-                }
-            }
-            if let Some(max) = self.params.max_wall {
-                wall_tick = wall_tick.wrapping_add(1);
-                if wall_tick.is_multiple_of(WALL_CHECK_STRIDE) && wall_start.elapsed() >= max {
-                    return Err(EngineError::BudgetExceeded {
-                        budget: BudgetKind::WallClock,
-                        at_cycle: now,
-                        partial: Box::new(self.aggregate()),
-                    });
-                }
-            }
-            if let Some(every) = sample_every {
-                while next_sample <= now {
-                    self.sample_queue_depth(next_sample);
-                    next_sample += every;
-                }
-            }
-            self.now = now.max(self.now);
-            if tid == FAULT_EVENT {
-                self.apply_next_fault(now)?;
-                continue;
-            }
-            self.maybe_rebalance();
-            self.step(tid, now)?;
-        }
-        Ok(self.aggregate())
-    }
-
     /// Records one queue-depth sample: requests arrived by `at` but
     /// not yet retired, summed over all tasks. A closed-loop task's
     /// whole round budget "arrives" with its single dispatch jitter.
@@ -698,25 +532,13 @@ impl Engine {
     // Scheduling epochs (policies with `reallocates_shares`)
     // ---------------------------------------------------------------
 
-    /// Legacy-loop epoch entry point: boundary check plus the epoch
-    /// tick (the component loop checks `comps.epoch.due` inline).
-    fn maybe_rebalance(&mut self) {
-        if !self.comps.epoch.due(self.now) {
-            return;
-        }
-        self.rebalance_epoch();
-    }
-
     /// The epoch component's tick: re-arm the (lazy, drifting)
-    /// boundary, run the cache's epoch housekeeping, and let a
+    /// boundary, run the cache's epoch hook, and let a
     /// share-reallocating policy redistribute bandwidth and NPU quota.
     fn rebalance_epoch(&mut self) {
         self.comps.epoch.advance(self.now);
-        // Results-identical cache housekeeping rides the epoch tick:
-        // the LRU age plane gets rank-compacted outside the hot tag
-        // pass when its 32-bit headroom runs low. Epochs fire at the
-        // same simulated times in the batched and reference engines,
-        // so the twins stay bit-for-bit comparable.
+        // The cache's epoch hook is a debug-build invariant sweep over
+        // its tag planes (free in release); it never changes results.
         self.cache.on_epoch();
         if !self.shares_active() {
             return;
@@ -1632,49 +1454,10 @@ impl Engine {
     }
 }
 
-/// Convenience: builds the standard N-tenant model list by cycling the
-/// Table I models.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Workload` over `camdn_models::zoo` instead"
-)]
-pub fn workload(n: usize) -> Vec<Model> {
-    let zoo = camdn_models::zoo::all();
-    (0..n).map(|i| zoo[i % zoo.len()].clone()).collect()
-}
-
-/// Runs one configuration end to end.
-///
-/// # Panics
-///
-/// Panics when the configuration is invalid or an engine invariant
-/// breaks; the builder path ([`Simulation`](crate::Simulation)) reports
-/// [`EngineError`] instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "assemble runs with `Simulation::builder()` instead"
-)]
-#[allow(deprecated)]
-pub fn simulate(cfg: EngineConfig, task_models: &[Model]) -> crate::result::RunResult {
-    let workload = Workload::closed(task_models.to_vec(), cfg.rounds_per_task);
-    Engine::with_policy(
-        cfg.params(),
-        builtin_policy(cfg.policy),
-        &workload,
-        None,
-        None,
-    )
-    .and_then(|mut e| e.run())
-    // camdn-lint: allow(panic-in-lib, reason = "deprecated pre-builder shim; its documented contract is to panic on failure")
-    .expect("simulation failed")
-    .legacy_result()
-    // camdn-lint: allow(panic-in-lib, reason = "the legacy EngineConfig path always requests per-task detail")
-    .expect("the legacy params always retain the per-task table")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::builtin_policy;
     use crate::sim::Simulation;
     use camdn_models::zoo;
 
@@ -1736,7 +1519,6 @@ mod tests {
             max_sim_cycles: None,
             max_wall: None,
             admission_control: false,
-            legacy_scheduler: false,
         };
         let mut engine = Engine::with_policy(
             params,
@@ -1936,7 +1718,6 @@ mod tests {
             max_sim_cycles: None,
             max_wall: None,
             admission_control: false,
-            legacy_scheduler: false,
         };
         let mut engine = Engine::with_policy(
             params,
@@ -2088,7 +1869,6 @@ mod tests {
             max_sim_cycles: None,
             max_wall: None,
             admission_control: false,
-            legacy_scheduler: false,
         };
         let workload = Workload::closed((0..4).map(|_| zoo::mobilenet_v2()).collect(), 2);
         let mut engine = Engine::with_policy(

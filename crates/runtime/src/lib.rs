@@ -43,8 +43,6 @@ pub mod sim;
 pub mod task;
 
 pub use camdn_cache::CacheScratchPool;
-#[allow(deprecated)]
-pub use engine::{simulate, workload, EngineConfig};
 pub use engine::{Engine, PolicyKind};
 pub use error::{BudgetKind, EngineError};
 pub use fault::{FaultEvent, FaultGenConfig, FaultKind, FaultPlan};
@@ -54,16 +52,11 @@ pub use policies::{
     builtin_policy, create_policy, register_policy, registered_policies, AllocFailure, EpochSlot,
     InstallEvent, PartitionCtx, Policy, PolicyCapabilities, PolicyRegistry, Selection,
 };
-#[allow(deprecated)]
-pub use result::RunResult;
 pub use result::{
     DetailLevel, LatencyTail, QueueSample, RunDetail, RunOutput, RunSummary, TaskSummary,
     LATENCY_HIST_BUCKETS, LATENCY_HIST_EDGES,
 };
 pub use scenario::{ArrivalProcess, Workload};
-pub use sched::{
-    CompId, Component, ComponentClock, ComponentSet, FiredTick, SchedError, SchedSummary,
-    Scheduler, TickCtx,
-};
+pub use sched::Scheduler;
 pub use sim::{Simulation, SimulationBuilder};
 pub use task::{InferenceRecord, Task, TaskState};

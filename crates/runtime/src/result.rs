@@ -1,5 +1,5 @@
-//! The result pipeline: compact run summaries, opt-in per-task detail,
-//! and the deprecated [`RunResult`] shim.
+//! The result pipeline: compact run summaries and opt-in per-task
+//! detail.
 //!
 //! A simulation's observable output is split in two:
 //!
@@ -20,9 +20,6 @@
 //! The summary is computed identically at every detail level, so a
 //! summary-only run is bit-for-bit the `summary` of a detailed run
 //! (tested in `crates/camdn/tests/results_pipeline.rs`).
-//!
-//! The pre-split [`RunResult`] survives as a deprecated shim that
-//! [`RunOutput::legacy_result`] assembles bit-for-bit from the pair.
 
 use camdn_common::stats::{bucket_quantile, Histogram};
 use camdn_common::types::{cycles_to_ms, Cycle};
@@ -357,52 +354,6 @@ impl RunOutput {
     pub fn try_tasks(&self) -> Option<&[TaskSummary]> {
         self.detail.as_ref().map(|d| d.tasks.as_slice())
     }
-
-    /// Assembles the pre-split [`RunResult`] from the pair — bit-for-bit
-    /// the value the old aggregate returned. `None` when the run was
-    /// summary-only (the shim needs the per-task table).
-    #[deprecated(
-        since = "0.4.0",
-        note = "read `RunOutput::summary` / `RunOutput::detail` directly"
-    )]
-    #[allow(deprecated)]
-    pub fn legacy_result(&self) -> Option<RunResult> {
-        self.detail.as_ref().map(|d| RunResult {
-            policy: self.policy.clone(),
-            tasks: d.tasks.clone(),
-            cache_hit_rate: self.summary.cache_hit_rate,
-            avg_latency_ms: self.summary.avg_latency_ms,
-            mem_mb_per_model: self.summary.mem_mb_per_model,
-            makespan_ms: self.summary.makespan_ms,
-            multicast_saved_mb: self.summary.multicast_saved_mb,
-        })
-    }
-}
-
-/// Aggregate result of one engine run, as a single struct (the
-/// pre-split API).
-#[deprecated(
-    since = "0.4.0",
-    note = "runs now return `RunOutput` (a `RunSummary` + optional `RunDetail`); \
-            assemble this shim with `RunOutput::legacy_result` if needed"
-)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunResult {
-    /// Label of the policy that produced this result.
-    pub policy: String,
-    /// Per-task summaries in task order.
-    pub tasks: Vec<TaskSummary>,
-    /// Shared-cache hit rate (transparent path for baselines; controlled
-    /// hits over all NPU line movements for CaMDN).
-    pub cache_hit_rate: f64,
-    /// Mean of per-task mean latencies, ms.
-    pub avg_latency_ms: f64,
-    /// Mean DRAM traffic per model inference, MB.
-    pub mem_mb_per_model: f64,
-    /// Wall-clock span of the simulation, ms.
-    pub makespan_ms: f64,
-    /// Line transfers saved by multicast, MB.
-    pub multicast_saved_mb: f64,
 }
 
 #[cfg(test)]
@@ -450,19 +401,6 @@ mod tests {
     fn detail_levels_are_ordered() {
         assert!(DetailLevel::Summary < DetailLevel::Tasks);
         assert!(DetailLevel::Tasks < DetailLevel::Full);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_is_assembled_from_the_pair() {
-        let out = output(Some(one_task_detail()));
-        let legacy = out.legacy_result().expect("detail present");
-        assert_eq!(legacy.policy, out.policy);
-        assert_eq!(legacy.tasks, out.detail.as_ref().unwrap().tasks);
-        assert_eq!(legacy.avg_latency_ms, out.summary.avg_latency_ms);
-        assert_eq!(legacy.makespan_ms, out.summary.makespan_ms);
-        // A summary-only run cannot back the shim.
-        assert!(output(None).legacy_result().is_none());
     }
 
     #[test]

@@ -1,76 +1,52 @@
-//! The discrete-event component-clock scheduler core.
+//! The discrete-event scheduler core: the engine's time-advance
+//! substrate.
 //!
-//! This module is the engine's time-advance substrate, split out of the
-//! old monolithic run loop. It has two layers:
-//!
-//! * [`Scheduler`] — a deterministic min-heap of timestamped events
-//!   with FIFO tie-breaking and a tracked current time. This is what
-//!   the engine's run loop pops; every wake the task state machine,
-//!   the fault plan or a timeout schedules goes through it.
-//! * [`Component`] + [`ComponentSet`] — a generic component framework
-//!   on top of the heap: each component advances on its own clock,
-//!   expressed as an integer divider against the master clock
-//!   ([`ComponentClock`]), and may retune any component's divider
-//!   mid-run (DVFS). This is the substrate for heterogeneous-SoC
-//!   scenarios (DMA engines, host CPUs, multiple NPU clock domains)
-//!   and is property-tested standalone; see `docs/ENGINE.md`.
+//! [`Scheduler`] is a deterministic min-heap of timestamped events with
+//! FIFO tie-breaking and a tracked current time. The engine's run loop
+//! pops a `Scheduler<u32>` of task ids (plus a sentinel id for fault
+//! events); every wake the task state machine, the fault plan or a
+//! timeout schedules goes through it. The engine's phase logic (fault
+//! cursor, epoch boundary, queue-depth sampler, NPU clock domain) lives
+//! in plain structs driven from that loop; see `docs/ENGINE.md`.
 //!
 //! # Determinism
 //!
-//! Every ordering decision is written down and seeded:
-//!
-//! * Events at distinct master cycles fire in cycle order.
-//! * Events at the **same** master cycle fire in the order they were
-//!   scheduled (FIFO by a monotone sequence number).
-//! * At startup, components are primed in **registration order**, so a
-//!   cold same-cycle tie resolves to registration order.
-//! * A divider change re-maps the target's pending tick to its new
-//!   edge, clamped to the current time (time never runs backwards),
-//!   and supersedes the previously scheduled entry — the stale entry
-//!   is discarded by the driver and never delivered.
+//! * Events at distinct cycles fire in cycle order.
+//! * Events at the **same** cycle fire in the order they were
+//!   scheduled (FIFO by a monotone sequence number). The engine's RNG
+//!   draw order, and so every result, depends on this.
+//! * The tracked time never runs backwards: it is the max of all
+//!   popped timestamps.
 //!
 //! # Example
 //!
 //! ```
-//! use camdn_runtime::sched::{Component, ComponentSet, TickCtx};
+//! use camdn_runtime::sched::Scheduler;
 //!
-//! /// Counts its own ticks for ten local cycles.
-//! struct Counter {
-//!     fired: Vec<u64>,
-//! }
-//! impl Component for Counter {
-//!     fn next_tick(&mut self, from: u64) -> Option<u64> {
-//!         (from < 10).then_some(from)
+//! // Two tasks that each re-arm themselves 10 cycles after every wake.
+//! let mut s = Scheduler::new();
+//! s.push(0, 0u32);
+//! s.push(0, 1u32);
+//! let mut fired = Vec::new();
+//! while let Some((now, tid)) = s.pop() {
+//!     fired.push((now, tid));
+//!     if now < 20 {
+//!         s.push(now + 10, tid);
 //!     }
-//!     fn tick(&mut self, now: u64, _local: u64, _ctx: &mut TickCtx) {
-//!         self.fired.push(now);
-//!     }
 //! }
-//!
-//! let mut set = ComponentSet::new();
-//! // A full-rate component and one on a divide-by-4 clock.
-//! let fast = set.add("fast", 1, Box::new(Counter { fired: vec![] })).unwrap();
-//! let slow = set.add("slow", 4, Box::new(Counter { fired: vec![] })).unwrap();
-//! let done = set.run(1_000).unwrap();
-//! assert_eq!(done.ticks, 20);
-//! assert_eq!(done.now, 36); // slow's 10th local tick: 9 * 4
-//! # let _ = (fast, slow);
+//! assert_eq!(fired, [(0, 0), (0, 1), (10, 0), (10, 1), (20, 0), (20, 1)]);
+//! assert_eq!(s.now(), 20);
 //! ```
 
 use camdn_common::types::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::error::Error;
-use std::fmt;
 
 /// A deterministic time-ordered event heap with FIFO tie-breaking and
 /// a tracked current time.
 ///
-/// This is the engine-facing layer of the scheduler: payloads are
-/// opaque, and the ordering contract is exactly the one the legacy
-/// advance loop relied on — `(time, insertion sequence)` — so a run
-/// driven through [`Scheduler`] pops events in the same order the old
-/// `EventQueue` did.
+/// Payloads are opaque; events pop in `(time, insertion sequence)`
+/// order.
 ///
 /// ```
 /// use camdn_runtime::sched::Scheduler;
@@ -168,406 +144,9 @@ impl<E> Default for Scheduler<E> {
     }
 }
 
-/// A per-component clock: an integer divider against the master clock.
-///
-/// Local tick `L` of a component with divider `d` falls on master
-/// cycle `L * d`. Dividers can change mid-run (DVFS); the driver
-/// re-maps pending ticks to the new edge, clamped to the current time.
-///
-/// ```
-/// use camdn_runtime::sched::ComponentClock;
-///
-/// let c = ComponentClock::new(4).unwrap();
-/// assert_eq!(c.to_master(3), 12);
-/// assert_eq!(c.local_at(13), 3);  // last edge at or before 13
-/// assert_eq!(c.next_edge(13), 16);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComponentClock {
-    divider: Cycle,
-}
-
-impl ComponentClock {
-    /// Creates a clock at `master / divider`. A zero divider is
-    /// rejected — it would schedule every local tick at cycle 0
-    /// forever.
-    pub fn new(divider: Cycle) -> Result<Self, SchedError> {
-        if divider == 0 {
-            return Err(SchedError::ZeroDivider { comp: usize::MAX });
-        }
-        Ok(ComponentClock { divider })
-    }
-
-    /// The current divider.
-    pub fn divider(&self) -> Cycle {
-        self.divider
-    }
-
-    /// Retunes the divider (DVFS). Zero is rejected.
-    pub fn set_divider(&mut self, divider: Cycle) -> Result<(), SchedError> {
-        if divider == 0 {
-            return Err(SchedError::ZeroDivider { comp: usize::MAX });
-        }
-        self.divider = divider;
-        Ok(())
-    }
-
-    /// Master cycle of local tick `local` (saturating).
-    pub fn to_master(&self, local: Cycle) -> Cycle {
-        local.saturating_mul(self.divider)
-    }
-
-    /// Local tick index of the last edge at or before master cycle
-    /// `master`.
-    pub fn local_at(&self, master: Cycle) -> Cycle {
-        master / self.divider
-    }
-
-    /// First master cycle strictly greater than `master` that falls on
-    /// a local clock edge.
-    pub fn next_edge(&self, master: Cycle) -> Cycle {
-        (master / self.divider + 1).saturating_mul(self.divider)
-    }
-}
-
-/// Identifier of a component within a [`ComponentSet`] (its
-/// registration index).
-pub type CompId = usize;
-
-/// A simulated hardware block advancing on its own clock.
-///
-/// The driver polls [`next_tick`](Component::next_tick) after every
-/// delivered tick (and once at startup, with `from = 0`); the returned
-/// *local* tick is mapped to master cycles through the component's
-/// [`ComponentClock`] and scheduled on the shared heap. Returning
-/// `None` idles the component; a set whose components all idle
-/// terminates — this is the no-deadlock guarantee the property suite
-/// exercises.
-pub trait Component {
-    /// First local tick at or after `from` this component wants to
-    /// execute, or `None` to go idle. A value below `from` is clamped
-    /// to `from` by the driver (time never runs backwards).
-    fn next_tick(&mut self, from: Cycle) -> Option<Cycle>;
-
-    /// Executes the tick scheduled for local cycle `local`, delivered
-    /// at master cycle `now`. Divider retunes requested through `ctx`
-    /// are applied after this call returns, in request order.
-    fn tick(&mut self, now: Cycle, local: Cycle, ctx: &mut TickCtx);
-}
-
-/// Side-effect channel handed to [`Component::tick`]: lets a component
-/// retune any component's clock divider (DVFS) without aliasing the
-/// driver's state. Requests are applied after the tick returns, in
-/// request order.
-#[derive(Debug)]
-pub struct TickCtx {
-    now: Cycle,
-    changes: Vec<(CompId, Cycle)>,
-}
-
-impl TickCtx {
-    /// Current master cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Requests the divider of `comp` (possibly the caller itself) be
-    /// set to `divider` once this tick returns. A zero divider or an
-    /// unknown component id surfaces as a typed [`SchedError`] from
-    /// [`ComponentSet::run`].
-    pub fn set_divider(&mut self, comp: CompId, divider: Cycle) {
-        self.changes.push((comp, divider));
-    }
-}
-
-/// One delivered tick, as recorded by the optional schedule log
-/// ([`ComponentSet::record_schedule`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FiredTick {
-    /// Master cycle the tick was delivered at.
-    pub at: Cycle,
-    /// Component that ticked.
-    pub comp: CompId,
-    /// The component's local cycle for this tick.
-    pub local: Cycle,
-}
-
-impl fmt::Display for FiredTick {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{} comp{} (local {})", self.at, self.comp, self.local)
-    }
-}
-
-/// Summary of a completed [`ComponentSet::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedSummary {
-    /// Total ticks delivered.
-    pub ticks: u64,
-    /// Master cycle of the last delivered tick.
-    pub now: Cycle,
-    /// Stale heap entries discarded (superseded by divider changes) —
-    /// never delivered to a component.
-    pub stale_skipped: u64,
-}
-
-/// Errors of the component-set driver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SchedError {
-    /// A clock divider of zero was supplied (at registration or via
-    /// [`TickCtx::set_divider`]). `comp` is `usize::MAX` when the
-    /// clock was constructed standalone.
-    ZeroDivider {
-        /// Component the divider was aimed at.
-        comp: CompId,
-    },
-    /// A divider change named a component id that was never registered.
-    UnknownComponent {
-        /// The out-of-range id.
-        comp: CompId,
-    },
-    /// The tick budget ran out — the set was still active after
-    /// `ticks` deliveries. This is the runaway guard for generative
-    /// tests; a well-formed finite workload never trips it.
-    TickBudget {
-        /// Ticks delivered before giving up.
-        ticks: u64,
-        /// Master cycle of the last delivered tick.
-        at: Cycle,
-    },
-    /// [`ComponentSet::run`] was called twice, or a component was
-    /// added after the run started.
-    AlreadyRan,
-}
-
-impl fmt::Display for SchedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedError::ZeroDivider { comp } if *comp == usize::MAX => {
-                write!(f, "clock divider must be at least 1")
-            }
-            SchedError::ZeroDivider { comp } => {
-                write!(f, "component {comp}: clock divider must be at least 1")
-            }
-            SchedError::UnknownComponent { comp } => {
-                write!(f, "divider change aimed at unregistered component {comp}")
-            }
-            SchedError::TickBudget { ticks, at } => {
-                write!(f, "tick budget exhausted after {ticks} ticks at cycle {at}")
-            }
-            SchedError::AlreadyRan => {
-                write!(f, "component set already ran; build a fresh one")
-            }
-        }
-    }
-}
-
-impl Error for SchedError {}
-
-struct SetEntry {
-    name: String,
-    comp: Box<dyn Component>,
-    clock: ComponentClock,
-    /// Bumped whenever the pending heap entry is superseded (a tick
-    /// delivery or a divider change); a popped entry with a stale
-    /// generation is discarded, never delivered.
-    gen: u64,
-    /// The local tick currently scheduled on the heap, if any.
-    pending: Option<Cycle>,
-}
-
-impl fmt::Debug for SetEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SetEntry")
-            .field("name", &self.name)
-            .field("clock", &self.clock)
-            .field("gen", &self.gen)
-            .field("pending", &self.pending)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A set of [`Component`]s driven to completion over one shared
-/// [`Scheduler`], each on its own [`ComponentClock`].
-///
-/// See the [module docs](self) for the determinism contract and an
-/// example, and `docs/ENGINE.md` for how the engine maps onto this
-/// model.
-#[derive(Debug, Default)]
-pub struct ComponentSet {
-    entries: Vec<SetEntry>,
-    sched: Scheduler<(CompId, u64, Cycle)>,
-    log: Option<Vec<FiredTick>>,
-    started: bool,
-}
-
-impl ComponentSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        ComponentSet {
-            entries: Vec::new(),
-            sched: Scheduler::new(),
-            log: None,
-            started: false,
-        }
-    }
-
-    /// Records every delivered tick into a schedule log readable via
-    /// [`schedule_log`](ComponentSet::schedule_log) — the property
-    /// suite prints it on failure. Off by default (unbounded memory on
-    /// long runs).
-    pub fn record_schedule(&mut self, on: bool) {
-        self.log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Registers a component on a `divider`-divided clock, returning
-    /// its id. Registration order is the cold-start tie-break order.
-    pub fn add(
-        &mut self,
-        name: impl Into<String>,
-        divider: Cycle,
-        comp: Box<dyn Component>,
-    ) -> Result<CompId, SchedError> {
-        if self.started {
-            return Err(SchedError::AlreadyRan);
-        }
-        let id = self.entries.len();
-        let clock =
-            ComponentClock::new(divider).map_err(|_| SchedError::ZeroDivider { comp: id })?;
-        self.entries.push(SetEntry {
-            name: name.into(),
-            comp,
-            clock,
-            gen: 0,
-            pending: None,
-        });
-        Ok(id)
-    }
-
-    /// Registered name of `comp` (diagnostics).
-    pub fn name(&self, comp: CompId) -> Option<&str> {
-        self.entries.get(comp).map(|e| e.name.as_str())
-    }
-
-    /// Current clock divider of `comp`.
-    pub fn divider(&self, comp: CompId) -> Option<Cycle> {
-        self.entries.get(comp).map(|e| e.clock.divider())
-    }
-
-    /// The delivered-tick log (empty unless
-    /// [`record_schedule`](ComponentSet::record_schedule) is on).
-    pub fn schedule_log(&self) -> &[FiredTick] {
-        self.log.as_deref().unwrap_or(&[])
-    }
-
-    /// Polls `idx` for its next tick at or after local cycle `from`
-    /// and schedules it, clamped so it never lands before `now`.
-    fn poll(&mut self, idx: CompId, from: Cycle, now: Cycle) {
-        let e = &mut self.entries[idx];
-        match e.comp.next_tick(from) {
-            Some(l) => {
-                let local = l.max(from);
-                let at = e.clock.to_master(local).max(now);
-                e.pending = Some(local);
-                self.sched.push(at, (idx, e.gen, local));
-            }
-            None => e.pending = None,
-        }
-    }
-
-    /// Drives every component to completion (all idle), delivering at
-    /// most `max_ticks` ticks. Time is strictly monotone per pop, and
-    /// stale heap entries (superseded by divider changes) are counted
-    /// and discarded, never delivered.
-    pub fn run(&mut self, max_ticks: u64) -> Result<SchedSummary, SchedError> {
-        if self.started {
-            return Err(SchedError::AlreadyRan);
-        }
-        self.started = true;
-        // Prime in registration order: the cold-start tie-break.
-        for idx in 0..self.entries.len() {
-            self.poll(idx, 0, 0);
-        }
-        let mut ticks = 0u64;
-        let mut stale_skipped = 0u64;
-        let mut last = 0;
-        let mut changes: Vec<(CompId, Cycle)> = Vec::new();
-        while let Some((at, (idx, gen, local))) = self.sched.pop() {
-            if self.entries[idx].gen != gen {
-                stale_skipped += 1;
-                continue;
-            }
-            debug_assert!(at >= last, "scheduler time ran backwards");
-            last = at;
-            if ticks >= max_ticks {
-                return Err(SchedError::TickBudget { ticks, at });
-            }
-            ticks += 1;
-            if let Some(log) = &mut self.log {
-                log.push(FiredTick {
-                    at,
-                    comp: idx,
-                    local,
-                });
-            }
-            let e = &mut self.entries[idx];
-            e.gen += 1;
-            e.pending = None;
-            let mut ctx = TickCtx {
-                now: at,
-                changes: std::mem::take(&mut changes),
-            };
-            e.comp.tick(at, local, &mut ctx);
-            changes = ctx.changes;
-            for (cid, d) in changes.drain(..) {
-                let target = self
-                    .entries
-                    .get_mut(cid)
-                    .ok_or(SchedError::UnknownComponent { comp: cid })?;
-                target
-                    .clock
-                    .set_divider(d)
-                    .map_err(|_| SchedError::ZeroDivider { comp: cid })?;
-                // Supersede the pending entry: re-map its local tick to
-                // the new edge, clamped to now.
-                target.gen += 1;
-                if let Some(l) = target.pending {
-                    let nat = target.clock.to_master(l).max(at);
-                    self.sched.push(nat, (cid, target.gen, l));
-                }
-            }
-            self.poll(idx, local.saturating_add(1), at);
-        }
-        Ok(SchedSummary {
-            ticks,
-            now: last,
-            stale_skipped,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    type Seen = Rc<RefCell<Vec<(Cycle, Cycle)>>>;
-
-    /// Ticks at fixed local cycles, recording `(master, local)` pairs
-    /// into shared test state (the set owns the boxed component).
-    struct Fixed {
-        at: Vec<Cycle>,
-        seen: Seen,
-    }
-    impl Component for Fixed {
-        fn next_tick(&mut self, from: Cycle) -> Option<Cycle> {
-            self.at.iter().copied().find(|&t| t >= from)
-        }
-        fn tick(&mut self, now: Cycle, local: Cycle, _ctx: &mut TickCtx) {
-            self.seen.borrow_mut().push((now, local));
-        }
-    }
 
     #[test]
     fn scheduler_orders_by_time_then_fifo() {
@@ -584,224 +163,53 @@ mod tests {
     }
 
     #[test]
-    fn clock_maps_edges() {
-        let c = ComponentClock::new(8).unwrap();
-        assert_eq!(c.to_master(0), 0);
-        assert_eq!(c.to_master(3), 24);
-        assert_eq!(c.local_at(24), 3);
-        assert_eq!(c.local_at(31), 3);
-        assert_eq!(c.next_edge(0), 8);
-        assert_eq!(c.next_edge(24), 32);
-        assert!(ComponentClock::new(0).is_err());
+    fn orders_by_time() {
+        let mut s = Scheduler::new();
+        s.push(30, 3);
+        s.push(10, 1);
+        s.push(20, 2);
+        assert_eq!(s.pop(), Some((10, 1)));
+        assert_eq!(s.pop(), Some((20, 2)));
+        assert_eq!(s.pop(), Some((30, 3)));
     }
 
     #[test]
-    fn divided_component_fires_on_its_edges() {
-        let seen: Seen = Rc::default();
-        let mut set = ComponentSet::new();
-        set.add(
-            "div4",
-            4,
-            Box::new(Fixed {
-                at: vec![0, 1, 5],
-                seen: Rc::clone(&seen),
-            }),
-        )
-        .unwrap();
-        set.run(100).unwrap();
-        assert_eq!(*seen.borrow(), vec![(0, 0), (4, 1), (20, 5)]);
-    }
-
-    #[test]
-    fn same_cycle_ties_fire_in_registration_order() {
-        let mk = || {
-            Box::new(Fixed {
-                at: vec![0, 2, 4],
-                seen: Rc::default(),
-            })
-        };
-        let mut set = ComponentSet::new();
-        set.record_schedule(true);
-        let a = set.add("a", 2, mk()).unwrap();
-        let b = set.add("b", 1, mk()).unwrap();
-        set.run(100).unwrap();
-        // Master cycle 4: a's local 2 and b's local 4 collide. a was
-        // scheduled first (both re-armed at cycle 2 in firing order,
-        // which traces back to registration order at cycle 0).
-        let at4: Vec<CompId> = set
-            .schedule_log()
-            .iter()
-            .filter(|t| t.at == 4)
-            .map(|t| t.comp)
-            .collect();
-        assert_eq!(at4, vec![a, b]);
-    }
-
-    /// Slows itself down mid-run via the DVFS path.
-    struct SelfThrottle {
-        me: CompId,
-        seen: Rc<RefCell<Vec<Cycle>>>,
-    }
-    impl Component for SelfThrottle {
-        fn next_tick(&mut self, from: Cycle) -> Option<Cycle> {
-            (from < 4).then_some(from)
+    fn fifo_among_equal_times() {
+        let mut s = Scheduler::new();
+        for i in 0..100 {
+            s.push(7, i);
         }
-        fn tick(&mut self, now: Cycle, _local: Cycle, ctx: &mut TickCtx) {
-            self.seen.borrow_mut().push(now);
-            if self.seen.borrow().len() == 2 {
-                ctx.set_divider(self.me, 10);
-            }
+        for i in 0..100 {
+            assert_eq!(s.pop(), Some((7, i)));
         }
     }
 
     #[test]
-    fn dvfs_divider_change_takes_effect_at_next_tick() {
-        let seen: Rc<RefCell<Vec<Cycle>>> = Rc::default();
-        let mut set = ComponentSet::new();
-        set.add(
-            "throttle",
-            1,
-            Box::new(SelfThrottle {
-                me: 0,
-                seen: Rc::clone(&seen),
-            }),
-        )
-        .unwrap();
-        let done = set.run(100).unwrap();
-        // Locals 0,1 on the full-rate clock; locals 2,3 on the 10x
-        // divided clock.
-        assert_eq!(*seen.borrow(), vec![0, 1, 20, 30]);
-        assert_eq!(done.ticks, 4);
-    }
-
-    /// Retunes a *peer* component's clock, stranding its pending tick.
-    struct Retuner {
-        target: CompId,
-        done: bool,
-    }
-    impl Component for Retuner {
-        fn next_tick(&mut self, from: Cycle) -> Option<Cycle> {
-            (!self.done).then(|| from.max(1))
-        }
-        fn tick(&mut self, _now: Cycle, _local: Cycle, ctx: &mut TickCtx) {
-            self.done = true;
-            ctx.set_divider(self.target, 100);
-        }
+    fn peek_and_len() {
+        let mut s = Scheduler::new();
+        assert!(s.is_empty());
+        assert_eq!(s.peek_time(), None);
+        s.push(42, ());
+        assert_eq!(s.peek_time(), Some(42));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.now(), 0, "peeking does not advance time");
     }
 
     #[test]
-    fn peer_retune_supersedes_pending_tick_without_stale_delivery() {
-        let mut set = ComponentSet::new();
-        set.record_schedule(true);
-        let slow = set
-            .add(
-                "victim",
-                5,
-                Box::new(Fixed {
-                    at: vec![0, 2],
-                    seen: Rc::default(),
-                }),
-            )
-            .unwrap();
-        set.add(
-            "retuner",
-            1,
-            Box::new(Retuner {
-                target: slow,
-                done: false,
-            }),
-        )
-        .unwrap();
-        let done = set.run(100).unwrap();
-        // The victim's local tick 2 was pending at master 10 under /5;
-        // the retune at master 1 re-maps it to 200 under /100. The old
-        // heap entry is discarded, never delivered.
-        assert_eq!(done.stale_skipped, 1);
-        let victim_ticks: Vec<Cycle> = set
-            .schedule_log()
-            .iter()
-            .filter(|t| t.comp == slow)
-            .map(|t| t.at)
-            .collect();
-        assert_eq!(victim_ticks, vec![0, 200]);
-    }
-
-    #[test]
-    fn empty_and_idle_sets_terminate() {
-        let mut set = ComponentSet::new();
-        assert_eq!(
-            set.run(10).unwrap(),
-            SchedSummary {
-                ticks: 0,
-                now: 0,
-                stale_skipped: 0
-            }
-        );
-        let mut set = ComponentSet::new();
-        set.add(
-            "idle",
-            1,
-            Box::new(Fixed {
-                at: vec![],
-                seen: Rc::default(),
-            }),
-        )
-        .unwrap();
-        assert_eq!(set.run(10).unwrap().ticks, 0);
-    }
-
-    /// Never idles: trips the runaway guard.
-    struct Forever;
-    impl Component for Forever {
-        fn next_tick(&mut self, from: Cycle) -> Option<Cycle> {
-            Some(from)
-        }
-        fn tick(&mut self, _now: Cycle, _local: Cycle, _ctx: &mut TickCtx) {}
-    }
-
-    #[test]
-    fn tick_budget_is_a_typed_error() {
-        let mut set = ComponentSet::new();
-        set.add("forever", 3, Box::new(Forever)).unwrap();
-        match set.run(7) {
-            Err(SchedError::TickBudget { ticks: 7, at }) => assert_eq!(at, 21),
-            other => panic!("expected TickBudget, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn zero_divider_and_unknown_component_are_typed_errors() {
-        let mut set = ComponentSet::new();
-        assert_eq!(
-            set.add("bad", 0, Box::new(Forever)).err(),
-            Some(SchedError::ZeroDivider { comp: 0 })
-        );
-
-        struct BadRetune;
-        impl Component for BadRetune {
-            fn next_tick(&mut self, from: Cycle) -> Option<Cycle> {
-                (from == 0).then_some(0)
-            }
-            fn tick(&mut self, _now: Cycle, _local: Cycle, ctx: &mut TickCtx) {
-                ctx.set_divider(99, 2);
-            }
-        }
-        let mut set = ComponentSet::new();
-        set.add("bad-retune", 1, Box::new(BadRetune)).unwrap();
-        assert_eq!(
-            set.run(10).err(),
-            Some(SchedError::UnknownComponent { comp: 99 })
-        );
-    }
-
-    #[test]
-    fn run_is_single_shot() {
-        let mut set = ComponentSet::new();
-        set.run(1).unwrap();
-        assert_eq!(set.run(1).err(), Some(SchedError::AlreadyRan));
-        assert_eq!(
-            set.add("late", 1, Box::new(Forever)).err(),
-            Some(SchedError::AlreadyRan)
-        );
+    fn interleaved_push_pop_stays_ordered() {
+        let mut s = Scheduler::new();
+        s.push(5, 'a');
+        s.push(1, 'b');
+        assert_eq!(s.pop(), Some((1, 'b')));
+        s.push(3, 'c');
+        s.push(2, 'd');
+        assert_eq!(s.pop(), Some((2, 'd')));
+        assert_eq!(s.pop(), Some((3, 'c')));
+        assert_eq!(s.pop(), Some((5, 'a')));
+        // An event pushed into the past pops next but leaves the
+        // tracked time where it was.
+        s.push(4, 'e');
+        assert_eq!(s.pop(), Some((4, 'e')));
+        assert_eq!(s.now(), 5);
     }
 }

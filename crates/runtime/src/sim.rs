@@ -67,7 +67,6 @@ impl Simulation {
             max_wall: None,
             admission_control: false,
             tag_pass_only: false,
-            legacy_scheduler: false,
         }
     }
 
@@ -98,7 +97,6 @@ pub struct SimulationBuilder {
     max_wall: Option<Duration>,
     admission_control: bool,
     tag_pass_only: bool,
-    legacy_scheduler: bool,
 }
 
 impl SimulationBuilder {
@@ -303,22 +301,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Drives the run with the retained legacy monolithic advance loop
-    /// instead of the component-structured scheduler (default `false`).
-    ///
-    /// The two loops are bit-for-bit equivalent by construction — this
-    /// switch exists so the cross-engine differential suite
-    /// (`crates/camdn/tests/sched_equivalence.rs`) can prove it on full
-    /// runs and so the throughput harness can report the scheduler's
-    /// overhead. It composes with
-    /// [`reference_model`](SimulationBuilder::reference_model): the
-    /// scheduler choice and the memory-model choice are independent
-    /// axes.
-    pub fn legacy_scheduler(mut self, legacy: bool) -> Self {
-        self.legacy_scheduler = legacy;
-        self
-    }
-
     /// Validates the configuration and assembles the engine.
     pub fn build(self) -> Result<Simulation, EngineError> {
         let workload = self.workload.ok_or_else(|| {
@@ -374,7 +356,6 @@ impl SimulationBuilder {
             max_sim_cycles: self.max_sim_cycles,
             max_wall: self.max_wall,
             admission_control: self.admission_control,
-            legacy_scheduler: self.legacy_scheduler,
         };
         let mut engine = Engine::with_policy(
             params,

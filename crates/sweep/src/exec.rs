@@ -8,10 +8,7 @@
 //!
 //! Failure is *per cell*: a build error, run error or even a panic in
 //! one simulation becomes that cell's `Err` — it cannot poison a lock,
-//! lose neighbors' results, or abort the grid. This replaces the old
-//! `camdn_bench::parallel_sims` behavior, where the first failing run
-//! panicked inside a scoped worker and took the whole sweep down with
-//! it.
+//! lose neighbors' results, or abort the grid.
 //!
 //! Completed cells are *streamed*: [`run_cells_into`] hands each
 //! `(index, CellRun)` to a delivery callback the moment its worker

@@ -619,14 +619,15 @@ pub struct SeedStats {
     pub latency_tail: LatencyTail,
 }
 
+/// The per-seed scalars [`SeedAggregate`] keeps: average latency,
+/// memory per model, hit rate, makespan and SLA rate, in that order.
+type SeedScalars = [f64; 5];
+
 #[derive(Debug, Default)]
 struct SeedGroup {
     errors: u64,
-    lat: Welford,
-    mem: Welford,
-    hit: Welford,
-    makespan: Welford,
-    sla: Welford,
+    /// Each successful seed's scalars, sorted by seed index.
+    seeds: Vec<(usize, SeedScalars)>,
     tail: LatencyTail,
 }
 
@@ -634,12 +635,13 @@ struct SeedGroup {
 /// arrive: two cells belong to the same group when every coordinate
 /// but `seed` matches.
 ///
-/// Aggregation is order-insensitive up to floating-point associativity
-/// of Welford updates over the (deterministic) per-seed summaries; for
-/// exact reproducibility fold a finished [`SweepResult`] with
-/// [`SeedAggregate::of`], which visits cells in row-major order.
-///
-/// [`SweepResult`]: crate::SweepResult
+/// Each group keeps its seeds' five scalars keyed by seed index
+/// (O(seeds) per group, independent of the tenant count), and
+/// [`stats`](SeedAggregate::stats) runs the Welford fold in seed order.
+/// The latency tails merge by integer bucket counts. So the statistics
+/// are bit-identical whatever order the cells arrive in: a streamed
+/// sweep at any thread count equals [`SeedAggregate::of`] over the
+/// finished in-memory result.
 #[derive(Debug, Default)]
 pub struct SeedAggregate {
     groups: BTreeMap<CellCoord, SeedGroup>,
@@ -651,8 +653,7 @@ impl SeedAggregate {
         SeedAggregate::default()
     }
 
-    /// Folds a whole in-memory sweep (cells visited in row-major
-    /// order) and returns the statistics.
+    /// Folds a whole in-memory sweep and returns the statistics.
     pub fn of(result: &crate::SweepResult) -> Vec<SeedStats> {
         let mut agg = SeedAggregate::new();
         for cell in &result.cells {
@@ -664,15 +665,24 @@ impl SeedAggregate {
         agg.stats()
     }
 
-    /// Folds one successful cell's summary into its group (scalar
-    /// Welford updates, plus a histogram merge of the latency tail).
+    /// Folds one successful cell's summary into its group: its scalars
+    /// are filed under its seed index, and its latency tail is merged.
     pub fn fold(&mut self, coord: CellCoord, summary: &RunSummary) {
         let g = self.groups.entry(group_key(coord)).or_default();
-        g.lat.record(summary.avg_latency_ms);
-        g.mem.record(summary.mem_mb_per_model);
-        g.hit.record(summary.cache_hit_rate);
-        g.makespan.record(summary.makespan_ms);
-        g.sla.record(summary.sla_rate);
+        let at = g.seeds.partition_point(|&(seed, _)| seed <= coord.seed);
+        g.seeds.insert(
+            at,
+            (
+                coord.seed,
+                [
+                    summary.avg_latency_ms,
+                    summary.mem_mb_per_model,
+                    summary.cache_hit_rate,
+                    summary.makespan_ms,
+                    summary.sla_rate,
+                ],
+            ),
+        );
         g.tail.merge(&summary.latency_tail);
     }
 
@@ -686,16 +696,24 @@ impl SeedAggregate {
         let mut out: Vec<SeedStats> = self
             .groups
             .iter()
-            .map(|(coord, g)| SeedStats {
-                coord: *coord,
-                n: g.lat.count(),
-                errors: g.errors,
-                avg_latency_ms: (&g.lat).into(),
-                mem_mb_per_model: (&g.mem).into(),
-                cache_hit_rate: (&g.hit).into(),
-                makespan_ms: (&g.makespan).into(),
-                sla_rate: (&g.sla).into(),
-                latency_tail: g.tail,
+            .map(|(coord, g)| {
+                let mut w = [Welford::new(); 5];
+                for (_, scalars) in &g.seeds {
+                    for (w, &v) in w.iter_mut().zip(scalars) {
+                        w.record(v);
+                    }
+                }
+                SeedStats {
+                    coord: *coord,
+                    n: g.seeds.len() as u64,
+                    errors: g.errors,
+                    avg_latency_ms: (&w[0]).into(),
+                    mem_mb_per_model: (&w[1]).into(),
+                    cache_hit_rate: (&w[2]).into(),
+                    makespan_ms: (&w[3]).into(),
+                    sla_rate: (&w[4]).into(),
+                    latency_tail: g.tail,
+                }
             })
             .collect();
         out.sort_by_key(|s| {
@@ -793,6 +811,31 @@ mod tests {
         assert!((s.mem_mb_per_model.mean - 24.0).abs() < 1e-12);
         assert!((s.makespan_ms.stddev - 20.0).abs() < 1e-12);
         assert!((s.sla_rate.stddev - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn seed_aggregate_is_independent_of_arrival_order() {
+        // Latencies whose Welford fold rounds differently in different
+        // orders: the statistics must still match the in-order fold bit
+        // for bit, because the fold runs in seed order.
+        let lat = |seed: usize| 2e3 + (seed as f64 * 0.731).sin() * 1e3 + seed as f64 / 7.0;
+        let feed = |order: &[usize]| {
+            let mut agg = SeedAggregate::new();
+            for &seed in order {
+                agg.fold(coord(seed), &summary(lat(seed)));
+            }
+            agg.stats()
+        };
+        let in_order: Vec<usize> = (0..24).collect();
+        let want = feed(&in_order);
+        let reversed: Vec<usize> = in_order.iter().rev().copied().collect();
+        assert_eq!(feed(&reversed), want, "reversed delivery");
+        let mut rng = camdn_common::SimRng::new(0x5EED);
+        for _ in 0..8 {
+            let mut shuffled = in_order.clone();
+            rng.shuffle(&mut shuffled);
+            assert_eq!(feed(&shuffled), want, "shuffled delivery {shuffled:?}");
+        }
     }
 
     #[test]
