@@ -69,13 +69,20 @@
 //! passes instead of one fused per-line loop:
 //!
 //! 1. a **tag pass** walks the tag planes once, applying LRU updates and
-//!    collecting the transfer's outcome as a compact event tape — runs
-//!    of consecutive missing lines plus interleaved dirty-victim
-//!    writebacks (a cold multi-MB tensor is a *single* run);
+//!    collecting the transfer's outcome as a compact event tape of two
+//!    kinds: *runs* of consecutive missing lines that evict nothing
+//!    dirty (a cold multi-MB tensor is a *single* run), and *eviction
+//!    runs* of consecutive missing lines whose dirty victims are
+//!    consecutive lines too — line `start + i` evicts `victim + i`, as
+//!    when one tenant streams over another's freshly written tensor
+//!    through the same sets. The tape grows with the number of runs,
+//!    never with the number of lines;
 //! 2. a **memory pass** replays that tape through
 //!    [`DramModel::line_batch`], which reproduces the MSHR-gated
 //!    per-miss DRAM sequence in closed form wherever the gates provably
-//!    cannot bind.
+//!    cannot bind, and prices an eviction run in one fused walk
+//!    ([`LineBatch::evict_run`](camdn_dram::LineBatch::evict_run)):
+//!    each victim's posted writeback, then its line's gated fill.
 //!
 //! The original fused per-line walk is retained as a reference model
 //! ([`SharedCache::set_reference_model`]); differential tests here and
@@ -139,12 +146,15 @@ enum Touch {
 }
 
 /// One entry of the tag pass's event tape.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RangeEvent {
-    /// `len` consecutive missing lines starting at line index `start`.
+    /// `len` consecutive missing lines starting at line index `start`,
+    /// none of which evicts a dirty line.
     Run { start: u64, len: u64 },
-    /// Posted writeback of the dirty victim line `victim`.
-    Writeback { victim: u64 },
+    /// `len` consecutive missing lines where line `start + i` evicts
+    /// the dirty line `victim + i`: each posted writeback goes out just
+    /// before its line's fill.
+    Evict { start: u64, victim: u64, len: u64 },
 }
 
 /// One parked set of SoA planes plus the event tape, ready for reuse.
@@ -238,46 +248,98 @@ fn meta_gen(m: u64) -> u32 {
 }
 
 /// Tag-pass accumulator: hit/miss/writeback counters plus the
-/// run/writeback event tape under construction. Shared by the
+/// run/eviction event tape under construction. Shared by the
 /// vectorized segment pass and the scalar fallback so the two paths
 /// cannot drift in how they fold touches into events.
 struct TagAcc {
     hits: u64,
     misses: u64,
     wbs: u64,
-    run_start: Option<u64>,
+    /// The open event covers lines `start..end` (none is open when
+    /// `end == NONE`); when `evict` is set, line `l` of it evicted the
+    /// dirty line `l - start + victim`, so the next one continuing it
+    /// must evict `vend`.
+    start: u64,
+    end: u64,
+    victim: u64,
+    vend: u64,
+    evict: bool,
     events: Vec<RangeEvent>,
 }
 
 impl TagAcc {
-    #[inline]
-    fn close_run(&mut self, line: u64) {
-        if let Some(s) = self.run_start.take() {
-            self.events.push(RangeEvent::Run {
-                start: s,
-                len: line - s,
-            });
+    /// `end` of an accumulator with no open event (no line index
+    /// reaches it: every range asserts its tags fit 16 bits).
+    const NONE: u64 = u64::MAX;
+
+    fn new(events: Vec<RangeEvent>) -> Self {
+        TagAcc {
+            hits: 0,
+            misses: 0,
+            wbs: 0,
+            start: 0,
+            end: Self::NONE,
+            victim: 0,
+            vend: 0,
+            evict: false,
+            events,
         }
     }
 
+    /// Pushes the open event, if any, onto the tape.
     #[inline]
-    fn hit(&mut self, line: u64) {
-        self.hits += 1;
-        self.close_run(line);
+    fn close(&mut self) {
+        if self.end == Self::NONE {
+            return;
+        }
+        let (start, len) = (self.start, self.end - self.start);
+        self.events.push(if self.evict {
+            RangeEvent::Evict {
+                start,
+                victim: self.victim,
+                len,
+            }
+        } else {
+            RangeEvent::Run { start, len }
+        });
+        self.end = Self::NONE;
     }
 
+    /// Closes the open event and opens a 1-line one at `line`.
+    fn open(&mut self, line: u64, victim: u64, evict: bool) {
+        self.close();
+        self.start = line;
+        self.end = line + 1;
+        self.victim = victim;
+        self.vend = victim + 1;
+        self.evict = evict;
+    }
+
+    #[inline]
+    fn hit(&mut self) {
+        self.hits += 1;
+        self.close();
+    }
+
+    /// Folds a miss of `line` (evicting the dirty line `victim`, if
+    /// any) into the open event when it continues it — the next line,
+    /// of the same kind, and for evictions the next victim line too —
+    /// and otherwise closes that event and opens a new one.
     #[inline]
     fn miss(&mut self, line: u64, victim: Option<u64>) {
         self.misses += 1;
-        if let Some(victim) = victim {
-            // The posted write goes out before this line's fill, so it
-            // splits the run.
-            self.wbs += 1;
-            self.close_run(line);
-            self.events.push(RangeEvent::Writeback { victim });
-        }
-        if self.run_start.is_none() {
-            self.run_start = Some(line);
+        match victim {
+            None if !self.evict && self.end == line => self.end += 1,
+            None => self.open(line, 0, false),
+            Some(v) => {
+                self.wbs += 1;
+                if self.evict && self.end == line && self.vend == v {
+                    self.end += 1;
+                    self.vend += 1;
+                } else {
+                    self.open(line, v, true);
+                }
+            }
         }
     }
 }
@@ -596,7 +658,7 @@ impl SharedCache {
     ) {
         for line in first..=last {
             match self.touch(line, is_write, mask) {
-                Touch::Hit => acc.hit(line),
+                Touch::Hit => acc.hit(),
                 Touch::Miss(victim) => acc.miss(line, victim),
             }
         }
@@ -665,7 +727,7 @@ impl SharedCache {
                     let w = hits.trailing_zeros();
                     *order = lru_touch(*order, w, ways);
                     *meta = m | u64::from(wr << w) << 16;
-                    acc.hit(ln);
+                    acc.hit();
                     continue;
                 }
                 let dirty = meta_dirty(m);
@@ -782,7 +844,7 @@ impl SharedCache {
     }
 
     /// Batched implementation of [`SharedCache::access_range`]: one tag
-    /// pass builds the miss-run/writeback event tape, one memory pass
+    /// pass builds the miss-run/eviction-run event tape, one memory pass
     /// replays it through [`DramModel::line_batch`].
     fn access_range_batched(
         &mut self,
@@ -809,13 +871,7 @@ impl SharedCache {
         // --- tag pass -------------------------------------------------
         let mut events = std::mem::take(&mut self.scratch);
         events.clear();
-        let mut acc = TagAcc {
-            hits: 0,
-            misses: 0,
-            wbs: 0,
-            run_start: None,
-            events,
-        };
+        let mut acc = TagAcc::new(events);
         match self.set_stride {
             16 => self.tag_pass_n::<16>(first, last, is_write, mask, &mut acc),
             8 => self.tag_pass_n::<8>(first, last, is_write, mask, &mut acc),
@@ -824,7 +880,7 @@ impl SharedCache {
             1 => self.tag_pass_n::<1>(first, last, is_write, mask, &mut acc),
             _ => self.tag_pass_scalar(first, last, is_write, mask, &mut acc),
         }
-        acc.close_run(last + 1);
+        acc.close();
         let TagAcc {
             hits,
             misses,
@@ -855,7 +911,9 @@ impl SharedCache {
         for ev in &events {
             match *ev {
                 RangeEvent::Run { start, len } => batch.fill_run(PhysAddr(start * lb), len),
-                RangeEvent::Writeback { victim } => batch.writeback(PhysAddr(victim * lb)),
+                RangeEvent::Evict { start, victim, len } => {
+                    batch.evict_run(PhysAddr(start * lb), PhysAddr(victim * lb), len)
+                }
             }
         }
         let mut finish = batch.finish();
@@ -1366,6 +1424,75 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.misses, bytes.div_ceil(64));
         assert_twin_state(&(cf, df), &(cr, dr), "cold stream");
+    }
+
+    #[test]
+    fn dirty_eviction_stream_is_one_tape_event() {
+        // One tenant writes a tensor, another streams a same-sized one
+        // through the same sets: with a one-way mask a range one
+        // allowed-ways capacity (`g` lines) away maps onto the same
+        // sets, so every miss evicts the dirty line `g` lines below it.
+        // The tape must stay O(runs) — not two events per line — and
+        // the priced result must equal the per-line reference.
+        let mut fast = setup();
+        let mut refm = setup();
+        refm.0.set_reference_model(true);
+        refm.1.set_reference_model(true);
+        let way0 = 1u16;
+        let g = fast.0.group_mask + 1;
+        let n = 4096; // lines per tensor, far over the MSHR window
+        let h = n / 2;
+        // (first line, lines, is_write); the last read evicts dirty
+        // lines from two tensors, so its victim chain breaks halfway.
+        let ops = [
+            (0, n, true),
+            (g, n, false),
+            (2 * g, h, true),
+            (3 * g + h, h, true),
+            (4 * g, n, false),
+        ];
+        for (k, (first, lines, is_write)) in ops.into_iter().enumerate() {
+            let (now, base, bytes) = (k as u64 * 5_000, PhysAddr(first * 64), lines * 64);
+            let a = fast
+                .0
+                .access_range(now, base, bytes, is_write, way0, &mut fast.1);
+            let b = refm
+                .0
+                .access_range(now, base, bytes, is_write, way0, &mut refm.1);
+            assert_eq!(a, b, "outcome diverged at op {k}");
+            assert_twin_state(&fast, &refm, &format!("op {k}"));
+            assert!(
+                fast.0.scratch.len() <= 4,
+                "tape holds {} events at op {k}",
+                fast.0.scratch.len()
+            );
+            if k == 1 {
+                assert_eq!(a.writebacks, n);
+                assert_eq!(
+                    fast.0.scratch,
+                    [RangeEvent::Evict {
+                        start: g,
+                        victim: 0,
+                        len: n,
+                    }]
+                );
+            }
+        }
+        assert_eq!(
+            fast.0.scratch,
+            [
+                RangeEvent::Evict {
+                    start: 4 * g,
+                    victim: 2 * g,
+                    len: h,
+                },
+                RangeEvent::Evict {
+                    start: 4 * g + h,
+                    victim: 3 * g + h,
+                    len: h,
+                },
+            ]
+        );
     }
 
     // --- SoA lanes vs scalar packed-meta oracle ----------------------

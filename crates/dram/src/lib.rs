@@ -453,7 +453,14 @@ impl DramModel {
             && per_ch >= 1
             && fp(self.cfg.cas_latency) + FP_ONE <= (per_ch - 1) * min_burst;
         let track_hist = use_ring && inert_gates && !self.reference;
-        let cap = if track_hist { per_ch as usize + 2 } else { 0 };
+        // A power-of-two ring (at least the look-back) wraps with a
+        // mask; retaining extra descriptors never changes a look-up,
+        // which always takes the newest one that covers the line.
+        let cap = if track_hist {
+            (per_ch as usize + 2).next_power_of_two()
+        } else {
+            0
+        };
         // Reuse the model's scratch buffers: no allocation per range.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.ring.clear();
@@ -589,9 +596,20 @@ enum GateSrc {
 /// the DRAM call sequence of a per-line cache range walk: each missing
 /// line is a 1-line read burst gated by the MSHR ring (miss `k` may not
 /// issue before miss `k − window` completed), and each dirty victim is a
-/// 1-line posted write at `now`. Obtain one via [`DramModel::line_batch`],
-/// feed it [`LineBatch::fill_run`]/[`LineBatch::writeback`] events in
-/// line order, and read [`LineBatch::finish`].
+/// 1-line posted write at `now`, issued just before its line's fill.
+/// Obtain one via [`DramModel::line_batch`], feed it events in line
+/// order, and read [`LineBatch::finish`]. There are three kinds:
+///
+/// * [`LineBatch::fill_run`] — a gap-free run of missing lines that
+///   evict nothing dirty (the closed-form walk below);
+/// * [`LineBatch::evict_run`] — a run of missing lines whose dirty
+///   victims are consecutive lines too, the shape a tenant streaming
+///   over another's written tensor produces. Every fill is preceded by
+///   a write, so no closed form applies; one fused loop prices each
+///   (writeback, gated fill) pair with a single bank/bus update per
+///   operation, stepping the fill channel, the victim channel and the
+///   MSHR slot incrementally;
+/// * [`LineBatch::writeback`] — one posted writeback on its own.
 ///
 /// Within a gap-free run the gate of miss `k` is the completion time of
 /// miss `k − window`, which lands on the *same channel* and (when the
@@ -609,6 +627,8 @@ pub struct LineBatch<'a> {
     /// MSHR ring + per-channel descriptor history, borrowed from the
     /// model's reusable scratch (returned on drop).
     scratch: BatchScratch,
+    /// Descriptors retained per channel (a power of two, 0 when no
+    /// history is tracked).
     hist_cap: usize,
     /// True while the current run is long enough (`> window`) for
     /// in-run gate look-ups — only then is history recorded.
@@ -644,7 +664,7 @@ impl LineBatch<'_> {
     fn hist_push(&mut self, c: usize, start_n: u64, d0: u64) {
         let (head, len) = &mut self.scratch.hist_pos[c];
         self.scratch.hist[c * self.hist_cap + *head as usize] = SegDesc { start_n, d0 };
-        *head = (*head + 1) % self.hist_cap as u32;
+        *head = (*head + 1) & (self.hist_cap as u32 - 1);
         *len = (*len + 1).min(self.hist_cap as u32);
     }
 
@@ -654,8 +674,9 @@ impl LineBatch<'_> {
     fn hist_done(&self, c: usize, n: u64) -> Cycle {
         let (head, len) = self.scratch.hist_pos[c];
         let base = c * self.hist_cap;
+        let mask = self.hist_cap as u32 - 1;
         for i in 1..=len {
-            let slot = (head + self.hist_cap as u32 - i) % self.hist_cap as u32;
+            let slot = head.wrapping_sub(i) & mask;
             let d = self.scratch.hist[base + slot as usize];
             if d.start_n <= n {
                 return ceil_fp(d.d0 + (n - d.start_n + 1) * self.dram.burst_fp_ch[c])
@@ -849,6 +870,57 @@ impl LineBatch<'_> {
         self.dram.line_timing(self.now, addr.0);
     }
 
+    /// Issues `n` missing lines starting at `base` where line `i`
+    /// evicts the dirty line `victim + i`: for each `i`, the posted
+    /// writeback of the victim at `now`, then the MSHR-gated fill of
+    /// the line. Exactly equivalent to `n` pairs of
+    /// [`LineBatch::writeback`] and a 1-line [`LineBatch::fill_run`],
+    /// priced in one fused walk that steps both channels and the MSHR
+    /// slot incrementally.
+    pub fn evict_run(&mut self, base: PhysAddr, victim: PhysAddr, n: u64) {
+        self.fill_lines += n;
+        self.wb_lines += n;
+        let d = &mut *self.dram;
+        let lb = d.line_bytes;
+        let nch = d.cfg.channels as usize;
+        let w = self.window as u64;
+        let mut fill_ch = d.ch_div.rem(d.line_div.div(base.0)) as usize;
+        let mut wb_ch = d.ch_div.rem(d.line_div.div(victim.0)) as usize;
+        let mut slot = self.slot;
+        for i in 0..n {
+            let wb = victim.0 + i * lb;
+            let row = d.row_div.div(wb);
+            d.line_timing_at(self.now, wb_ch, d.bank_div.rem(row) as usize, row);
+            // The fill is a 1-line run, so its gate always comes from
+            // the real ring (no in-run history).
+            let gate = if self.use_ring && self.miss_no >= w {
+                self.scratch.ring[slot].max(self.now)
+            } else {
+                self.now
+            };
+            let row = d.row_div.div(base.0 + i * lb);
+            let done = d.line_timing_at(gate, fill_ch, d.bank_div.rem(row) as usize, row);
+            if self.use_ring {
+                self.scratch.ring[slot] = done;
+            }
+            self.miss_no += 1;
+            self.finish = self.finish.max(done);
+            slot += 1;
+            if slot == self.window {
+                slot = 0;
+            }
+            fill_ch += 1;
+            if fill_ch == nch {
+                fill_ch = 0;
+            }
+            wb_ch += 1;
+            if wb_ch == nch {
+                wb_ch = 0;
+            }
+        }
+        self.slot = slot;
+    }
+
     /// Completion cycle of the latest fill so far (`now` if none).
     pub fn finish(&self) -> Cycle {
         self.finish
@@ -1038,35 +1110,73 @@ mod tests {
         }
     }
 
+    /// One event of a [`LineBatch`] tape under test.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        /// `fill_run(base, lines)`.
+        Fill(PhysAddr, u64),
+        /// `writeback(victim)`.
+        Wb(PhysAddr),
+        /// `evict_run(base, victim, lines)`.
+        Evict(PhysAddr, PhysAddr, u64),
+    }
+
+    /// Feeds `events` to a fresh batch on `d` and returns its finish.
+    fn run_batch(d: &mut DramModel, now: Cycle, window: usize, events: &[Ev]) -> Cycle {
+        let fills = events
+            .iter()
+            .map(|e| match *e {
+                Ev::Fill(_, n) | Ev::Evict(_, _, n) => n,
+                Ev::Wb(_) => 0,
+            })
+            .sum();
+        let mut batch = d.line_batch(now, window, fills);
+        for e in events {
+            match *e {
+                Ev::Fill(base, n) => batch.fill_run(base, n),
+                Ev::Wb(victim) => batch.writeback(victim),
+                Ev::Evict(base, victim, n) => batch.evict_run(base, victim, n),
+            }
+        }
+        batch.finish()
+    }
+
     /// Reference emulation of a gated fill/writeback sequence: the exact
     /// per-miss `access_burst` + MSHR-ring loop the shared cache used to
-    /// run line by line.
-    fn emulate_gated(
-        d: &mut DramModel,
-        now: Cycle,
-        window: usize,
-        events: &[(PhysAddr, u64, bool)],
-    ) -> Cycle {
+    /// run line by line. An eviction run expands to `n` × (1-line posted
+    /// write of the victim, gated 1-line fill).
+    fn emulate_gated(d: &mut DramModel, now: Cycle, window: usize, events: &[Ev]) -> Cycle {
         let mut ring = vec![0 as Cycle; window];
         let mut miss_no = 0usize;
         let mut finish = now;
-        for &(base, lines, is_wb) in events {
-            if is_wb {
-                d.access_burst(now, base, 1, true, 0);
-                continue;
-            }
-            for i in 0..lines {
-                let addr = PhysAddr(base.0 + i * 64);
-                let slot = miss_no % window;
-                let gate = if miss_no >= window {
-                    ring[slot].max(now)
-                } else {
-                    now
-                };
-                let done = d.access_burst(gate, addr, 1, false, 0);
-                ring[slot] = done;
-                miss_no += 1;
-                finish = finish.max(done);
+        let mut fill = |d: &mut DramModel, addr: PhysAddr| {
+            let slot = miss_no % window;
+            let gate = if miss_no >= window {
+                ring[slot].max(now)
+            } else {
+                now
+            };
+            let done = d.access_burst(gate, addr, 1, false, 0);
+            ring[slot] = done;
+            miss_no += 1;
+            finish = finish.max(done);
+        };
+        for &e in events {
+            match e {
+                Ev::Wb(victim) => {
+                    d.access_burst(now, victim, 1, true, 0);
+                }
+                Ev::Fill(base, n) => {
+                    for i in 0..n {
+                        fill(d, base.offset(i * 64));
+                    }
+                }
+                Ev::Evict(base, victim, n) => {
+                    for i in 0..n {
+                        d.access_burst(now, victim.offset(i * 64), 1, true, 0);
+                        fill(d, base.offset(i * 64));
+                    }
+                }
             }
         }
         finish
@@ -1078,18 +1188,22 @@ mod tests {
         let mut rng = SimRng::new(0xBA7C4);
         for trial in 0..60 {
             // Random event tapes: runs of consecutive misses (some far
-            // longer than the window), interleaved writebacks, gaps.
-            let mut events: Vec<(PhysAddr, u64, bool)> = Vec::new();
-            let mut total = 0u64;
+            // longer than the window), interleaved writebacks, eviction
+            // runs (some longer than the window too), gaps.
+            let mut events = Vec::new();
             let n_ev = 1 + rng.next_below(8);
             let mut cursor = rng.next_below(1 << 20) * 64;
             for _ in 0..n_ev {
                 if rng.next_below(4) == 0 {
-                    events.push((PhysAddr(rng.next_below(1 << 24) * 64), 1, true));
+                    events.push(Ev::Wb(PhysAddr(rng.next_below(1 << 24) * 64)));
                 }
                 let lines = 1 + rng.next_below(600);
-                events.push((PhysAddr(cursor), lines, false));
-                total += lines;
+                if rng.next_below(3) == 0 {
+                    let victim = PhysAddr(rng.next_below(1 << 24) * 64);
+                    events.push(Ev::Evict(PhysAddr(cursor), victim, lines));
+                } else {
+                    events.push(Ev::Fill(PhysAddr(cursor), lines));
+                }
                 cursor += lines * 64 + (1 + rng.next_below(40)) * 64; // gap
             }
             let now = rng.next_below(10_000);
@@ -1102,16 +1216,7 @@ mod tests {
             fast.access_burst(0, warm, warm_lines, false, 0);
             refm.access_burst(0, warm, warm_lines, false, 0);
 
-            let mut batch = fast.line_batch(now, W, total);
-            for &(base, lines, is_wb) in &events {
-                if is_wb {
-                    batch.writeback(base);
-                } else {
-                    batch.fill_run(base, lines);
-                }
-            }
-            let a = batch.finish();
-            drop(batch); // returns the scratch, releasing the borrow
+            let a = run_batch(&mut fast, now, W, &events);
             let b = emulate_gated(&mut refm, now, W, &events);
             assert_eq!(a, b, "finish diverged on trial {trial}");
             assert_same(&fast, &refm, &format!("trial {trial}"));
@@ -1173,20 +1278,12 @@ mod tests {
             d.set_channel_bandwidth_scale(2, 0.25);
         }
         let events = [
-            (PhysAddr(0), 500u64, false),
-            (PhysAddr(1 << 16), 1, true),
-            (PhysAddr(40_000 * 64), 300, false),
+            Ev::Fill(PhysAddr(0), 500),
+            Ev::Wb(PhysAddr(1 << 16)),
+            Ev::Fill(PhysAddr(40_000 * 64), 300),
+            Ev::Evict(PhysAddr(50_000 * 64), PhysAddr(7_001 * 64), 200),
         ];
-        let mut batch = fast.line_batch(100, W, 800);
-        for &(base, lines, is_wb) in &events {
-            if is_wb {
-                batch.writeback(base);
-            } else {
-                batch.fill_run(base, lines);
-            }
-        }
-        let a = batch.finish();
-        drop(batch);
+        let a = run_batch(&mut fast, 100, W, &events);
         let b = emulate_gated(&mut refm, 100, W, &events);
         assert_eq!(a, b);
         assert_same(&fast, &refm, "degraded line batch");
@@ -1194,9 +1291,10 @@ mod tests {
 
     #[test]
     fn line_batch_gates_throttle_when_window_fills() {
-        // A run far longer than the window on a 1-channel model with a
-        // CAS large enough that gates really bind: the batch must match
-        // the reference even then (per-line fallback).
+        // A run far longer than the window, then an eviction run, on a
+        // 1-channel model with a CAS large enough that gates really
+        // bind: the batch must match the reference even then (per-line
+        // fallback, and ring gates inside the fused eviction walk).
         let cfg = DramConfig {
             channels: 1,
             banks_per_channel: 2,
@@ -1207,11 +1305,11 @@ mod tests {
         };
         let mut fast = DramModel::new(cfg, 64);
         let mut refm = DramModel::new(cfg, 64);
-        let events = [(PhysAddr(0), 400u64, false)];
-        let mut batch = fast.line_batch(0, 16, 400);
-        batch.fill_run(PhysAddr(0), 400);
-        let a = batch.finish();
-        drop(batch); // returns the scratch, releasing the borrow
+        let events = [
+            Ev::Fill(PhysAddr(0), 400),
+            Ev::Evict(PhysAddr(400 * 64), PhysAddr(9_000 * 64), 100),
+        ];
+        let a = run_batch(&mut fast, 0, 16, &events);
         let b = emulate_gated(&mut refm, 0, 16, &events);
         assert_eq!(a, b);
         assert_same(&fast, &refm, "binding gates");
