@@ -13,16 +13,10 @@
 //! the hot loop, and the cycles-per-second figures tracked per commit
 //! would expose any regression there.
 //!
-//! Besides the wall clocks, each scenario row carries a
-//! `tag_pass_frac` estimate — the scenario re-run in the cache's
-//! tag-pass-only diagnostic mode ([`SimulationBuilder::tag_pass_only`])
-//! and its wall clock divided by the batched wall clock — and the
-//! `tag_bound_sweep_w*` family re-times the contention workload at 4
-//! and 8 ways of the same 16 MiB footprint (`baseline_contention` is the
-//! 16-way point), so a tag-pass regression shows up per lane width, not
-//! just in aggregate.
-//!
-//! [`SimulationBuilder::tag_pass_only`]: camdn_runtime::SimulationBuilder::tag_pass_only
+//! The `tag_bound_sweep_w*` family re-times the contention workload at
+//! 4 and 8 ways of the same 16 MiB footprint (`baseline_contention` is
+//! the 16-way point), so a tag-pass regression shows up per lane width,
+//! not just in aggregate.
 //!
 //! Usage: `cargo run --release -p camdn-bench --bin throughput`
 //!
@@ -122,47 +116,37 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     v
 }
 
-/// Runs one scenario through both memory models and the tag-pass-only
-/// diagnostic on the sweep executor (one worker: the wall-clock numbers
-/// must not contend), returning `(reference, batched, tag_only_wall)`
-/// with per-cell wall seconds.
+/// A run's output with its cell's wall seconds.
 type TimedRun = (RunOutput, f64);
 
-fn run_triple(sc: &Scenario) -> (TimedRun, TimedRun, f64) {
-    let mk = |reference, tag_only| {
+/// Runs one scenario through both memory models on the sweep executor
+/// (one worker: the wall-clock numbers must not contend), returning
+/// `(reference, batched)`.
+fn run_pair(sc: &Scenario) -> (TimedRun, TimedRun) {
+    let mk = |reference| {
         Simulation::builder()
             .soc(sc.soc)
             .policy(sc.policy)
             .workload(sc.workload.clone())
             .reference_model(reference)
-            .tag_pass_only(tag_only)
     };
     // Reference (seed-equivalent per-line path) first, then the
-    // batched fast paths, then the batched tag pass alone (timings
-    // meaningless, wall real).
-    let mut runs = run_cells(
-        vec![mk(true, false), mk(false, false), mk(false, true)],
-        Some(1),
-    );
-    let tag_only = runs.pop().expect("tag-only cell");
+    // batched fast paths.
+    let mut runs = run_cells(vec![mk(true), mk(false)], Some(1));
     let fast = runs.pop().expect("batched cell");
     let reference = runs.pop().expect("reference cell");
     let unwrap = |name: &str, r: camdn_sweep::CellRun| match r.outcome {
         Ok(result) => (result, r.wall_s),
         Err(e) => panic!("{}: {} run failed: {e}", sc.name, name),
     };
-    (
-        unwrap("reference", reference),
-        unwrap("batched", fast),
-        unwrap("tag-only", tag_only).1,
-    )
+    (unwrap("reference", reference), unwrap("batched", fast))
 }
 
 fn main() {
     let quick = quick_mode();
     let mut rows = Vec::new();
     for sc in scenarios(quick) {
-        let ((r_ref, wall_ref), (r_fast, wall_fast), wall_tag) = run_triple(&sc);
+        let ((r_ref, wall_ref), (r_fast, wall_fast)) = run_pair(&sc);
         let identical = r_ref == r_fast;
         assert!(
             identical,
@@ -195,14 +179,10 @@ fn main() {
         let cps_fast = sim_cycles as f64 / wall_fast.max(1e-9);
         let cps_ref = sim_cycles as f64 / wall_ref.max(1e-9);
         let speedup = cps_fast / cps_ref.max(1e-9);
-        // The tag-only run replays a (behaviorally different) simulation
-        // with the memory pass elided, so its wall over the batched wall
-        // is an estimate, clamped into [0, 1] against clock noise.
-        let tag_pass_frac = (wall_tag / wall_fast.max(1e-9)).clamp(0.0, 1.0);
         let lane_width = (sc.soc.cache.ways as usize).min(TAG_LANE_WIDTH);
         println!(
-            "{:<24} {:>12} sim-cycles  batched {:>10.3e} cyc/s  reference {:>10.3e} cyc/s  speedup {:>5.2}x  tag-frac {:.2}",
-            sc.name, sim_cycles, cps_fast, cps_ref, speedup, tag_pass_frac
+            "{:<24} {:>12} sim-cycles  batched {:>10.3e} cyc/s  reference {:>10.3e} cyc/s  speedup {:>5.2}x",
+            sc.name, sim_cycles, cps_fast, cps_ref, speedup
         );
         rows.push(format!(
             concat!(
@@ -216,7 +196,6 @@ fn main() {
                 "      \"cycles_per_sec_batched\": {:.1},\n",
                 "      \"cycles_per_sec_reference\": {:.1},\n",
                 "      \"speedup\": {:.3},\n",
-                "      \"tag_pass_frac\": {:.3},\n",
                 "      \"tag_lane_width\": {},\n",
                 "      \"results_identical\": {}\n",
                 "    }}"
@@ -230,13 +209,12 @@ fn main() {
             cps_fast,
             cps_ref,
             speedup,
-            tag_pass_frac,
             lane_width,
             identical
         ));
     }
     let json = format!(
-        "{{\n  \"schema\": \"camdn-bench-engine/2\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"camdn-bench-engine/3\",\n  \"quick\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         quick,
         rows.join(",\n")
     );

@@ -44,4 +44,4 @@ pub mod transparent;
 
 pub use geometry::{CacheGeometry, Pcaddr, TAG_LANE_WIDTH};
 pub use nec::{Nec, NecError, NecStats, TaskId};
-pub use transparent::{CacheScratchPool, CacheStats, RangeOutcome, SharedCache};
+pub use transparent::{CacheStats, RangeOutcome, SharedCache};

@@ -51,9 +51,10 @@
 //! iff that tag equals `cur_gen`, otherwise it is *stale* — logically
 //! empty, its tag/order/occupancy lanes all garbage. Invariants:
 //!
-//! * `cur_gen` only moves forward; every flush (`invalidate_all`,
-//!   cache construction, plane reuse from a [`CacheScratchPool`]) bumps
-//!   it, making every set stale in O(1) without touching the planes.
+//! * `cur_gen` only moves forward and starts at 1 over a zeroed meta
+//!   plane, so a fresh cache is all stale; every flush
+//!   (`invalidate_all`) bumps it, making every set stale in O(1)
+//!   without touching the planes.
 //! * A stale set is materialized lazily on first touch (occ/dirty reset,
 //!   generation stamped), and the tag pass takes a no-scan fast path for
 //!   it: a known-empty set allocates its first allowed way directly, so
@@ -97,7 +98,6 @@ use camdn_common::stats::Counter;
 use camdn_common::types::{Cycle, PhysAddr};
 use camdn_dram::DramModel;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
 
 /// Statistics of the transparent path.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -155,68 +155,6 @@ enum RangeEvent {
     /// the dirty line `victim + i`: each posted writeback goes out just
     /// before its line's fill.
     Evict { start: u64, victim: u64, len: u64 },
-}
-
-/// One parked set of SoA planes plus the event tape, ready for reuse.
-#[derive(Debug, Default)]
-struct Planes {
-    tags: Vec<u16>,
-    lru: Vec<u64>,
-    meta: Vec<u64>,
-    /// Highest generation the meta plane has been stamped with; a
-    /// cache reusing these planes starts at `gen + 1`, so every set is
-    /// stale without a single write.
-    gen: u32,
-    tape: Vec<RangeEvent>,
-}
-
-/// A pool of reusable [`SharedCache`] plane allocations.
-///
-/// A cache built with [`SharedCache::with_scratch`] draws its SoA
-/// planes and event tape from the pool and parks them back on drop, so
-/// a worker running many simulations in sequence (a sweep cell worker,
-/// a serving loop) allocates the multi-MB tag planes once instead of
-/// once per cell. The generation-counter invariant makes reuse
-/// *memset-free*: the reused `set_gen` plane keeps its old stamps and
-/// the new cache simply starts one generation later, so every set is
-/// stale — simulated results are bit-for-bit identical to a fresh
-/// allocation (asserted by tests).
-///
-/// Pools are cheap (`Mutex<Vec<..>>`); intended use is one pool per
-/// worker thread, shared only between the consecutive caches that
-/// worker builds.
-#[derive(Debug, Default)]
-pub struct CacheScratchPool {
-    planes: Mutex<Vec<Planes>>,
-}
-
-impl CacheScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of parked plane sets (diagnostic aid).
-    pub fn idle(&self) -> usize {
-        self.planes.lock().map(|g| g.len()).unwrap_or(0)
-    }
-
-    /// Pops a parked plane set, or a fresh default if the pool is empty
-    /// (or its lock was poisoned — reuse is an optimization, never a
-    /// correctness dependency).
-    fn acquire(&self) -> Planes {
-        self.planes
-            .lock()
-            .ok()
-            .and_then(|mut g| g.pop())
-            .unwrap_or_default()
-    }
-
-    fn release(&self, p: Planes) {
-        if let Ok(mut g) = self.planes.lock() {
-            g.push(p);
-        }
-    }
 }
 
 /// Packs one set's metadata word: occupancy bitset in the low 16
@@ -378,68 +316,35 @@ pub struct SharedCache {
     /// Reused tag-pass event tape (no per-call allocation).
     scratch: Vec<RangeEvent>,
     reference: bool,
-    /// Skip the memory pass on range accesses (diagnostic; see
-    /// [`SharedCache::set_tag_pass_only`]).
-    tag_pass_only: bool,
-    /// Planes return here on drop.
-    pool: Option<Arc<CacheScratchPool>>,
 }
 
 impl SharedCache {
     /// Builds a cache from its configuration. Initially no ways are
     /// reserved for the NPU subspace (fully transparent baseline).
     pub fn new(cfg: &CacheConfig) -> Self {
-        Self::build(cfg, None)
-    }
-
-    /// Like [`SharedCache::new`], but drawing the plane allocations
-    /// from (and returning them to) `pool`. Simulated behavior is
-    /// bit-for-bit identical to a fresh cache.
-    pub fn with_scratch(cfg: &CacheConfig, pool: Arc<CacheScratchPool>) -> Self {
-        Self::build(cfg, Some(pool))
-    }
-
-    fn build(cfg: &CacheConfig, pool: Option<Arc<CacheScratchPool>>) -> Self {
         let geom = CacheGeometry::new(cfg);
         let ways = geom.ways as usize;
         let sets = geom.sets_per_slice as usize;
         let groups = geom.slices as usize * sets;
-        let mut planes = match &pool {
-            Some(p) => p.acquire(),
-            None => Planes::default(),
-        };
-        // One generation past anything the reused plane was stamped
-        // with → every set stale, no memset. On the (effectively
-        // unreachable) u32 wrap, hard-reset the plane instead.
-        let cur_gen = match planes.gen.checked_add(1) {
-            Some(g) => g,
-            None => {
-                planes.meta.clear();
-                1
-            }
-        };
-        planes.tags.resize(groups * ways, 0);
-        // Order words are rebuilt from the identity permutation when a
-        // stale set materializes, so reused contents are fine.
-        planes.lru.resize(groups, 0);
-        planes.meta.resize(groups, 0);
         SharedCache {
             geom,
             hit_latency: cfg.hit_latency,
             lines_per_cycle: cfg.lines_per_cycle,
-            tags: planes.tags,
-            lru: planes.lru,
-            meta: planes.meta,
-            cur_gen,
+            tags: vec![0; groups * ways],
+            // Order words are rebuilt from the identity permutation when
+            // a stale set materializes.
+            lru: vec![0; groups],
+            // Generation 0 in every meta word against `cur_gen = 1`:
+            // every set starts stale.
+            meta: vec![0; groups],
+            cur_gen: 1,
             set_stride: ways,
             group_mask: groups as u64 - 1,
             group_bits: (groups as u64).trailing_zeros(),
             npu_way_mask: 0,
             stats: CacheStats::default(),
-            scratch: planes.tape,
+            scratch: Vec::new(),
             reference: false,
-            tag_pass_only: false,
-            pool,
         }
     }
 
@@ -469,16 +374,6 @@ impl SharedCache {
     /// True when the reference walk is selected.
     pub fn reference_model(&self) -> bool {
         self.reference
-    }
-
-    /// Diagnostic mode for wall-time attribution (default off): range
-    /// accesses run the tag pass — with all its state transitions — but
-    /// skip the DRAM memory pass, charging only the hit latency and the
-    /// port floor. Simulated timings are NOT meaningful in this mode;
-    /// the throughput harness uses it to estimate what fraction of a
-    /// scenario's wall clock the tag pass accounts for.
-    pub fn set_tag_pass_only(&mut self, enabled: bool) {
-        self.tag_pass_only = enabled;
     }
 
     /// Bit mask over all ways.
@@ -894,19 +789,6 @@ impl SharedCache {
         self.stats.writebacks.add(wbs);
 
         // --- memory pass ---------------------------------------------
-        if self.tag_pass_only {
-            // Diagnostic mode: the state transitions above all happened,
-            // but no DRAM traffic is issued and the port floor is the
-            // whole timing model. Wall time spent in this configuration
-            // approximates pure tag-pass cost.
-            self.scratch = events;
-            return RangeOutcome {
-                finish: now + self.hit_latency + self.port_cycles(lines),
-                hits,
-                misses,
-                writebacks: wbs,
-            };
-        }
         let mut batch = dram.line_batch(now, Self::MSHR_WINDOW, misses);
         for ev in &events {
             match *ev {
@@ -1111,20 +993,6 @@ impl SharedCache {
             }
         }
         h
-    }
-}
-
-impl Drop for SharedCache {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.release(Planes {
-                tags: std::mem::take(&mut self.tags),
-                lru: std::mem::take(&mut self.lru),
-                meta: std::mem::take(&mut self.meta),
-                gen: self.cur_gen,
-                tape: std::mem::take(&mut self.scratch),
-            });
-        }
     }
 }
 
@@ -1705,45 +1573,6 @@ mod tests {
             hooked.stats().writebacks.get(),
             plain.stats().writebacks.get()
         );
-    }
-
-    #[test]
-    fn pooled_planes_reuse_is_invisible() {
-        let cfg = CacheConfig::paper_default();
-        let pool = Arc::new(CacheScratchPool::new());
-        let mask;
-        {
-            let mut c = SharedCache::with_scratch(&cfg, Arc::clone(&pool));
-            let mut d = DramModel::new(DramConfig::paper_default(), cfg.line_bytes);
-            mask = c.full_way_mask();
-            // Leave dirty lines and a used event tape behind.
-            c.access_range(0, PhysAddr(0), 1 << 20, true, mask, &mut d);
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 1, "planes parked on drop");
-        // A pooled rebuild must be indistinguishable from a fresh cache:
-        // same fingerprint, and an identical op sequence evolves both
-        // identically (including no phantom hits/writebacks from the
-        // garbage the reused planes still hold).
-        let mut pooled = SharedCache::with_scratch(&cfg, Arc::clone(&pool));
-        assert_eq!(pool.idle(), 0, "planes drawn from the pool");
-        let mut fresh = SharedCache::new(&cfg);
-        assert_eq!(pooled.state_fingerprint(), fresh.state_fingerprint());
-        let mut dp = DramModel::new(DramConfig::paper_default(), cfg.line_bytes);
-        let mut df = DramModel::new(DramConfig::paper_default(), cfg.line_bytes);
-        let mut rng = SimRng::new(7);
-        for _ in 0..60 {
-            let base = PhysAddr(rng.next_below(48 * 1024 * 1024));
-            let bytes = rng.next_below(128 * 64);
-            let wr = rng.next_below(3) == 0;
-            let a = pooled.access_range(0, base, bytes, wr, mask, &mut dp);
-            let b = fresh.access_range(0, base, bytes, wr, mask, &mut df);
-            assert_eq!(a, b);
-        }
-        assert_eq!(pooled.state_fingerprint(), fresh.state_fingerprint());
-        assert_eq!(pooled.stats().hits.get(), fresh.stats().hits.get());
-        drop(pooled);
-        assert_eq!(pool.idle(), 1);
     }
 
     #[test]

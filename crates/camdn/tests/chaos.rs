@@ -5,8 +5,6 @@
 //! the middle of a fault window must resume to the uninterrupted log
 //! bit for bit.
 
-use std::time::Duration;
-
 use camdn::models::zoo;
 use camdn::trace::{
     JsonlReplaySink, ReplayConfig, ReplayDriver, ReplaySink, TraceGen, TraceGenConfig,
@@ -69,7 +67,6 @@ fn inert_chaos_knobs_never_move_a_bit_for_any_policy_or_workload() {
             let knobbed = builder(policy, &workload, qos)
                 .fault_plan(FaultPlan::default())
                 .max_sim_cycles(u64::MAX)
-                .max_wall(Duration::from_secs(3600))
                 .run()
                 .expect("knobbed run");
             assert_eq!(

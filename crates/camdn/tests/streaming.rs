@@ -1,11 +1,14 @@
 //! Integration tests of the streaming result pipeline at the sweep
 //! layer: the JSONL cell log must reproduce the in-memory grid
 //! cell-for-cell, a killed-and-resumed grid must equal a cold run
-//! bit-for-bit, and the `SeedAggregate` sink must fold the seeds axis
-//! into the same statistics a hand computation gives.
+//! bit-for-bit, the `SeedAggregate` sink must fold the seeds axis
+//! into the same statistics a hand computation gives, and no sink may
+//! depend on the order cells are delivered in.
 
+use camdn::common::SimRng;
 use camdn::{
-    CellSink, DetailLevel, PolicyKind, SeedAggregate, Sweep, SweepBuilder, SweepResult, Workload,
+    CellOutcome, CellSink, DetailLevel, MemorySink, PolicyKind, SeedAggregate, Sweep, SweepBuilder,
+    SweepResult, Workload,
 };
 use camdn_models::zoo;
 
@@ -294,4 +297,69 @@ fn custom_sinks_see_every_cell_without_buffering() {
     assert_eq!(sink.0, 6);
     assert!(info.plan_cache.is_some(), "shared plan cache still applies");
     assert!(info.threads >= 1);
+}
+
+/// Replays `result`'s cells into a fresh `MemorySink` and
+/// `SeedAggregate` in the given delivery order, and renders what each
+/// produces with `Debug`, which prints every `f64` in shortest
+/// round-trip form: equal text means bit-identical output.
+fn deliver_in_order(result: &SweepResult, order: &[usize]) -> (String, String) {
+    let mut memory = MemorySink::new(result.axes.clone(), None);
+    let mut agg = SeedAggregate::new();
+    for &i in order {
+        let cell = &result.cells[i];
+        let outcome = || CellOutcome {
+            outcome: cell.outcome.clone(),
+            wall_s: cell.wall_s,
+        };
+        memory.on_cell(cell.coord, outcome());
+        agg.on_cell(cell.coord, outcome());
+    }
+    (
+        format!("{:?}", memory.into_cells()),
+        format!("{:?}", agg.stats()),
+    )
+}
+
+#[test]
+fn sinks_are_independent_of_delivery_order() {
+    // Worker threads deliver cells in completion order, so the sinks
+    // must turn any permutation of the same cells into the row-major
+    // result.
+    let result = small_grid().run().expect("in-memory grid");
+    let row_major: Vec<usize> = (0..result.cells.len()).collect();
+    let expected = deliver_in_order(&result, &row_major);
+    for seed in [1, 2, 3, 4] {
+        let mut order = row_major.clone();
+        SimRng::new(seed).shuffle(&mut order);
+        assert_ne!(order, row_major, "seed {seed} must actually permute");
+        assert_eq!(
+            deliver_in_order(&result, &order),
+            expected,
+            "delivery order {order:?}"
+        );
+    }
+}
+
+#[test]
+fn resume_reads_a_shuffled_log_back_to_the_same_cells() {
+    // A log written by several workers holds its cell lines in
+    // completion order; resume must place each line by its coordinate.
+    let path = unique_path("shuffled");
+    let streamed = small_grid().run_streamed(&path).expect("streamed grid");
+    let text = std::fs::read_to_string(&path).expect("log exists");
+    let mut lines: Vec<&str> = text.lines().collect();
+    let header = lines.remove(0);
+    SimRng::new(7).shuffle(&mut lines);
+    let shuffled = format!("{header}\n{}\n", lines.join("\n"));
+    assert_ne!(shuffled, text, "the cell lines must actually move");
+    std::fs::write(&path, shuffled).expect("rewrite log");
+    let resumed = small_grid().resume(&path).expect("resume shuffled log");
+    assert_eq!(
+        resumed.cells_resumed,
+        resumed.cells.len(),
+        "a complete log re-runs nothing, in any line order"
+    );
+    assert_same_cells(&resumed, &streamed);
+    std::fs::remove_file(&path).ok();
 }

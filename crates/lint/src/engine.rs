@@ -181,8 +181,8 @@ pub struct LintConfig {
     /// deterministic; `nondet-iter` fires only in these. The scope is
     /// crate-level and every `.rs` file under a member's `src/` is
     /// walked, so new modules inside a listed crate (e.g. the
-    /// `runtime` scheduler core in `sched.rs` and its components) are
-    /// covered automatically, with no list update needed.
+    /// `runtime` scheduler core in `sched.rs`) are covered
+    /// automatically, with no list update needed.
     pub result_affecting: Vec<String>,
     /// Short crate names allowed to read the wall clock (the bench
     /// harness times real executions by design).

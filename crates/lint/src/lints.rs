@@ -49,8 +49,8 @@ pub fn nondet_iter(ws: &Workspace, out: &mut Vec<Finding>) {
 
 /// `wall-clock-in-sim`: `Instant::now` / `SystemTime` outside the
 /// bench harness. Wall time read inside simulation logic makes runs
-/// irreproducible; the few legitimate sites (budget guards, reported
-/// wall seconds) carry explicit `allow` directives.
+/// irreproducible; the few legitimate sites (reported wall seconds)
+/// carry explicit `allow` directives.
 pub fn wall_clock_in_sim(ws: &Workspace, out: &mut Vec<Finding>) {
     for file in &ws.files {
         if ws.config.wall_clock_exempt.contains(&file.crate_name) {

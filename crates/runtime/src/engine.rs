@@ -15,7 +15,6 @@
 //! [`PolicyKind`]; use [`Simulation::builder`](crate::Simulation) to
 //! assemble and run a configuration.
 
-use crate::components::EngineComponents;
 use crate::error::{BudgetKind, EngineError};
 use crate::fault::{
     FaultKind, FaultPlan, CHANNEL_DOWN_SCALE, MAX_INFERENCE_RETRIES, RETRY_BACKOFF_CYCLES,
@@ -28,7 +27,7 @@ use crate::result::{DetailLevel, QueueSample, RunDetail, RunOutput, RunSummary, 
 use crate::scenario::Workload;
 use crate::sched::Scheduler;
 use crate::task::{InferenceRecord, Task, TaskState};
-use camdn_cache::{CacheScratchPool, Nec, SharedCache};
+use camdn_cache::{Nec, SharedCache};
 use camdn_common::config::SocConfig;
 use camdn_common::stats::Histogram;
 use camdn_common::types::{cycles_to_ms, ms_to_cycles, Cycle};
@@ -47,17 +46,11 @@ use camdn_npu::NpuCore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Sentinel task id marking a fault event in the event queue. Pushed
 /// before task arrivals, so the FIFO tie-break applies same-cycle
 /// faults before any task work at that cycle.
 const FAULT_EVENT: u32 = u32::MAX;
-
-/// Wall-clock budget polling stride (events between `Instant::now()`
-/// calls): cheap enough to never show in profiles, fine-grained enough
-/// that an overrunning run stops within milliseconds of its budget.
-const WALL_CHECK_STRIDE: u32 = 4096;
 
 /// Names one of the five built-in system configurations.
 ///
@@ -144,13 +137,19 @@ pub(crate) struct SimParams {
     /// [`EngineError::BudgetExceeded`] partial result once an event
     /// past this cycle pops. Deterministic.
     pub max_sim_cycles: Option<Cycle>,
-    /// Wall-clock budget, polled every [`WALL_CHECK_STRIDE`] events.
-    /// Where the run stops depends on host speed — use
-    /// `max_sim_cycles` when determinism matters.
-    pub max_wall: Option<Duration>,
     /// Deadline-aware admission control: shed open-loop QoS arrivals
     /// whose predicted completion already misses the deadline.
     pub admission_control: bool,
+}
+
+/// Master cycles charged for `compute` local compute cycles on a
+/// `group`-wide NPU gang at clock `rate` relative to the master clock
+/// (multi-NPU gangs pay a 10% gang-scaling tax). The rate is held in
+/// f64 so the full rate 1.0 stays IEEE-exact: a fault-free run divides
+/// by the group throughput alone.
+fn compute_master_cycles(compute: Cycle, group: u32, rate: f64) -> Cycle {
+    let eff = if group > 1 { 0.9 } else { 1.0 };
+    (compute as f64 / (f64::from(group) * eff * rate)).ceil() as Cycle
 }
 
 /// The multi-tenant discrete-event engine.
@@ -200,10 +199,17 @@ pub struct Engine {
     /// Per-NPU failed flag (`params.fault_plan`). A failed NPU is out
     /// of the free pool until its `NpuUp` event.
     npu_failed: Vec<bool>,
-    /// Scheduling state of the phase components (fault cursor, epoch
-    /// boundary, sampler clock, NPU clock domain); see
-    /// `crate::components`.
-    comps: EngineComponents,
+    /// Next unapplied event of `params.fault_plan`.
+    fault_cursor: usize,
+    /// Master cycle at or past which the next (lazy, drifting) epoch
+    /// tick fires; see [`Engine::rebalance_epoch`].
+    next_epoch: Cycle,
+    /// Next queue-depth sample boundary, a multiple of
+    /// `params.queue_sample_cycles`; see [`Engine::sample_up_to`].
+    next_sample: Cycle,
+    /// NPU compute clock rate relative to the master clock (1.0 = full
+    /// rate; a `ClockThrottle { factor }` fault sets it to `factor`).
+    npu_clock_rate: f64,
     now: Cycle,
     started: bool,
 }
@@ -211,16 +217,13 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine from parameters, a policy instance and a
     /// workload scenario. Model mappings are served from `plan_cache`
-    /// when one is supplied (sweeps share one across cells), and the
-    /// shared cache draws its tag planes from `cache_scratch` when a
-    /// pool is supplied (sweep workers reuse them across cells);
-    /// results are bit-identical either way.
+    /// when one is supplied (sweeps share one across cells); results
+    /// are bit-identical either way.
     pub(crate) fn with_policy(
         params: SimParams,
         mut policy: Box<dyn Policy>,
         workload: &Workload,
         plan_cache: Option<&PlanCache>,
-        cache_scratch: Option<Arc<CacheScratchPool>>,
     ) -> Result<Self, EngineError> {
         workload.validate()?;
         if params.soc.npu.cores == 0 {
@@ -262,10 +265,7 @@ impl Engine {
         let label = policy.label().to_string();
 
         let cache_cfg = params.soc.cache;
-        let mut cache = match cache_scratch {
-            Some(pool) => SharedCache::with_scratch(&cache_cfg, pool),
-            None => SharedCache::new(&cache_cfg),
-        };
+        let mut cache = SharedCache::new(&cache_cfg);
         let mut dram = DramModel::new(params.soc.dram, cache_cfg.line_bytes);
         cache.set_reference_model(params.reference_model);
         dram.set_reference_model(params.reference_model);
@@ -347,7 +347,10 @@ impl Engine {
             page_waiters: Vec::new(),
             queue_samples: Vec::new(),
             npu_failed: vec![false; params.soc.npu.cores as usize],
-            comps: EngineComponents::new(params.epoch_cycles, params.queue_sample_cycles),
+            fault_cursor: 0,
+            next_epoch: params.epoch_cycles,
+            next_sample: params.queue_sample_cycles.unwrap_or(0),
+            npu_clock_rate: 1.0,
             now: 0,
             started: false,
             params,
@@ -398,13 +401,6 @@ impl Engine {
             .copied()
     }
 
-    /// Forwards [`SharedCache::set_tag_pass_only`] (wall-time
-    /// attribution diagnostics; simulated timings are not meaningful
-    /// with it enabled).
-    pub(crate) fn set_tag_pass_only(&mut self, enabled: bool) {
-        self.cache.set_tag_pass_only(enabled);
-    }
-
     /// Runs the simulation to completion and aggregates the results.
     ///
     /// The run primes the master heap — fault events first (plan
@@ -449,22 +445,17 @@ impl Engine {
         self.advance()
     }
 
-    /// The advance loop. Every popped master-heap event flows through
-    /// the phase components in a fixed, documented order: budget
-    /// guards, the sampler drains its fixed-period clock up to the
-    /// event, a fault-sentinel event ticks the fault component, the
-    /// lazy epoch clock fires if its boundary was reached, and finally
-    /// the task state machine steps. See `docs/ENGINE.md` for the
-    /// architecture.
+    /// The advance loop. Every popped master-heap event goes through a
+    /// fixed, documented sequence: the cycle budget guard, the sampler
+    /// drains its fixed-period clock up to the event, a fault-sentinel
+    /// event applies the next fault, the lazy epoch clock fires if its
+    /// boundary was reached, and finally the task state machine steps.
+    /// See `docs/ENGINE.md` for the architecture.
     fn advance(&mut self) -> Result<RunOutput, EngineError> {
-        // camdn-lint: allow(wall-clock-in-sim, reason = "max_wall budget guard: wall time only decides when to stop, never what the simulation computes")
-        let wall_start = Instant::now();
-        let mut wall_tick = 0u32;
         while let Some((now, tid)) = self.events.pop() {
-            // Budget guards. The cycle budget trips on the first event
-            // *past* the limit (deterministic); the wall-clock budget is
-            // polled every few thousand events and depends on host
-            // speed. Both surface the work done so far as a partial.
+            // The cycle budget trips on the first event *past* the limit
+            // (deterministic) and surfaces the work done so far as a
+            // partial.
             if let Some(max) = self.params.max_sim_cycles {
                 if now > max {
                     return Err(EngineError::BudgetExceeded {
@@ -474,36 +465,36 @@ impl Engine {
                     });
                 }
             }
-            if let Some(max) = self.params.max_wall {
-                wall_tick = wall_tick.wrapping_add(1);
-                if wall_tick.is_multiple_of(WALL_CHECK_STRIDE) && wall_start.elapsed() >= max {
-                    return Err(EngineError::BudgetExceeded {
-                        budget: BudgetKind::WallClock,
-                        at_cycle: now,
-                        partial: Box::new(self.aggregate()),
-                    });
-                }
-            }
-            // Sampler component: a fixed-period clock drained up to the
-            // event (state only changes at events, so sampling just
-            // before the first event at-or-past a boundary observes the
-            // state *at* it).
-            while let Some(at) = self.comps.sampler.next_due(now) {
-                self.sample_queue_depth(at);
-            }
+            self.sample_up_to(now);
             self.now = now.max(self.now);
             if tid == FAULT_EVENT {
                 self.apply_next_fault(now)?;
                 continue;
             }
-            // Epoch component: a lazy clock that piggybacks on task
-            // events (an idle stretch produces no empty epoch ticks).
-            if self.comps.epoch.due(self.now) {
+            // The epoch is a lazy clock that piggybacks on task events
+            // (an idle stretch produces no empty epoch ticks).
+            if self.now >= self.next_epoch {
                 self.rebalance_epoch();
             }
             self.step(tid, now)?;
         }
         Ok(self.aggregate())
+    }
+
+    /// Drains the queue-depth sampler up to `now`: one sample at every
+    /// multiple of `params.queue_sample_cycles` at or before `now`, in
+    /// order (several boundaries may pass between two events). Unlike
+    /// the epoch this clock does not drift, and since state only changes
+    /// at events, sampling just before the first event at or past a
+    /// boundary observes the state *at* it. A no-op when sampling is off.
+    fn sample_up_to(&mut self, now: Cycle) {
+        let Some(every) = self.params.queue_sample_cycles else {
+            return;
+        };
+        while self.next_sample <= now {
+            self.sample_queue_depth(self.next_sample);
+            self.next_sample += every;
+        }
     }
 
     /// Records one queue-depth sample: requests arrived by `at` but
@@ -532,11 +523,12 @@ impl Engine {
     // Scheduling epochs (policies with `reallocates_shares`)
     // ---------------------------------------------------------------
 
-    /// The epoch component's tick: re-arm the (lazy, drifting)
-    /// boundary, run the cache's epoch hook, and let a
-    /// share-reallocating policy redistribute bandwidth and NPU quota.
+    /// The epoch tick: re-arm the boundary one epoch past the event
+    /// that fired it (so the boundary drifts with activity), run the
+    /// cache's epoch hook, and let a share-reallocating policy
+    /// redistribute bandwidth and NPU quota.
     fn rebalance_epoch(&mut self) {
-        self.comps.epoch.advance(self.now);
+        self.next_epoch = self.now + self.params.epoch_cycles;
         // The cache's epoch hook is a debug-build invariant sweep over
         // its tag planes (free in release); it never changes results.
         self.cache.on_epoch();
@@ -581,11 +573,11 @@ impl Engine {
     /// the policy its topology-change hook with the surviving capacity.
     fn apply_next_fault(&mut self, now: Cycle) -> Result<(), EngineError> {
         let kind = match &self.params.fault_plan {
-            Some(p) => p.events()[self.comps.fault.cursor].kind,
+            Some(p) => p.events()[self.fault_cursor].kind,
             // Defensive: a sentinel without a plan is a stale event.
             None => return Ok(()),
         };
-        self.comps.fault.advance();
+        self.fault_cursor += 1;
         match kind {
             FaultKind::NpuDown(n) => self.fail_npu(n as usize, now)?,
             FaultKind::NpuUp(n) => self.restore_npu(n as usize, now),
@@ -596,11 +588,10 @@ impl Engine {
             FaultKind::DramDegrade { channel, factor } => self
                 .dram
                 .set_channel_bandwidth_scale(channel as usize, factor),
-            // DVFS routes through the NPU clock component: the
-            // throttle factor retunes the clock's rate against the
-            // master clock, and every subsequent compute charge is
-            // converted through it.
-            FaultKind::ClockThrottle { factor } => self.comps.npu_clock.set_rate(factor),
+            // DVFS: the throttle factor becomes the NPU clock's rate
+            // against the master clock, and every subsequent compute
+            // charge is converted through it.
+            FaultKind::ClockThrottle { factor } => self.npu_clock_rate = factor,
         }
         let surviving = self.npu_failed.iter().filter(|f| !**f).count() as u32;
         let ctx = PartitionCtx {
@@ -795,12 +786,11 @@ impl Engine {
                             layer: t.cur_layer,
                         })?;
                         let c = plan.phases[phase_idx].compute_cycles;
-                        // The NPU clock component converts local
-                        // compute cycles to master cycles; its
-                        // fault-free full rate is IEEE-exact, so
-                        // results without a plan are untouched bit for
-                        // bit.
-                        let adj = self.comps.npu_clock.compute_master_cycles(c, t.group);
+                        // Local compute cycles become master cycles
+                        // at the NPU clock rate; the fault-free full
+                        // rate is IEEE-exact, so results without a
+                        // plan are untouched bit for bit.
+                        let adj = compute_master_cycles(c, t.group, self.npu_clock_rate);
                         t.compute_horizon = t.compute_horizon.max(now) + adj;
                     }
                 }
@@ -1469,6 +1459,83 @@ mod tests {
             .expect("quick run")
     }
 
+    /// A one-task baseline engine with the given epoch length and
+    /// queue-sampling period, built but not run.
+    fn tiny_engine(epoch_cycles: Cycle, queue_sample_cycles: Option<Cycle>) -> Engine {
+        let params = SimParams {
+            soc: SocConfig::paper_default(),
+            seed: 1,
+            warmup_rounds: 1,
+            qos_scale: None,
+            epoch_cycles,
+            mapper: MapperConfig::paper_default(),
+            reference_model: false,
+            detail: DetailLevel::Tasks,
+            queue_sample_cycles,
+            fault_plan: None,
+            max_sim_cycles: None,
+            admission_control: false,
+        };
+        let workload = Workload::closed(vec![zoo::mobilenet_v2()], 2);
+        let policy = builtin_policy(PolicyKind::SharedBaseline);
+        Engine::with_policy(params, policy, &workload, None).unwrap()
+    }
+
+    #[test]
+    fn npu_clock_full_rate_is_exact_and_throttle_stretches() {
+        // Single NPU at full rate: identity, even past 32-bit counts.
+        for c in [0, 1, 12_345, 1 << 40, (1 << 52) + 1] {
+            assert_eq!(compute_master_cycles(c, 1, 1.0), c);
+        }
+        // A gang of 2 pays the 0.9 efficiency: ceil(1000 / 1.8) = 556.
+        assert_eq!(compute_master_cycles(1000, 2, 1.0), 556);
+        // A 0.5 throttle doubles the charge.
+        assert_eq!(compute_master_cycles(1000, 1, 0.5), 2000);
+    }
+
+    #[test]
+    fn sampler_drains_every_boundary_in_order() {
+        let cycles = |e: &Engine| e.queue_samples.iter().map(|s| s.cycle).collect::<Vec<_>>();
+        let mut e = tiny_engine(200_000, Some(10));
+        e.sample_up_to(5);
+        assert!(e.queue_samples.is_empty());
+        // Event at 34: boundaries 10, 20, 30 are all due, in order.
+        e.sample_up_to(34);
+        assert_eq!(cycles(&e), vec![10, 20, 30]);
+        e.sample_up_to(39);
+        assert_eq!(cycles(&e), vec![10, 20, 30]);
+        // A disabled sampler never fires.
+        let mut off = tiny_engine(200_000, None);
+        off.sample_up_to(Cycle::MAX);
+        assert!(off.queue_samples.is_empty());
+    }
+
+    #[test]
+    fn fault_cursor_walks_the_plan() {
+        let throttle = |at, factor| crate::FaultEvent {
+            at,
+            kind: FaultKind::ClockThrottle { factor },
+        };
+        let mut e = tiny_engine(200_000, None);
+        let plan = FaultPlan::new(vec![throttle(10, 0.5), throttle(20, 0.25)]).unwrap();
+        e.params.fault_plan = Some(plan);
+        e.apply_next_fault(10).unwrap();
+        assert_eq!((e.fault_cursor, e.npu_clock_rate), (1, 0.5));
+        e.apply_next_fault(20).unwrap();
+        assert_eq!((e.fault_cursor, e.npu_clock_rate), (2, 0.25));
+    }
+
+    #[test]
+    fn epoch_rearms_from_the_firing_event() {
+        let mut e = tiny_engine(100, None);
+        assert_eq!(e.next_epoch, 100);
+        // The boundary drifts: it re-arms one epoch past the event that
+        // fired it, not on the 100-cycle grid.
+        e.now = 137;
+        e.rebalance_epoch();
+        assert_eq!(e.next_epoch, 237);
+    }
+
     #[test]
     fn single_task_baseline_completes() {
         // Include the cold round: real DRAM traffic.
@@ -1517,14 +1584,12 @@ mod tests {
             queue_sample_cycles: None,
             fault_plan: None,
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
         };
         let mut engine = Engine::with_policy(
             params,
             builtin_policy(PolicyKind::CamdnFull),
             &workload,
-            None,
             None,
         )
         .unwrap();
@@ -1716,14 +1781,12 @@ mod tests {
             queue_sample_cycles: None,
             fault_plan: None,
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
         };
         let mut engine = Engine::with_policy(
             params,
             builtin_policy(PolicyKind::CamdnFull),
             &workload,
-            None,
             None,
         )
         .unwrap();
@@ -1806,7 +1869,6 @@ mod tests {
             .workload(Workload::closed(models.clone(), 2))
             .fault_plan(FaultPlan::default())
             .max_sim_cycles(Cycle::MAX)
-            .max_wall(Duration::from_secs(3600))
             .admission_control(true)
             .run()
             .expect("inert knobs must not trip");
@@ -1867,7 +1929,6 @@ mod tests {
                 .unwrap(),
             ),
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
         };
         let workload = Workload::closed((0..4).map(|_| zoo::mobilenet_v2()).collect(), 2);
@@ -1875,7 +1936,6 @@ mod tests {
             params,
             builtin_policy(PolicyKind::CamdnFull),
             &workload,
-            None,
             None,
         )
         .unwrap();

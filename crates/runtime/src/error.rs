@@ -20,16 +20,12 @@ pub enum BudgetKind {
     /// The simulated-cycle budget
     /// ([`SimulationBuilder::max_sim_cycles`](crate::SimulationBuilder::max_sim_cycles)).
     SimCycles,
-    /// The wall-clock budget
-    /// ([`SimulationBuilder::max_wall`](crate::SimulationBuilder::max_wall)).
-    WallClock,
 }
 
 impl fmt::Display for BudgetKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BudgetKind::SimCycles => write!(f, "simulated-cycle"),
-            BudgetKind::WallClock => write!(f, "wall-clock"),
         }
     }
 }

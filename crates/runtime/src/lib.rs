@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
-mod components;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -42,7 +41,6 @@ pub mod sched;
 pub mod sim;
 pub mod task;
 
-pub use camdn_cache::CacheScratchPool;
 pub use engine::{Engine, PolicyKind};
 pub use error::{BudgetKind, EngineError};
 pub use fault::{FaultEvent, FaultGenConfig, FaultKind, FaultPlan};

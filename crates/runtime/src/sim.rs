@@ -22,12 +22,10 @@ use crate::fault::FaultPlan;
 use crate::policies::{builtin_policy, create_policy, Policy};
 use crate::result::{DetailLevel, RunOutput};
 use crate::scenario::Workload;
-use camdn_cache::CacheScratchPool;
 use camdn_common::config::SocConfig;
 use camdn_common::types::Cycle;
 use camdn_mapper::{MapperConfig, PlanCache};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Which policy the builder should instantiate at build time.
 enum PolicyChoice {
@@ -59,14 +57,11 @@ impl Simulation {
             lookahead: None,
             reference_model: false,
             plan_cache: None,
-            cache_scratch: None,
             detail: DetailLevel::Tasks,
             queue_sample_cycles: None,
             fault_plan: None,
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
-            tag_pass_only: false,
         }
     }
 
@@ -89,14 +84,11 @@ pub struct SimulationBuilder {
     lookahead: Option<f64>,
     reference_model: bool,
     plan_cache: Option<Arc<PlanCache>>,
-    cache_scratch: Option<Arc<CacheScratchPool>>,
     detail: DetailLevel,
     queue_sample_cycles: Option<Cycle>,
     fault_plan: Option<FaultPlan>,
     max_sim_cycles: Option<Cycle>,
-    max_wall: Option<Duration>,
     admission_control: bool,
-    tag_pass_only: bool,
 }
 
 impl SimulationBuilder {
@@ -189,29 +181,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Draws the shared cache's tag planes from (and parks them back
-    /// into) a [`CacheScratchPool`] instead of allocating them fresh.
-    ///
-    /// The pool's generation-counter handshake makes reuse invisible:
-    /// results are bit-identical with or without it. What changes is
-    /// that a worker running many simulations back to back (a sweep
-    /// cell worker, a serving loop) allocates the multi-MB planes once
-    /// instead of once per run. Intended to be shared between the
-    /// *consecutive* builds of one worker, not across threads.
-    pub fn cache_scratch(mut self, pool: Arc<CacheScratchPool>) -> Self {
-        self.cache_scratch = Some(pool);
-        self
-    }
-
-    /// Like [`cache_scratch`](SimulationBuilder::cache_scratch), but
-    /// only installs `pool` if no pool was set yet — executors use this
-    /// to offer their per-worker pool without overriding an explicit
-    /// caller choice.
-    pub fn cache_scratch_default(mut self, pool: &Arc<CacheScratchPool>) -> Self {
-        self.cache_scratch.get_or_insert_with(|| Arc::clone(pool));
-        self
-    }
-
     /// Selects how much output the run retains (default
     /// [`DetailLevel::Tasks`]): [`DetailLevel::Summary`] keeps only the
     /// compact scalar [`RunSummary`](crate::RunSummary) — the right
@@ -256,15 +225,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Caps the run at a wall-clock budget, polled every few thousand
-    /// events. Where the run stops depends on host speed — prefer
-    /// [`max_sim_cycles`](SimulationBuilder::max_sim_cycles) when the
-    /// partial result must be reproducible.
-    pub fn max_wall(mut self, budget: Duration) -> Self {
-        self.max_wall = Some(budget);
-        self
-    }
-
     /// Enables deadline-aware admission control (default off): an
     /// open-loop QoS arrival whose queue-predicted completion already
     /// misses its deadline is shed instead of dispatched, counted in
@@ -276,17 +236,6 @@ impl SimulationBuilder {
     /// [`qos_scale`]: SimulationBuilder::qos_scale
     pub fn admission_control(mut self, enabled: bool) -> Self {
         self.admission_control = enabled;
-        self
-    }
-
-    /// Diagnostic mode for wall-time attribution (default `false`):
-    /// the shared cache runs its tag pass — with every state
-    /// transition — but skips the DRAM memory pass, charging only the
-    /// hit latency and port floor. Simulated timings are **not**
-    /// meaningful in this mode; the throughput harness uses it to
-    /// estimate the tag pass's share of a scenario's wall clock.
-    pub fn tag_pass_only(mut self, enabled: bool) -> Self {
-        self.tag_pass_only = enabled;
         self
     }
 
@@ -329,11 +278,6 @@ impl SimulationBuilder {
                 "the simulated-cycle budget must be positive".into(),
             ));
         }
-        if self.max_wall == Some(Duration::ZERO) {
-            return Err(EngineError::InvalidConfig(
-                "the wall-clock budget must be positive".into(),
-            ));
-        }
         let mut policy = match self.policy {
             PolicyChoice::Kind(kind) => builtin_policy(kind),
             PolicyChoice::Named(name) => create_policy(&name)?,
@@ -354,17 +298,9 @@ impl SimulationBuilder {
             queue_sample_cycles: self.queue_sample_cycles,
             fault_plan: self.fault_plan,
             max_sim_cycles: self.max_sim_cycles,
-            max_wall: self.max_wall,
             admission_control: self.admission_control,
         };
-        let mut engine = Engine::with_policy(
-            params,
-            policy,
-            &workload,
-            self.plan_cache.as_deref(),
-            self.cache_scratch,
-        )?;
-        engine.set_tag_pass_only(self.tag_pass_only);
+        let engine = Engine::with_policy(params, policy, &workload, self.plan_cache.as_deref())?;
         Ok(Simulation { engine })
     }
 

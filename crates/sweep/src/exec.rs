@@ -17,10 +17,10 @@
 //! neighboring cells are still running, instead of after the whole
 //! grid. [`run_cells`] is the buffered convenience wrapper.
 
-use camdn_runtime::{CacheScratchPool, EngineError, RunOutput, SimulationBuilder};
+use camdn_runtime::{EngineError, RunOutput, SimulationBuilder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Outcome of one executed cell.
@@ -89,44 +89,36 @@ pub fn run_cells_into(
     let sink = Mutex::new(deliver);
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                // One scratch pool per worker: the worker's consecutive
-                // cells reuse the shared cache's multi-MB tag planes
-                // instead of re-allocating them per cell. Reuse is
-                // bit-for-bit invisible (generation counters); cells
-                // that set an explicit pool keep theirs.
-                let scratch = Arc::new(CacheScratchPool::new());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let builder = match jobs[i].lock() {
-                        Ok(mut guard) => guard.take(),
-                        // Cannot happen (cells catch their own
-                        // panics), but un-poison rather than die.
-                        Err(poisoned) => poisoned.into_inner().take(),
-                    };
-                    // camdn-lint: allow(wall-clock-in-sim, reason = "reported wall_s bookkeeping only; simulated results never read it and bit-for-bit comparisons exclude it")
-                    let t0 = Instant::now();
-                    let outcome = match builder {
-                        Some(b) => run_one(b.cache_scratch_default(&scratch)),
-                        None => Err(EngineError::Panicked {
-                            detail: "sweep job vanished before it ran".into(),
-                        }),
-                    };
-                    let run = CellRun {
-                        outcome,
-                        wall_s: t0.elapsed().as_secs_f64(),
-                    };
-                    let mut guard = match sink.lock() {
-                        Ok(guard) => guard,
-                        // A sink panicked on an earlier cell; keep
-                        // draining the queue so the scope can join.
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    (*guard)(i, run);
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let builder = match jobs[i].lock() {
+                    Ok(mut guard) => guard.take(),
+                    // Cannot happen (cells catch their own
+                    // panics), but un-poison rather than die.
+                    Err(poisoned) => poisoned.into_inner().take(),
+                };
+                // camdn-lint: allow(wall-clock-in-sim, reason = "reported wall_s bookkeeping only; simulated results never read it and bit-for-bit comparisons exclude it")
+                let t0 = Instant::now();
+                let outcome = match builder {
+                    Some(b) => run_one(b),
+                    None => Err(EngineError::Panicked {
+                        detail: "sweep job vanished before it ran".into(),
+                    }),
+                };
+                let run = CellRun {
+                    outcome,
+                    wall_s: t0.elapsed().as_secs_f64(),
+                };
+                let mut guard = match sink.lock() {
+                    Ok(guard) => guard,
+                    // A sink panicked on an earlier cell; keep
+                    // draining the queue so the scope can join.
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                (*guard)(i, run);
             });
         }
     });
