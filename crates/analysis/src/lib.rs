@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod area;
 pub mod reuse;

@@ -12,6 +12,8 @@
 //! factor, the SoC (paired with its mapper for the page-size study)
 //! and the policy.
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{cycling_workload, print_table, quick_mode};
 use camdn_common::SocConfig;
 use camdn_mapper::MapperConfig;

@@ -16,6 +16,8 @@
 //! * `CAMDN_QUICK=1` — reduced horizon and rate (CI smoke mode).
 //! * `CAMDN_BENCH_OUT=<path>` — output path (default `BENCH_chaos.json`).
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{print_table, quick_mode};
 use camdn_runtime::{FaultGenConfig, FaultPlan, PolicyKind};
 use camdn_trace::{

@@ -1,5 +1,7 @@
 //! Diagnostic run: per-policy traffic breakdown (not a paper figure).
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::speedup_workload;
 use camdn_runtime::{PolicyKind, Simulation, Workload};
 

@@ -6,6 +6,8 @@
 //! Paper result: hit rate drops by 18.9–59.7 %, memory access rises by
 //! 32.7–64.1 % and latency by 3.46–5.65× as the DNN count reaches 32.
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{print_table, quick_mode};
 use camdn_common::types::MIB;
 use camdn_models::Model;

@@ -6,6 +6,8 @@
 //! of intermediate data has reuse distances above 1 MiB and 47.9 %
 //! above 2 MiB.
 
+#![forbid(unsafe_code)]
+
 use camdn_analysis::profile_zoo;
 use camdn_bench::print_table;
 use camdn_mapper::MapperConfig;

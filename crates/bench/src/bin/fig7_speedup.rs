@@ -5,6 +5,8 @@
 //! 2.56× and 1.88× on average; CaMDN(Full) beats CaMDN(HW-only) by
 //! 1.18× on average; memory access drops by 33.4% on average.
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{
     dram_by_model, latency_by_model, print_table, quick_mode, speedup_policies, speedup_workload,
 };

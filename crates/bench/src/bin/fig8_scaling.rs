@@ -6,6 +6,8 @@
 //! Paper result: CaMDN(Full) cuts latency by 34.3–42.3 % and memory
 //! access by 16.0–37.7 % across scales, with larger caches helping more.
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{cycling_workload, print_table, quick_mode, speedup_policies};
 use camdn_common::types::MIB;
 use camdn_runtime::{RunOutput, Workload};

@@ -5,6 +5,8 @@
 //! Paper result: CaMDN improves SLA rate, STP and fairness by 5.9×,
 //! 2.5× and 3.0× on average over the baselines.
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{isolated_latencies, print_table, qos_workload, quick_mode};
 use camdn_runtime::{qos_metrics, DetailLevel, PolicyKind, QosMetrics, Workload};
 use camdn_sweep::Sweep;

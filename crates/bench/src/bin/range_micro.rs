@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p camdn-bench --bin range_micro`
 
+#![forbid(unsafe_code)]
+
 use camdn_cache::SharedCache;
 use camdn_common::config::{CacheConfig, DramConfig};
 use camdn_common::types::PhysAddr;

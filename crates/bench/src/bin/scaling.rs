@@ -28,6 +28,8 @@
 //! * `CAMDN_SCALING_RESUME=1` — keep an existing cell log and resume
 //!   the ramp from it (default: start fresh by deleting the log).
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{cycling_workload, env_flag, print_table, quick_mode, speedup_policies};
 use camdn_common::types::MIB;
 use camdn_common::SocConfig;

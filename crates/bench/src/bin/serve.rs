@@ -13,6 +13,8 @@
 //! * `CAMDN_QUICK=1` — reduced ramp and horizon (CI smoke mode).
 //! * `CAMDN_BENCH_OUT=<path>` — output path (default `BENCH_serve.json`).
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{print_table, quick_mode};
 use camdn_runtime::PolicyKind;
 use camdn_trace::{ReplayAggregate, ReplayConfig, ReplayDriver, TraceGen, TraceGenConfig};

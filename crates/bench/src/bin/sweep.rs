@@ -9,6 +9,8 @@
 //! * `CAMDN_QUICK=1` — reduced grid (CI smoke mode).
 //! * `CAMDN_BENCH_OUT=<path>` — output path (default `BENCH_sweep.json`).
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{cycling_workload, print_table, quick_mode};
 use camdn_common::types::MIB;
 use camdn_runtime::Workload;

@@ -5,6 +5,8 @@
 //! Paper result: the CPT contributes 0.9 % of an NPU's area, the NEC
 //! 0.3 % of a cache slice — the architecture is a negligible add-on.
 
+#![forbid(unsafe_code)]
+
 use camdn_analysis::{area_breakdown, AreaModel};
 use camdn_bench::print_table;
 use camdn_common::config::{CacheConfig, NpuConfig};

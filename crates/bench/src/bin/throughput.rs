@@ -23,6 +23,8 @@
 //! * `CAMDN_QUICK=1` — reduced scenario sizes (CI smoke mode).
 //! * `CAMDN_BENCH_OUT=<path>` — output path (default `BENCH_engine.json`).
 
+#![forbid(unsafe_code)]
+
 use camdn_bench::{quick_mode, speedup_workload};
 use camdn_cache::TAG_LANE_WIDTH;
 use camdn_common::config::SocConfig;

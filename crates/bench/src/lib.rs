@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 use camdn_models::Model;
 use camdn_runtime::{EngineError, PolicyKind, Simulation, TaskSummary, Workload};

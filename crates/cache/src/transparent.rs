@@ -41,9 +41,11 @@
 //! Tag lanes of invalid ways hold stale garbage by design: `occ` is the
 //! source of truth (invalid ways do keep a slot in the order word — the
 //! permutation covers all ways — but their rank is never consulted).
-//! The lane primitives ([`eq_mask`], [`lru_touch`], [`lru_victim`])
-//! live in [`geometry`](crate::geometry) and are shared, unsafe-free
-//! SWAR over `u64` words.
+//! The lane primitives live in [`geometry`](crate::geometry): the tag
+//! compares — [`eq_mask_u16`] in the tag pass (an SSE2 movemask at 16
+//! and 8 ways on x86-64, the crate's one `unsafe` block) and the
+//! portable [`eq_mask`] in the per-line reference path — and the LRU
+//! order-word helpers ([`lru_touch`], [`lru_victim`]).
 //!
 //! # Generation counters
 //!
@@ -90,7 +92,7 @@
 //! in `camdn` assert the two paths are bit-identical.
 
 use crate::geometry::{
-    eq_mask, eq_mask_n, lru_identity, lru_promote, lru_rank_of, lru_touch, lru_victim,
+    eq_mask, eq_mask_u16, lru_identity, lru_promote, lru_rank_of, lru_touch, lru_victim,
     CacheGeometry,
 };
 use camdn_common::config::CacheConfig;
@@ -566,9 +568,10 @@ impl SharedCache {
     /// group segments split only at the group-index wrap. Within a
     /// segment the pass zips linear iterators over the SoA planes —
     /// `as_chunks_mut::<N>` exposes each set's tag lane as a fixed
-    /// `[u32; N]`, which is what lets the compare ([`eq_mask_n`]) lower
-    /// to vector code and drops all per-line index arithmetic and
-    /// bounds checks. The stored tag (`line >> group_bits`) is constant
+    /// `[u16; N]`, which is what lets the compare ([`eq_mask_u16`]: an
+    /// SSE2 movemask at 16 and 8 ways on x86-64) run as vector code and
+    /// drops all per-line index arithmetic and bounds checks. The
+    /// stored tag (`line >> group_bits`) is constant
     /// across a segment and hoisted, as is the order word a stale set
     /// materializes with (the mask's first way promoted over the
     /// identity permutation).
@@ -617,7 +620,7 @@ impl SharedCache {
                     continue;
                 }
                 let occ = meta_occ(m);
-                let hits = eq_mask_n(ts, tag) & occ & mask;
+                let hits = eq_mask_u16(ts, tag) & occ & mask;
                 if hits != 0 {
                     let w = hits.trailing_zeros();
                     *order = lru_touch(*order, w, ways);

@@ -6,6 +6,8 @@
 //! cargo run --release --example mapping_explorer [model-abbr]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use camdn::mapper::{map_model, CandidateKind, MapperConfig};
 use camdn::models::zoo;
 

@@ -6,6 +6,8 @@
 //! cargo run --release --example multi_tenant_soc
 //! ```
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::runtime::{PolicyKind, Simulation, Workload};
 

@@ -6,6 +6,8 @@
 //! cargo run --release --example qos_showdown
 //! ```
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::runtime::{qos_metrics, PolicyKind, Simulation, Workload};
 

@@ -4,6 +4,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::runtime::{PolicyKind, Simulation, Workload};
 

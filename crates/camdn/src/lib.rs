@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 /// Compiles and runs the README's code examples as doctests, so the
 /// documented snippets (Quickstart, Sweeps, Results pipeline) cannot

@@ -1,6 +1,8 @@
 //! Tests of the public simulation API: builder determinism, custom
 //! policy registration and workload scenarios.
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::runtime::{
     register_policy, EngineError, Policy, PolicyCapabilities, PolicyRegistry, Selection,

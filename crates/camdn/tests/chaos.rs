@@ -5,6 +5,8 @@
 //! the middle of a fault window must resume to the uninterrupted log
 //! bit for bit.
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::trace::{
     JsonlReplaySink, ReplayConfig, ReplayDriver, ReplaySink, TraceGen, TraceGenConfig,

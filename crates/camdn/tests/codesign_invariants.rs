@@ -3,6 +3,8 @@
 //! driven by the repo's deterministic [`SimRng`] (the build runs
 //! offline, so the usual property-testing crates are unavailable).
 
+#![forbid(unsafe_code)]
+
 use camdn::cache::Nec;
 use camdn::common::config::{CacheConfig, NpuConfig};
 use camdn::common::SimRng;

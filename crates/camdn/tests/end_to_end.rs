@@ -1,6 +1,8 @@
 //! End-to-end integration tests spanning every crate: model zoo →
 //! mapper → co-design → multi-tenant engine, through the builder API.
 
+#![forbid(unsafe_code)]
+
 use camdn::common::types::MIB;
 use camdn::common::SocConfig;
 use camdn::models::zoo;

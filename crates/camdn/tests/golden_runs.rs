@@ -6,6 +6,8 @@
 //! `UPDATE_GOLDEN=1 cargo test --release -p camdn --test golden_runs`
 //! and review the diff.
 
+#![forbid(unsafe_code)]
+
 mod golden;
 
 use std::fmt::Write as _;

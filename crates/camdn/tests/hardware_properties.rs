@@ -4,6 +4,8 @@
 //! [`SimRng`] (the build runs offline, so the usual property-testing
 //! crates are unavailable).
 
+#![forbid(unsafe_code)]
+
 use camdn::cache::{CacheGeometry, Nec, Pcaddr, SharedCache};
 use camdn::common::config::{CacheConfig, DramConfig};
 use camdn::common::types::{PhysAddr, VirtCacheAddr, MIB};

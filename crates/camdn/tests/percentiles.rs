@@ -6,6 +6,8 @@
 //! bound against exact sorted samples is property-tested where it
 //! lives, in `camdn-common::stats`.)
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::{DetailLevel, LatencyTail, PolicyKind, Simulation, Sweep, Workload};
 

@@ -9,6 +9,8 @@
 //! DRAM traffic), so one equality assert covers the full observable
 //! surface of a run.
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::{PolicyKind, RunOutput, Simulation, SimulationBuilder, Workload};
 

@@ -3,6 +3,8 @@
 //! closed-loop, Poisson and bursty workloads, and the QoS metrics and
 //! SLA rate must be derived consistently from it.
 
+#![forbid(unsafe_code)]
+
 use camdn::models::zoo;
 use camdn::{DetailLevel, PolicyKind, Simulation, SimulationBuilder, Workload};
 

@@ -6,6 +6,8 @@
 //! every outcome — the whole `RunOutput`, or the `BudgetExceeded`
 //! error with its cycle and partial — with its recorded line.
 
+#![forbid(unsafe_code)]
+
 mod golden;
 
 /// 5 policies × a four-tenant closed loop.

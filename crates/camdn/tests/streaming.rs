@@ -5,6 +5,8 @@
 //! into the same statistics a hand computation gives, and no sink may
 //! depend on the order cells are delivered in.
 
+#![forbid(unsafe_code)]
+
 use camdn::common::SimRng;
 use camdn::{
     CellOutcome, CellSink, DetailLevel, MemorySink, PolicyKind, SeedAggregate, Sweep, SweepBuilder,

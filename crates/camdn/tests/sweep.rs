@@ -5,6 +5,8 @@
 //! a broken cell must surface as its own error without disturbing its
 //! neighbors.
 
+#![forbid(unsafe_code)]
+
 use camdn::common::types::MIB;
 use camdn::runtime::{Policy, PolicyCapabilities, Selection};
 use camdn::sweep::run_cells;

@@ -2,9 +2,13 @@
 //! traces must replay deterministically (bit-identical windowed
 //! metrics run-to-run and through the file format), the windowed
 //! streaming path must hold only one window in memory across a
-//! million-arrival trace, and a killed-and-resumed replay log must
-//! equal an uninterrupted one bit for bit.
+//! million-arrival trace, a killed-and-resumed replay log must equal
+//! an uninterrupted one bit for bit, and the replay sinks must turn any
+//! delivery order of the same windows into the in-order result.
 
+#![forbid(unsafe_code)]
+
+use camdn::common::SimRng;
 use camdn::trace::{
     windows, JsonlReplaySink, ReplayAggregate, ReplayConfig, ReplayDriver, ReplaySink, SlaClass,
     TraceGen, TraceGenConfig, TraceReader, TraceRecord, TraceWriter, WindowMetrics,
@@ -188,4 +192,62 @@ fn aggregate_matches_the_sum_of_windows() {
     );
     let worst = windows.iter().map(|w| w.sla_rate()).fold(1.0f64, f64::min);
     assert_eq!(agg.worst_window_sla, worst);
+}
+
+#[test]
+fn replay_sinks_are_independent_of_delivery_order() {
+    // Windows fed to a sink in any order — a parallel replay delivers
+    // them as they finish — must aggregate and log to the in-order
+    // result.
+    let cfg = replay_cfg();
+    let in_order = replay_collect(&cfg);
+    assert!(in_order.len() >= 4, "need enough windows to permute");
+    let mut agg = ReplayAggregate::new();
+    let in_order_path = unique_path("in-order.jsonl");
+    let mut log = JsonlReplaySink::create(&in_order_path, &cfg).expect("create log");
+    for w in &in_order {
+        agg.on_window(w);
+        log.on_window(w);
+    }
+    log.finish().expect("close log");
+    let expected_agg = format!("{agg:?}");
+    let expected_log = std::fs::read_to_string(&in_order_path).expect("read log");
+    std::fs::remove_file(&in_order_path).ok();
+
+    for seed in [1, 2, 3, 4] {
+        let mut order: Vec<usize> = (0..in_order.len()).collect();
+        SimRng::new(seed).shuffle(&mut order);
+        assert!(
+            order.windows(2).any(|p| p[0] > p[1]),
+            "seed {seed} must actually permute"
+        );
+        let mut agg = ReplayAggregate::new();
+        let path = unique_path(&format!("shuffled-{seed}.jsonl"));
+        let mut log = JsonlReplaySink::create(&path, &cfg).expect("create log");
+        for &i in &order {
+            agg.on_window(&in_order[i]);
+            log.on_window(&in_order[i]);
+        }
+        log.finish().expect("close log");
+        assert_eq!(
+            format!("{agg:?}"),
+            expected_agg,
+            "aggregate, order {order:?}"
+        );
+
+        let read = camdn::trace::read_window_log(&path, &cfg).expect("read shuffled log");
+        assert_eq!(read, in_order, "read_window_log, order {order:?}");
+        // Resume rewrites the log in window order: byte for byte the
+        // log an in-order delivery writes, with every window recorded.
+        let resumed = JsonlReplaySink::resume(&path, &cfg).expect("resume shuffled log");
+        assert_eq!(resumed.recorded().len(), in_order.len());
+        resumed.finish().expect("close log");
+        let rewritten = std::fs::read_to_string(&path).expect("read rewritten log");
+        assert_eq!(rewritten, expected_log, "resumed log, order {order:?}");
+        assert_eq!(
+            camdn::trace::read_window_log(&path, &cfg).expect("read resumed log"),
+            in_order
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 use camdn_common::config::DramConfig;
 use camdn_common::stats::Counter;
@@ -581,15 +582,6 @@ struct SegDesc {
     d0: u64,
 }
 
-/// Which source a per-line walk reads its MSHR gates from.
-#[derive(Clone, Copy, PartialEq)]
-enum GateSrc {
-    /// The real MSHR ring (gates that predate the current run).
-    Ring,
-    /// Per-channel segment descriptors (in-run gates).
-    Hist,
-}
-
 /// A batched sequence of MSHR-gated demand fills and posted writebacks.
 ///
 /// This reproduces — in closed form where provably equivalent — exactly
@@ -618,6 +610,15 @@ enum GateSrc {
 /// row-opening lines, so the closed-form walk keeps per-channel
 /// segment-descriptor (`SegDesc`) history to evaluate those gates
 /// exactly.
+///
+/// A run longer than the window is therefore walked per line only for
+/// its head (the misses that gate on completions from before the run,
+/// read from the real MSHR ring); everything after the head, tail
+/// included, is one closed-form walk. Later runs gate on the run's last
+/// `window` completions, so that walk writes their ring slots from each
+/// segment's closed form (`ceil(d0 + (i + 1) × burst) + cas` for the
+/// segment's `i`-th line on its channel) as it goes. The per-line walk
+/// only ever reads the real ring.
 pub struct LineBatch<'a> {
     dram: &'a mut DramModel,
     now: Cycle,
@@ -669,7 +670,8 @@ impl LineBatch<'_> {
     }
 
     /// Completion time of channel `c`'s line number `n` (per-channel
-    /// count within the current run). `n` is guaranteed to be within the
+    /// count within the current run): the gate of a row-opening line in
+    /// [`LineBatch::run_closed_form`]. `n` is guaranteed to be within the
     /// retained history (at most `per_ch` lines back).
     fn hist_done(&self, c: usize, n: u64) -> Cycle {
         let (head, len) = self.scratch.hist_pos[c];
@@ -688,9 +690,9 @@ impl LineBatch<'_> {
     }
 
     /// Per-line walk: advances `n` missing lines starting `start` lines
-    /// after `base`, reading gates from `src` and recording ring/history
-    /// state. Exact for arbitrary (even binding) gates.
-    fn per_line(&mut self, base: PhysAddr, start: u64, n: u64, src: GateSrc) {
+    /// after `base`, reading gates from the MSHR ring and recording
+    /// ring/history state. Exact for arbitrary (even binding) gates.
+    fn per_line(&mut self, base: PhysAddr, start: u64, n: u64) {
         let w = self.window as u64;
         let lb = self.dram.line_bytes;
         let nch = u64::from(self.dram.cfg.channels) as usize;
@@ -704,10 +706,7 @@ impl LineBatch<'_> {
             let gate = if self.miss_no < w {
                 self.now
             } else {
-                match src {
-                    GateSrc::Ring => self.scratch.ring[slot].max(self.now),
-                    GateSrc::Hist => self.hist_done(ch, self.scratch.nproc[ch] - self.per_ch),
-                }
+                self.scratch.ring[slot].max(self.now)
             };
             let row = self.dram.row_div.div(byte);
             let bank_idx = self.dram.bank_div.rem(row) as usize;
@@ -736,11 +735,18 @@ impl LineBatch<'_> {
         self.slot = slot;
     }
 
-    /// Closed-form walk of `n` in-run lines starting `offset` lines
-    /// after `base`: per (row, channel) segment, evaluate the
-    /// row-opening gate from history, fold the bank-ready update, and
-    /// advance the channel horizon by `k × burst` in one step.
-    fn run_mid(&mut self, base: PhysAddr, offset: u64, n: u64) {
+    /// Closed-form walk of the run's last `n` lines, starting `offset`
+    /// lines after `base` (everything after the head): per (row,
+    /// channel) segment, evaluate the row-opening gate from history,
+    /// fold the bank-ready update, and advance the channel horizon by
+    /// `k × burst` in one step.
+    ///
+    /// The last `window` of these lines also re-record their MSHR
+    /// completion times, which runs after this one gate on: the `i`-th
+    /// line of a segment on its channel completes at
+    /// `ceil(d0 + (i + 1) × burst) + cas`, and consecutive lines of one
+    /// channel are `channels` MSHR slots apart.
+    fn run_closed_form(&mut self, base: PhysAddr, offset: u64, n: u64) {
         let lb = self.dram.line_bytes;
         let nch = u64::from(self.dram.cfg.channels);
         let row_bytes = self.dram.cfg.row_bytes;
@@ -750,8 +756,11 @@ impl LineBatch<'_> {
         let w = self.window as u64;
         let now_fp = fp(self.now);
         let l0 = self.dram.line_div.div(base.0);
+        // `self.slot` is line `offset`'s MSHR slot.
+        let slot0 = self.slot as u64;
         let mut j = offset;
         let end = offset + n;
+        let ring_from = offset.max(end.saturating_sub(w));
         while j < end {
             let byte = base.0 + j * lb;
             let row = self.dram.row_div.div(byte);
@@ -794,6 +803,23 @@ impl LineBatch<'_> {
                 self.dram.free_at[c] = d0 + k * burst;
                 let done = ceil_fp(self.dram.free_at[c]) + cas;
                 self.finish = self.finish.max(done);
+                // This channel's lines are `j + t + i × channels`.
+                let first = j + t;
+                if first + (k - 1) * nch >= ring_from {
+                    let skip = if first >= ring_from {
+                        0
+                    } else {
+                        self.dram.ch_div.div_ceil(ring_from - first)
+                    };
+                    let mut slot = ((slot0 + first + skip * nch - offset) % w) as usize;
+                    for i in skip..k {
+                        self.scratch.ring[slot] = ceil_fp(d0 + (i + 1) * burst) + cas;
+                        slot += nch as usize;
+                        if slot >= self.window {
+                            slot -= self.window;
+                        }
+                    }
+                }
                 let n_c = self.scratch.nproc[c];
                 self.hist_push(c, n_c, d0);
                 self.scratch.nproc[c] += k;
@@ -822,12 +848,12 @@ impl LineBatch<'_> {
             self.slot = ((self.slot as u64 + lines) % w) as usize;
             return;
         }
-        // In-run gate look-ups (mid/tail) only exist when the run
-        // outlives the window; shorter runs walk per line against the
-        // real ring, with no history bookkeeping at all.
+        // In-run gate look-ups only exist when the run outlives the
+        // window; shorter runs walk per line against the real ring, with
+        // no history bookkeeping at all.
         self.run_hist = self.hist_on() && lines > w;
         if !self.run_hist {
-            self.per_line(base, 0, lines, GateSrc::Ring);
+            self.per_line(base, 0, lines);
             return;
         }
         // Gates are per-run state: in-run gate look-ups only reach back
@@ -842,24 +868,19 @@ impl LineBatch<'_> {
         // Head: misses whose gate predates this run (arbitrary, possibly
         // binding ring values — walk them per line against the real
         // ring). Later misses gate within the run, where gates are
-        // provably inert on the data path.
+        // provably inert on the data path, so the rest of the run is
+        // one closed-form walk that also rebuilds the ring slots of
+        // its last `window` lines for the runs after this one.
         let head = if self.miss_no + lines.min(w) > w {
             lines.min(w)
         } else {
             0
         };
-        // Tail: walked per line to re-record the last `window` MSHR
-        // completion times, which runs after this one will read.
-        let tail = (lines - head).min(w);
-        let mid = lines - head - tail;
         if head > 0 {
-            self.per_line(base, 0, head, GateSrc::Ring);
+            self.per_line(base, 0, head);
         }
-        if mid > 0 {
-            self.run_mid(base, head, mid);
-        }
-        if tail > 0 {
-            self.per_line(base, head + mid, tail, GateSrc::Hist);
+        if lines > head {
+            self.run_closed_form(base, head, lines - head);
         }
     }
 
@@ -1287,6 +1308,56 @@ mod tests {
         let b = emulate_gated(&mut refm, 100, W, &events);
         assert_eq!(a, b);
         assert_same(&fast, &refm, "degraded line batch");
+    }
+
+    #[test]
+    fn long_run_tail_rebuilds_every_ring_slot() {
+        // A run longer than the window is priced in closed form past its
+        // head, which must leave the MSHR ring exactly as the per-line
+        // walk would: the misses after it gate on every slot (1-line
+        // fills that each open a fresh row, so a wrong gate moves a
+        // bank's ready time, then an eviction run).
+        const W: u64 = 144;
+        let row_lines = DramConfig::paper_default().row_bytes / 64;
+        let mut rng = SimRng::new(0x7A11);
+        for degraded in [false, true] {
+            for len in [W + 1, 2 * W - 1, 2 * W, 3 * W + 7] {
+                // No lead-in: the run opens the batch and has no head.
+                // A lead-in: the run's first `window` lines are its head.
+                for lead in [0u64, 5] {
+                    let start = 1000 * row_lines + row_lines / 2 + 3;
+                    let mut events = Vec::new();
+                    if lead > 0 {
+                        events.push(Ev::Fill(PhysAddr(500 * row_lines * 64), lead));
+                    }
+                    events.push(Ev::Fill(PhysAddr(start * 64), len));
+                    for _ in 0..W / 2 {
+                        let row = 2000 + rng.next_below(1 << 16);
+                        events.push(Ev::Fill(PhysAddr(row * row_lines * 64), 1));
+                    }
+                    let victim = PhysAddr((300 * row_lines + 7) * 64);
+                    events.push(Ev::Evict(
+                        PhysAddr(start * 64 + len * 64),
+                        victim,
+                        W / 2 + 8,
+                    ));
+
+                    let mut fast = model();
+                    let mut refm = model();
+                    if degraded {
+                        for d in [&mut fast, &mut refm] {
+                            d.set_channel_bandwidth_scale(1, 0.25);
+                            d.set_channel_bandwidth_scale(3, 0.6);
+                        }
+                    }
+                    let ctx = format!("len {len}, lead {lead}, degraded {degraded}");
+                    let a = run_batch(&mut fast, 50, W as usize, &events);
+                    let b = emulate_gated(&mut refm, 50, W as usize, &events);
+                    assert_eq!(a, b, "finish diverged: {ctx}");
+                    assert_same(&fast, &refm, &ctx);
+                }
+            }
+        }
     }
 
     #[test]

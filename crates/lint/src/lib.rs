@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod lexer;

@@ -5,6 +5,8 @@
 //! * `1` — at least one unsuppressed finding,
 //! * `2` — usage or I/O error (the workspace could not be linted).
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -4,6 +4,8 @@
 //! `UPDATE_GOLDEN=1` after an intentional lexer change and reviewing
 //! the diff.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::Path;
 

@@ -6,6 +6,8 @@
 //! suppression that stops holding, or a scope that silently widens
 //! (bins, test regions, non-result-affecting crates) all fail here.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use camdn_lint::{run, Lint, LintConfig};

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod candidate;

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 fn main() {
     for m in camdn_models::zoo::all() {
         println!("{:14} {:3} layers  {:7.2} GMACs  weights {:7.2} MB  interm {:7.2} MB (max {:5.2} MB)  ratio {:.2}",

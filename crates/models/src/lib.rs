@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod layer;
 pub mod model;

@@ -77,6 +77,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 mod exec;
 pub mod jsonl;

@@ -49,6 +49,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod gen;
 pub mod replay;
