@@ -37,7 +37,11 @@
 //!   block. Other widths and targets take [`eq_mask_n`], which a
 //!   property test holds it to bit for bit; the per-line reference
 //!   path keeps [`eq_mask`], so the differential tests compare SIMD
-//!   against portable code.
+//!   against portable code. Building with
+//!   `RUSTFLAGS="--cfg camdn_portable_lanes"` drops the SSE2 block, so
+//!   the tag pass runs the portable compare on every target; CI runs
+//!   this crate's unit tests, the golden corpus and the
+//!   reference-model tests that way.
 //!
 //! Everything else here is safe SWAR over `u64` words.
 //!
@@ -86,12 +90,13 @@ pub fn eq_mask_n<T: PartialEq + Copy, const N: usize>(tags: &[T; N], probe: T) -
 
 /// [`eq_mask_n`] over `u16` tag lanes, the tag pass's compare: on
 /// x86-64 the 16- and 8-way widths take the SSE2 movemask compare
-/// (see the module docs), every other width and target the portable
+/// (see the module docs), every other width and target — and every
+/// build with `--cfg camdn_portable_lanes` — the portable
 /// [`eq_mask_n`]. The result is identical either way.
 #[inline]
 #[must_use]
 pub fn eq_mask_u16<const N: usize>(tags: &[u16; N], probe: u16) -> u32 {
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(all(target_arch = "x86_64", not(camdn_portable_lanes)))]
     if N == 16 || N == 8 {
         if let (Some(lo), Some(hi)) = (tags.first_chunk::<8>(), tags.last_chunk::<8>()) {
             // At 8 ways both halves are the same lanes: keep one copy.
@@ -106,7 +111,7 @@ pub fn eq_mask_u16<const N: usize>(tags: &[u16; N], probe: u16) -> u32 {
 /// bits 8–15 those in `hi`. `packsswb` saturates signed words, but it
 /// only ever sees compare results (`0` or `-1`), so lanes and probes at
 /// or above `0x8000` pack exactly.
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", not(camdn_portable_lanes)))]
 #[inline]
 fn eq_mask_sse2(lo: &[u16; 8], hi: &[u16; 8], probe: u16) -> u32 {
     use std::arch::x86_64::{

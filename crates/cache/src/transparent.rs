@@ -18,11 +18,14 @@
 //! * `tags` — one `u16` lane per way (`tags[group * ways + way]`),
 //!   holding the line's tag, `line >> log2(groups)`; the set-group index
 //!   `line & (groups − 1)` is implicit in the position. A range access
-//!   asserts its last line's tag fits 16 bits — 512 GiB of address
-//!   space at the paper geometry (task layouts are 1 GiB slabs indexed
-//!   by task id, so even the 256-tenant scaling study sits well under
-//!   the bound). Halving the lane width halves the tag pass's largest
-//!   plane and its per-touch memory traffic.
+//!   asserts its last line's tag fits 16 bits, so the lanes cover
+//!   `2^(16 + log2 groups)` lines
+//!   ([`SharedCache::addressable_lines`]). At the paper geometry
+//!   (16,384 set groups) that is 64 GiB — 64 of the runtime's 1 GiB
+//!   task slabs, which are indexed by task id. A 4 MiB cache covers 16
+//!   slabs, and the 256-tenant scaling study needs a 64 MiB cache.
+//!   Halving the lane width halves the tag pass's largest plane and
+//!   its per-touch memory traffic.
 //! * `lru` — one packed `u64` **order word** per set: nibble `r` holds
 //!   the way index at recency rank `r` (rank 0 = LRU). Exact LRU in
 //!   8 bytes per set — an order of magnitude less plane traffic than
@@ -86,6 +89,18 @@
 //!    cannot bind, and prices an eviction run in one fused walk
 //!    ([`LineBatch::evict_run`](camdn_dram::LineBatch::evict_run)):
 //!    each victim's posted writeback, then its line's gated fill.
+//!
+//! The tag pass also takes a **same-state step**. Every access is a
+//! range over consecutive sets, so sets that saw the same range history
+//! hold the same raw state — meta word, order word and tag lane alike.
+//! Once a set is resolved, each following set whose state equals the
+//! resolved set's state from before its touch gets the resolved set's
+//! post-touch state by a plain copy, and the whole run folds into the
+//! counters and the open tape event in O(1). On perfbench's
+//! `contention` workload (16 tenants under the transparent Baseline)
+//! 89.2% of tag-pass lines take this step (458.0M of 513.7M in one
+//! `--seconds 0` run); `camdn_closed` and `serve_replay` run
+//! CaMDN(Full) and make no tag-pass touches at all.
 //!
 //! The original fused per-line walk is retained as a reference model
 //! ([`SharedCache::set_reference_model`]); differential tests here and
@@ -282,6 +297,27 @@ impl TagAcc {
             }
         }
     }
+
+    /// Folds `k` repeats of the last touch on the `k` lines after it
+    /// (the tag pass's same-state step): what [`TagAcc::hit`] or
+    /// [`TagAcc::miss`] would make of them one by one, in O(1). A hit
+    /// leaves no event open and a miss always leaves one open, so the
+    /// open event tells which the last touch was; a repeated miss
+    /// extends it, and a repeated eviction evicts the victim line after
+    /// the last one.
+    #[inline]
+    fn repeat(&mut self, k: u64) {
+        if self.end == Self::NONE {
+            self.hits += k;
+            return;
+        }
+        self.misses += k;
+        self.end += k;
+        if self.evict {
+            self.wbs += k;
+            self.vend += k;
+        }
+    }
 }
 
 /// A sliced, set-associative, write-back/write-allocate shared cache.
@@ -436,13 +472,21 @@ impl SharedCache {
         mask
     }
 
-    /// Every range access asserts its tags fit the `u16` lanes — true
-    /// below 512 GiB of address space at the paper geometry (the bound
-    /// scales with the set count for other geometries).
+    /// Number of line indices the `u16` tag lanes can hold,
+    /// `2^(16 + log2 groups)`: 64 GiB of address space at the paper
+    /// geometry, 16 GiB at 4 MiB. A transparent access to a line at or
+    /// past it panics, so callers check their address span against it
+    /// up front.
+    pub fn addressable_lines(&self) -> u64 {
+        (u64::from(u16::MAX) + 1) << self.group_bits
+    }
+
+    /// Every range access asserts its tags fit the `u16` lanes: its
+    /// last line must lie below [`SharedCache::addressable_lines`].
     #[inline]
     fn assert_tag_fits(&self, last_line: u64) {
         assert!(
-            last_line >> self.group_bits <= u64::from(u16::MAX),
+            last_line < self.addressable_lines(),
             "address range exceeds the 16-bit tag lanes of this geometry"
         );
     }
@@ -566,15 +610,25 @@ impl SharedCache {
     /// Consecutive lines map to consecutive set groups (the group index
     /// is the line's low bits), so the range is walked as contiguous
     /// group segments split only at the group-index wrap. Within a
-    /// segment the pass zips linear iterators over the SoA planes —
-    /// `as_chunks_mut::<N>` exposes each set's tag lane as a fixed
-    /// `[u16; N]`, which is what lets the compare ([`eq_mask_u16`]: an
-    /// SSE2 movemask at 16 and 8 ways on x86-64) run as vector code and
-    /// drops all per-line index arithmetic and bounds checks. The
-    /// stored tag (`line >> group_bits`) is constant
-    /// across a segment and hoisted, as is the order word a stale set
-    /// materializes with (the mask's first way promoted over the
-    /// identity permutation).
+    /// segment `as_chunks_mut::<N>` exposes each set's tag lane as a
+    /// fixed `[u16; N]`, which is what lets the compare
+    /// ([`eq_mask_u16`]: an SSE2 movemask at 16 and 8 ways on x86-64)
+    /// and the same-state check below run as vector code. The stored
+    /// tag (`line >> group_bits`) is constant across a segment and
+    /// hoisted, as is the order word a stale set materializes with (the
+    /// mask's first way promoted over the identity permutation).
+    ///
+    /// **Same-state step.** After a set is resolved, each following set
+    /// of the segment whose raw state (meta word, order word, tag lane)
+    /// equals the resolved set's state from *before* its touch takes
+    /// that set's post-touch state outright, and the run of `k` such
+    /// sets folds into `acc` in O(1) ([`TagAcc::repeat`]). This is
+    /// exact: a touch's outcome and post-touch state are a function of
+    /// the raw pre-touch state, the tag, the mask, `is_write` and
+    /// `cur_gen` alone — and a segment never crosses the group-index
+    /// wrap, where the tag changes. A dirty victim's tag is part of the
+    /// shared state, so the `k` repeats evict the `k` lines after the
+    /// resolved set's victim and extend its eviction run.
     ///
     /// Precondition (checked by the caller): `N == set_stride`.
     /// Behavior is line-for-line identical to [`SharedCache::touch`] —
@@ -602,13 +656,8 @@ impl SharedCache {
             let g0 = (line & self.group_mask) as usize;
             let seg = (groups - g0).min((last - line + 1) as usize);
             let tag = (line >> gb) as u16;
-            let (tag_sets, _) = self.tags[g0 * N..(g0 + seg) * N].as_chunks_mut::<N>();
-            let planes = tag_sets
-                .iter_mut()
-                .zip(self.lru[g0..g0 + seg].iter_mut())
-                .zip(self.meta[g0..g0 + seg].iter_mut());
-            for (i, ((ts, order), meta)) in planes.enumerate() {
-                let ln = line + i as u64;
+            // Touches set `g` (tag lane `ts`), returning its outcome.
+            let resolve = |ts: &mut [u16; N], order: &mut u64, meta: &mut u64, g: usize| {
                 let m = *meta;
                 if meta_gen(m) != cur_gen {
                     // Stale since the last flush: known-empty, no tag
@@ -616,8 +665,7 @@ impl SharedCache {
                     ts[first_way as usize] = tag;
                     *order = stale_order;
                     *meta = stale_meta;
-                    acc.miss(ln, None);
-                    continue;
+                    return Touch::Miss(None);
                 }
                 let occ = meta_occ(m);
                 let hits = eq_mask_u16(ts, tag) & occ & mask;
@@ -625,8 +673,7 @@ impl SharedCache {
                     let w = hits.trailing_zeros();
                     *order = lru_touch(*order, w, ways);
                     *meta = m | u64::from(wr << w) << 16;
-                    acc.hit();
-                    continue;
+                    return Touch::Hit;
                 }
                 let dirty = meta_dirty(m);
                 let invalid = !occ & mask;
@@ -637,14 +684,43 @@ impl SharedCache {
                     lru_victim(*order, mask)
                 };
                 let victim = if invalid == 0 && (dirty >> w) & 1 != 0 {
-                    Some((u64::from(ts[w as usize]) << gb) | (g0 + i) as u64)
+                    Some((u64::from(ts[w as usize]) << gb) | g as u64)
                 } else {
                     None
                 };
                 ts[w as usize] = tag;
                 *order = lru_promote(*order, rank, w, ways);
                 *meta = meta_pack(occ | 1 << w, (dirty & !(1 << w)) | wr << w, cur_gen);
-                acc.miss(ln, victim);
+                Touch::Miss(victim)
+            };
+            let (tag_sets, _) = self.tags[g0 * N..(g0 + seg) * N].as_chunks_mut::<N>();
+            let orders = &mut self.lru[g0..g0 + seg];
+            let metas = &mut self.meta[g0..g0 + seg];
+            let mut i = 0;
+            while i < seg {
+                let (ts, order, meta) = (&mut tag_sets[i], &mut orders[i], &mut metas[i]);
+                let (pre_meta, pre_order, pre_ts) = (*meta, *order, *ts);
+                match resolve(ts, order, meta, g0 + i) {
+                    Touch::Hit => acc.hit(),
+                    Touch::Miss(victim) => acc.miss(line + i as u64, victim),
+                }
+                let (post_meta, post_order, post_ts) = (*meta, *order, *ts);
+                let rest = metas[i + 1..]
+                    .iter_mut()
+                    .zip(orders[i + 1..].iter_mut())
+                    .zip(tag_sets[i + 1..].iter_mut());
+                let mut k = 0;
+                for ((meta, order), ts) in rest {
+                    if *meta != pre_meta || *order != pre_order || *ts != pre_ts {
+                        break;
+                    }
+                    *meta = post_meta;
+                    *order = post_order;
+                    *ts = post_ts;
+                    k += 1;
+                }
+                acc.repeat(k as u64);
+                i += 1 + k;
             }
             line += seg as u64;
         }
@@ -1184,6 +1260,45 @@ mod tests {
         assert_eq!(fd.row_misses.get(), rd.row_misses.get(), "{ctx}");
     }
 
+    /// A batched cache and its per-line reference twin, each over its
+    /// own DRAM model.
+    fn twins(ccfg: CacheConfig, dcfg: DramConfig) -> [(SharedCache, DramModel); 2] {
+        [false, true].map(|reference| {
+            let mut twin = (
+                SharedCache::new(&ccfg),
+                DramModel::new(dcfg, ccfg.line_bytes),
+            );
+            twin.0.set_reference_model(reference);
+            twin.1.set_reference_model(reference);
+            twin
+        })
+    }
+
+    /// Runs one range access on the batched twin `fast` and the
+    /// reference twin `refm`, asserting they agree on the outcome and
+    /// on all state afterwards.
+    #[allow(clippy::too_many_arguments)]
+    fn twin_access(
+        fast: &mut (SharedCache, DramModel),
+        refm: &mut (SharedCache, DramModel),
+        now: Cycle,
+        base: PhysAddr,
+        bytes: u64,
+        is_write: bool,
+        mask: u16,
+        ctx: &str,
+    ) -> RangeOutcome {
+        let a = fast
+            .0
+            .access_range(now, base, bytes, is_write, mask, &mut fast.1);
+        let b = refm
+            .0
+            .access_range(now, base, bytes, is_write, mask, &mut refm.1);
+        assert_eq!(a, b, "outcome diverged: {ctx}");
+        assert_twin_state(fast, refm, ctx);
+        a
+    }
+
     /// Valid cache geometries of very different shapes, plus matching
     /// DRAM configs, for the property sweep.
     fn sweep_configs() -> Vec<(CacheConfig, DramConfig)> {
@@ -1238,16 +1353,7 @@ mod tests {
         // outcome, statistics, tag state and DRAM state after every op.
         for (gi, (ccfg, dcfg)) in sweep_configs().into_iter().enumerate() {
             let mut rng = SimRng::new(0x5EED ^ gi as u64);
-            let mut fast = (
-                SharedCache::new(&ccfg),
-                DramModel::new(dcfg, ccfg.line_bytes),
-            );
-            let mut refm = (
-                SharedCache::new(&ccfg),
-                DramModel::new(dcfg, ccfg.line_bytes),
-            );
-            refm.0.set_reference_model(true);
-            refm.1.set_reference_model(true);
+            let [mut fast, mut refm] = twins(ccfg, dcfg);
             let ways = ccfg.ways;
             // Footprint chosen to alias heavily (a few times the cache).
             let footprint = ccfg.total_bytes * 3;
@@ -1269,14 +1375,8 @@ mod tests {
                 };
                 let is_write = rng.next_below(3) == 0;
                 now += rng.next_below(1000);
-                let a = fast
-                    .0
-                    .access_range(now, base, bytes, is_write, mask, &mut fast.1);
-                let b = refm
-                    .0
-                    .access_range(now, base, bytes, is_write, mask, &mut refm.1);
-                assert_eq!(a, b, "outcome diverged: geom {gi}, op {op}");
-                assert_twin_state(&fast, &refm, &format!("geom {gi}, op {op}"));
+                let ctx = format!("geom {gi}, op {op}");
+                twin_access(&mut fast, &mut refm, now, base, bytes, is_write, mask, &ctx);
             }
         }
     }
@@ -1305,10 +1405,7 @@ mod tests {
         // sets, so every miss evicts the dirty line `g` lines below it.
         // The tape must stay O(runs) — not two events per line — and
         // the priced result must equal the per-line reference.
-        let mut fast = setup();
-        let mut refm = setup();
-        refm.0.set_reference_model(true);
-        refm.1.set_reference_model(true);
+        let [mut fast, mut refm] = twins(CacheConfig::paper_default(), DramConfig::paper_default());
         let way0 = 1u16;
         let g = fast.0.group_mask + 1;
         let n = 4096; // lines per tensor, far over the MSHR window
@@ -1324,14 +1421,8 @@ mod tests {
         ];
         for (k, (first, lines, is_write)) in ops.into_iter().enumerate() {
             let (now, base, bytes) = (k as u64 * 5_000, PhysAddr(first * 64), lines * 64);
-            let a = fast
-                .0
-                .access_range(now, base, bytes, is_write, way0, &mut fast.1);
-            let b = refm
-                .0
-                .access_range(now, base, bytes, is_write, way0, &mut refm.1);
-            assert_eq!(a, b, "outcome diverged at op {k}");
-            assert_twin_state(&fast, &refm, &format!("op {k}"));
+            let ctx = format!("op {k}");
+            let a = twin_access(&mut fast, &mut refm, now, base, bytes, is_write, way0, &ctx);
             assert!(
                 fast.0.scratch.len() <= 4,
                 "tape holds {} events at op {k}",
@@ -1364,6 +1455,143 @@ mod tests {
                 },
             ]
         );
+    }
+
+    /// One step of a scripted twin case.
+    enum Step {
+        /// A range access: `(first line, lines, is_write, way mask)`.
+        Access(u64, u64, bool, u16),
+        /// [`SharedCache::invalidate_all`].
+        Invalidate,
+        /// [`SharedCache::partition_ways`] reserving this many ways.
+        Partition(u32),
+    }
+
+    #[test]
+    fn same_state_boundaries_match_reference() {
+        // Scripted cases for the tag pass's same-state step, each where
+        // a run of identically-stated sets starts, breaks or must not
+        // form. Every step is checked against the per-line reference.
+        use Step::{Access, Invalidate, Partition};
+        for (gi, (ccfg, dcfg)) in sweep_configs().into_iter().enumerate() {
+            let g = ccfg.total_bytes / ccfg.line_bytes / u64::from(ccfg.ways);
+            let full = CacheGeometry::new(&ccfg).full_way_mask();
+            let half = ccfg.ways / 2;
+            let low = (1u16 << half) - 1; // general ways after `Partition(half)`
+            let n = g / 2;
+            let cases: [(&str, Vec<Step>); 7] = [
+                (
+                    // Every set gets one dirty line, then the re-read
+                    // hits in one run spanning the whole range.
+                    "uniform re-read",
+                    vec![Access(0, g, true, full), Access(0, g, false, full)],
+                ),
+                (
+                    // One set touched beforehand in mid-range splits
+                    // both the hit run and the later miss run.
+                    "run broken mid-run",
+                    vec![
+                        Access(0, g, false, full),
+                        Access(g + n, 1, false, full),
+                        Access(0, g, false, full),
+                        Access(2 * g, g, true, full),
+                    ],
+                ),
+                (
+                    // Way-1 reads break the way-0 sets' runs, but every
+                    // miss still evicts the next dirty way-0 line.
+                    "dirty chain across runs",
+                    vec![
+                        Access(0, n, true, 1),
+                        Access(g + 3, 1, false, 2),
+                        Access(g + 100, 1, false, 2),
+                        Access(g + n - 7, 2, false, 2),
+                        Access(g, n, false, 1),
+                    ],
+                ),
+                (
+                    // Sets `g - 100..g` and `0..200` hold the same state
+                    // but see different tags across the wrap.
+                    "group-index wrap",
+                    vec![
+                        Access(0, g, false, full),
+                        Access(g - 100, 300, true, full),
+                        Access(2 * g - 50, 100, false, full),
+                    ],
+                ),
+                (
+                    // Invalid lanes keep stale tags after the flush.
+                    "after invalidate_all",
+                    vec![
+                        Access(0, 2 * g, true, full),
+                        Access(5, 50, false, 0b0110),
+                        Invalidate,
+                        Access(0, g, false, 0b0101),
+                        Access(g / 4, g, true, full),
+                    ],
+                ),
+                (
+                    // Reserved ways drop out of `occ` with their tags
+                    // and order ranks left in place.
+                    "after partition_ways",
+                    vec![
+                        Access(0, 2 * g, true, full),
+                        Partition(half),
+                        Access(0, g, false, low),
+                        Access(n, g, true, 0b0001),
+                        Access(0, 2 * g, false, low),
+                    ],
+                ),
+                (
+                    "partial way masks",
+                    vec![
+                        Access(0, g, false, 0b0110),
+                        Access(g, g, true, 0b0100),
+                        Access(2 * g, n, false, 0b1000),
+                        Access(0, 3 * g, false, 0b0110),
+                    ],
+                ),
+            ];
+            for (name, steps) in cases {
+                let [mut fast, mut refm] = twins(ccfg, dcfg);
+                for (k, step) in steps.into_iter().enumerate() {
+                    let ctx = format!("geom {gi}, {name}, step {k}");
+                    let now = k as u64 * 50_000;
+                    match step {
+                        Access(first, lines, is_write, mask) => {
+                            let (base, bytes) =
+                                (PhysAddr(first * ccfg.line_bytes), lines * ccfg.line_bytes);
+                            let out = twin_access(
+                                &mut fast, &mut refm, now, base, bytes, is_write, mask, &ctx,
+                            );
+                            if name == "uniform re-read" && k == 1 {
+                                assert_eq!(out.hits, g, "{ctx}");
+                            }
+                            if name == "dirty chain across runs" && k == 4 {
+                                assert_eq!(out.writebacks, n, "{ctx}");
+                                let one = RangeEvent::Evict {
+                                    start: g,
+                                    victim: 0,
+                                    len: n,
+                                };
+                                assert_eq!(fast.0.scratch, [one], "{ctx}");
+                            }
+                        }
+                        Invalidate => {
+                            fast.0.invalidate_all();
+                            refm.0.invalidate_all();
+                            assert_twin_state(&fast, &refm, &ctx);
+                        }
+                        Partition(ways) => {
+                            let a = fast.0.partition_ways(ways, now, &mut fast.1);
+                            let b = refm.0.partition_ways(ways, now, &mut refm.1);
+                            assert_eq!(a, b, "{ctx}");
+                            assert_twin_state(&fast, &refm, &ctx);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     // --- SoA lanes vs scalar packed-meta oracle ----------------------

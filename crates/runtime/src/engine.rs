@@ -292,6 +292,29 @@ impl Engine {
             });
             tasks.push(Task::new(tid as u32, midx, TaskLayout::new(tid as u32, m)));
         }
+        // Policies that never partition the cache route every transfer
+        // through the transparent path, whose 16-bit tag lanes address
+        // a bounded span of lines: reject a layout that reaches past it
+        // here rather than panic at its first access mid-run.
+        if !caps.partitions_cache {
+            let end = tasks.iter().map(|t| t.layout.end().0).max().unwrap_or(0);
+            let last_line = end.saturating_sub(1) / cache_cfg.line_bytes;
+            if last_line >= cache.addressable_lines() {
+                const MIB: u64 = 1 << 20;
+                let size = if cache_cfg.total_bytes.is_multiple_of(MIB) {
+                    format!("{} MiB", cache_cfg.total_bytes / MIB)
+                } else {
+                    format!("{} KiB", cache_cfg.total_bytes >> 10)
+                };
+                return Err(EngineError::InvalidConfig(format!(
+                    "{} tenants under {label} reach cache line {last_line}, past the {} \
+                     lines the 16-bit tag lanes of a {size} transparent cache address; \
+                     use fewer tenants or a larger cache",
+                    tasks.len(),
+                    cache.addressable_lines()
+                )));
+            }
+        }
         let iso_est = mappings
             .iter()
             .map(|mm| mm.baseline.iter().map(|c| c.est_cycles).sum())

@@ -132,6 +132,11 @@ impl TaskLayout {
     pub fn used_bytes(&self) -> u64 {
         self.total
     }
+
+    /// One past the last byte any tensor of this layout occupies.
+    pub(crate) fn end(&self) -> PhysAddr {
+        self.base.offset(self.total)
+    }
 }
 
 #[inline]

@@ -390,6 +390,39 @@ mod tests {
     }
 
     #[test]
+    fn tag_lane_overflow_is_a_build_error() {
+        // The transparent cache's 16-bit tag lanes cover 16 of the 1 GiB
+        // task slabs at 4 MiB and 64 at 16 MiB. Past that, a policy on
+        // the transparent path must fail to build, not panic mid-run.
+        let zoo = zoo::all();
+        let tenants = |n: usize| -> Vec<_> { (0..n).map(|i| zoo[i % zoo.len()].clone()).collect() };
+        let mk = |mib: u64, kind: PolicyKind, n: usize| {
+            let mut soc = SocConfig::paper_default();
+            soc.cache.total_bytes = mib << 20;
+            Simulation::builder()
+                .soc(soc)
+                .policy(kind)
+                .workload(Workload::closed(tenants(n), 2))
+        };
+        for (mib, kind, n) in [
+            (4, PolicyKind::SharedBaseline, 17),
+            (16, PolicyKind::Aurora, 65),
+        ] {
+            match mk(mib, kind, n).run().err() {
+                Some(EngineError::InvalidConfig(msg)) => {
+                    let (count, size) = (format!("{n} tenants"), format!("{mib} MiB"));
+                    assert!(msg.contains(&count) && msg.contains(&size), "{msg}");
+                }
+                other => panic!("{mib} MiB x {n}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // At the bound, and on the NPU-controlled path, builds go on.
+        assert!(mk(4, PolicyKind::SharedBaseline, 16).build().is_ok());
+        assert!(mk(16, PolicyKind::Aurora, 64).build().is_ok());
+        assert!(mk(16, PolicyKind::CamdnFull, 65).build().is_ok());
+    }
+
+    #[test]
     fn unknown_policy_name_is_reported() {
         let w = Workload::closed(vec![zoo::mobilenet_v2()], 1);
         assert_eq!(
