@@ -28,13 +28,15 @@
 //! operation, not `n` tag probes. Cache-side service time is closed
 //! form (`hit_latency + n / (slices × lines_per_cycle)`), and the
 //! DRAM-touching routes (`fill`, `writeback`, `bypass_*`, multicast
-//! bypass) issue a single [`DramModel::access_burst`], whose
-//! per-(row, channel) segment walk prices the whole burst in
-//! O(rows × channels) — this is the structural reason the CaMDN
-//! configurations simulate an order of magnitude faster than the
-//! transparent baseline at equal fidelity. Multicast routes serve a
-//! whole NPU group with one walk plus an analytic `group − 1` savings
-//! term rather than one walk per replica.
+//! bypass) issue a single [`DramModel::access_burst`]. Its row-run
+//! step prices the burst's full rows in O(channels × min(rows, banks)):
+//! one step per row for the first lap of banks, then one update per
+//! bank for the rest, whenever `banks × kf × burst` covers the row-miss
+//! penalty (`kf` lines per channel per row). This is the structural
+//! reason the CaMDN configurations simulate an order of magnitude
+//! faster than the transparent baseline at equal fidelity. Multicast
+//! routes serve a whole NPU group with one walk plus an analytic
+//! `group − 1` savings term rather than one walk per replica.
 
 use crate::geometry::CacheGeometry;
 use camdn_common::config::CacheConfig;
@@ -526,13 +528,14 @@ mod tests {
         let p = nf.first_pcpn();
         nf.claim_page(1, p).unwrap();
         nr.claim_page(1, p).unwrap();
-        let script: [(u8, u64, u64); 6] = [
-            (0, 0, 4096),       // fill 4096 lines
-            (1, 1 << 20, 2048), // writeback 2048
-            (2, 2 << 20, 513),  // bypass read (unaligned count)
-            (3, 3 << 20, 1000), // bypass write
-            (4, 4 << 20, 777),  // multicast bypass read
-            (0, 5 << 20, 31),   // small fill
+        let script: [(u8, u64, u64); 7] = [
+            (0, 0, 4096),        // fill 4096 lines
+            (1, 1 << 20, 2048),  // writeback 2048
+            (2, 2 << 20, 513),   // bypass read (unaligned count)
+            (3, 3 << 20, 1000),  // bypass write
+            (4, 4 << 20, 777),   // multicast bypass read
+            (0, 5 << 20, 31),    // small fill
+            (2, 6 << 20, 20000), // long bypass read: banks reopen 39 times
         ];
         let mut now = 0;
         for (op, addr, lines) in script {

@@ -206,6 +206,29 @@ impl DramConfig {
     pub fn line_burst_cycles(&self, line_bytes: u64) -> u64 {
         (line_bytes as f64 / self.channel_bytes_per_cycle()).ceil() as u64
     }
+
+    /// Checks the invariants the DRAM model relies on (it divides by
+    /// the channel, bank and row sizes), so callers can reject a bad
+    /// configuration with an error instead of panicking or pricing
+    /// bursts with a meaningless bandwidth.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.channels == 0 {
+            return Err("the DRAM needs at least one channel".into());
+        }
+        if self.banks_per_channel == 0 {
+            return Err("the DRAM needs at least one bank per channel".into());
+        }
+        if self.row_bytes == 0 {
+            return Err("the DRAM row size must be positive".into());
+        }
+        if !(self.bytes_per_cycle.is_finite() && self.bytes_per_cycle > 0.0) {
+            return Err(format!(
+                "DRAM bandwidth must be positive and finite, got {} bytes/cycle",
+                self.bytes_per_cycle
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for DramConfig {
@@ -307,6 +330,29 @@ mod tests {
         assert!((d.channel_bytes_per_cycle() - 25.6).abs() < 1e-9);
         // One 64 B line needs ceil(64/25.6) = 3 cycles on a channel.
         assert_eq!(d.line_burst_cycles(64), 3);
+    }
+
+    #[test]
+    fn dram_validation() {
+        let with = |edit: fn(&mut DramConfig)| {
+            let mut c = DramConfig::paper_default();
+            edit(&mut c);
+            c.validate()
+        };
+        assert!(with(|_| {}).is_ok());
+        // Odd but runnable geometry stays legal.
+        assert!(with(|c| c.row_bytes = 100).is_ok());
+        for bad in [
+            with(|c| c.channels = 0),
+            with(|c| c.banks_per_channel = 0),
+            with(|c| c.row_bytes = 0),
+            with(|c| c.bytes_per_cycle = 0.0),
+            with(|c| c.bytes_per_cycle = -1.0),
+            with(|c| c.bytes_per_cycle = f64::NAN),
+            with(|c| c.bytes_per_cycle = f64::INFINITY),
+        ] {
+            assert!(bad.is_err());
+        }
     }
 
     #[test]

@@ -24,10 +24,19 @@
 //! channel) segment every line after the first starts exactly where the
 //! previous one finished, so a whole segment advances the channel
 //! horizon by `k × burst` in one step. [`DramModel::access_burst`]
-//! walks those segments — O(rows × channels) work instead of O(lines) —
-//! and sub-cycle time is kept in **fixed point** (2⁻²⁰ cycles) so the
-//! closed form is *bit-identical* to the per-line walk (integer adds
-//! associate; float adds do not).
+//! walks those segments, and sub-cycle time is kept in **fixed point**
+//! (2⁻²⁰ cycles) so the closed form is *bit-identical* to the per-line
+//! walk (integer adds associate; float adds do not).
+//!
+//! Whole rows go further. When a row holds a whole number of channel
+//! rounds, every full row gives each channel the same `kf` lines, and
+//! rows rotate through the banks. A channel then walks one step per
+//! row for its first `banks` rows. Past that first lap, if `banks × kf
+//! × burst` covers the row-miss penalty, no bank and no `earliest` can
+//! delay the bus again, so the remaining rows are priced in closed
+//! form: one update per bank and one horizon step per channel. A burst
+//! costs O(channels × min(rows, banks)) instead of O(rows × channels);
+//! a channel that misses the bound walks every row.
 //!
 //! The per-line walk is retained as a **reference model**
 //! ([`DramModel::set_reference_model`]) and differential tests in this
@@ -202,6 +211,11 @@ pub struct DramModel {
     /// — one flat allocation, no per-channel `Vec` indirection on the
     /// per-line hot path.
     banks: Vec<Bank>,
+    /// Lines each channel receives from one full row when a row holds a
+    /// whole number of channel rounds (every row then starts at channel
+    /// 0); 0 when it does not, which disables the row-run step of
+    /// [`DramModel::burst_lines_batched`].
+    row_run_kf: u64,
     /// Precomputed shift/mask (or division-fallback) decomposers for
     /// the four per-line address divisions.
     line_div: FastDiv,
@@ -231,6 +245,11 @@ impl DramModel {
         let nbanks = cfg.banks_per_channel as usize;
         let burst_cycles = line_bytes as f64 / cfg.channel_bytes_per_cycle();
         let burst_fp = (burst_cycles * FP_ONE as f64).round() as u64;
+        let round = line_bytes * u64::from(cfg.channels);
+        let row_run_kf = match cfg.row_bytes.checked_rem(round) {
+            Some(0) => cfg.row_bytes / round,
+            _ => 0,
+        };
         DramModel {
             cfg,
             line_bytes,
@@ -246,6 +265,7 @@ impl DramModel {
                 };
                 nch * nbanks
             ],
+            row_run_kf,
             line_div: FastDiv::new(line_bytes),
             row_div: FastDiv::new(cfg.row_bytes),
             ch_div: FastDiv::new(u64::from(cfg.channels)),
@@ -343,12 +363,14 @@ impl DramModel {
 
     /// Closed-form segment walk: consecutive lines share a row until the
     /// next row boundary and round-robin the channels, so each (row,
-    /// channel) pair collapses to one horizon update. Bit-identical to
-    /// [`DramModel::burst_lines_reference`].
+    /// channel) pair collapses to one horizon update. From the first row
+    /// start on, [`DramModel::row_run`] prices all remaining full rows
+    /// at once. Bit-identical to [`DramModel::burst_lines_reference`].
     fn burst_lines_batched(&mut self, earliest: Cycle, addr: PhysAddr, lines: u64) -> Cycle {
         let lb = self.line_bytes;
         let nch = u64::from(self.cfg.channels);
         let nbanks = self.cfg.banks_per_channel as usize;
+        let row_lines = self.row_run_kf * nch;
         let e_fp = fp(earliest);
         let first_line = self.line_div.div(addr.0);
         let mut finish = earliest;
@@ -356,6 +378,16 @@ impl DramModel {
         while i < lines {
             let byte = addr.0 + i * lb;
             let row = self.row_div.div(byte);
+            // The first line starting in a row, with a full row left
+            // (`row_lines` is 0 when rows do not split evenly over the
+            // channels).
+            if row_lines != 0 && lines - i >= row_lines && self.row_div.rem(byte) < lb {
+                // `row_lines` lines span `row_bytes`: whole rows left.
+                let rows = self.row_div.div((lines - i) * lb);
+                finish = finish.max(self.row_run(earliest, row, rows));
+                i += rows * row_lines;
+                continue;
+            }
             let row_end = (row + 1) * self.cfg.row_bytes;
             let seg = self.line_div.div_ceil(row_end - byte).min(lines - i);
             let bank_idx = self.bank_div.rem(row) as usize;
@@ -386,6 +418,78 @@ impl DramModel {
             }
             i += seg;
         }
+        finish
+    }
+
+    /// Row-run step: prices `rows` full rows from `row0` on, each giving
+    /// every channel `kf` lines starting at channel 0, channel by
+    /// channel with one update per bank instead of one per (row,
+    /// channel). Returns the last line's completion cycle.
+    ///
+    /// A channel walks its first `banks` rows exactly, one step per row
+    /// (the per-line recurrence telescoped over the row's `kf` lines).
+    /// Each step leaves its bank ready at or before the step's start,
+    /// and every row advances the channel's horizon by at least `kf ×
+    /// burst`. So when `banks × kf × burst ≥ fp(penalty)`, a bank's
+    /// next visit, `banks` rows later, finds it ready before the bus
+    /// frees, and `earliest` is below every horizon after the first
+    /// row: no `max` in the recurrence picks anything but the horizon.
+    /// The remaining rows then telescope. The horizon advances by `kf ×
+    /// burst` per row, and a bank visited `m` more times, all row
+    /// misses, ends at `max(earliest, ready) + m × penalty`, open on its
+    /// last row. A channel that misses the bound (a penalty longer than
+    /// a lap of rows on its bus) walks every row.
+    fn row_run(&mut self, earliest: Cycle, row0: u64, rows: u64) -> Cycle {
+        let kf = self.row_run_kf;
+        let nb = u64::from(self.cfg.banks_per_channel);
+        let nbanks = nb as usize;
+        let pen = self.cfg.row_miss_penalty;
+        let e_fp = fp(earliest);
+        let b0 = self.bank_div.rem(row0) as usize;
+        // Rows past the first lap: lap row `j`'s bank sees `laps` of
+        // them, one more when `j < extra`.
+        let later = rows.saturating_sub(nb);
+        let (laps, extra) = (self.bank_div.div(later), self.bank_div.rem(later));
+        let mut misses = 0u64;
+        let mut finish = earliest;
+        for c in 0..self.free_at.len() {
+            let kfb = kf * self.burst_fp_ch[c];
+            let tail = later > 0 && nb * kfb >= fp(pen);
+            let banks = &mut self.banks[c * nbanks..(c + 1) * nbanks];
+            let mut free = self.free_at[c];
+            let mut b = b0;
+            for j in 0..if tail { nb } else { rows } {
+                let row = row0 + j;
+                let bank = &mut banks[b];
+                if bank.open_row != row {
+                    misses += 1;
+                    bank.open_row = row;
+                    bank.ready_at = earliest.max(bank.ready_at) + pen;
+                }
+                free = free.max(e_fp).max(fp(bank.ready_at)) + kfb;
+                if tail {
+                    let m = laps + u64::from(j < extra);
+                    if m > 0 {
+                        misses += m;
+                        bank.open_row = row + m * nb;
+                        bank.ready_at = earliest.max(bank.ready_at) + m * pen;
+                    }
+                }
+                b += 1;
+                if b == nbanks {
+                    b = 0;
+                }
+            }
+            if tail {
+                free += later * kfb;
+            }
+            self.free_at[c] = free;
+            finish = finish.max(ceil_fp(free) + self.cfg.cas_latency);
+        }
+        self.stats.row_misses.add(misses);
+        self.stats
+            .row_hits
+            .add(rows * kf * self.free_at.len() as u64 - misses);
         finish
     }
 
@@ -1110,9 +1214,7 @@ mod tests {
         let mut rng = SimRng::new(0xD1FF);
         for (ci, cfg) in configs.iter().enumerate() {
             for line_bytes in [32u64, 64, 128] {
-                let mut fast = DramModel::new(*cfg, line_bytes);
-                let mut refm = DramModel::new(*cfg, line_bytes);
-                refm.set_reference_model(true);
+                let (mut fast, mut refm) = twins(*cfg, line_bytes);
                 let mut now = 0;
                 for step in 0..200 {
                     // Random bursts: some sequential, some overlapping,
@@ -1129,6 +1231,120 @@ mod tests {
                 }
             }
         }
+
+        // Long bursts, where the row-run step prices most rows: at the
+        // paper geometry a row gives each channel 8 lines of 2.5 cycles,
+        // so `banks × kf × burst` is 320 cycles against a 40-cycle
+        // penalty and every row past the first lap is closed form.
+        let paper = DramConfig::paper_default();
+        let row_lines = paper.row_bytes / 64;
+        let mut pair = twins(paper, 64);
+        let mut now = 0;
+        for step in 0..40 {
+            // 2k-20k lines, so each of the 16 banks reopens 4-39 times;
+            // starting and ending mid-row on odd steps, line-unaligned
+            // on every fourth.
+            let row = rng.next_below(1 << 12);
+            let skew = (step % 2) * rng.next_below(row_lines) * 64;
+            let unaligned = u64::from(step % 4 == 3) * (1 + rng.next_below(63));
+            let addr = PhysAddr(row * paper.row_bytes + skew + unaligned);
+            let lines = 2_000 + rng.next_below(18_000) + (step % 2) * rng.next_below(row_lines);
+            now += rng.next_below(20_000);
+            burst_both(&mut pair, now, addr, lines, 0, "long burst");
+        }
+        // A degraded channel between bursts, then restored: the bound
+        // and the horizon step use each channel's own burst.
+        for scale in [0.37, 1.0] {
+            pair.0.set_channel_bandwidth_scale(2, scale);
+            pair.1.set_channel_bandwidth_scale(2, scale);
+            for _ in 0..4 {
+                let addr = PhysAddr(rng.next_below(1 << 12) * paper.row_bytes + 5 * 64);
+                now += rng.next_below(5_000);
+                burst_both(&mut pair, now, addr, 6_000, 0, "degraded");
+            }
+        }
+        // A burst whose `earliest` sits below banks a prior burst left
+        // busy far in the future: the first lap must wait on them.
+        let busy = PhysAddr(7_000 * paper.row_bytes);
+        burst_both(&mut pair, now, busy, 3_000, 400_000, "busy banks");
+        for addr in [busy, busy.offset(40 * paper.row_bytes + 3 * 64)] {
+            burst_both(&mut pair, now + 10, addr, 9_000, 0, "below busy");
+        }
+        // A re-read of rows still open, long after the bus went idle:
+        // no bank gates, but `earliest` is past every horizon.
+        let open = PhysAddr(9_000 * paper.row_bytes);
+        burst_both(&mut pair, now, open, 8 * row_lines, 0, "open rows");
+        now = pair.0.earliest_free() + 50_000;
+        burst_both(&mut pair, now, open, 8 * row_lines, 0, "idle re-read");
+
+        // Configs off the closed form: three channels (a row is not a
+        // whole number of channel rounds, so the segment walk prices
+        // every row); penalties around the `banks × kf × burst` bound
+        // (above it every row is walked); one bank per channel.
+        let with = |channels, banks, pen| DramConfig {
+            channels,
+            banks_per_channel: banks,
+            row_miss_penalty: pen,
+            ..paper
+        };
+        for cfg in [
+            paper,
+            with(3, 16, 40),
+            with(4, 16, 300),
+            with(4, 16, 320),
+            with(4, 16, 321),
+            with(4, 16, 5_000),
+            with(4, 1, 20),
+            with(4, 1, 40),
+        ] {
+            let mut pair = twins(cfg, 64);
+            let mut now = 0;
+            for step in 0..12 {
+                let addr = PhysAddr(rng.next_below(1 << 12) * cfg.row_bytes + (step % 3) * 64);
+                let lines = 500 + rng.next_below(12_000);
+                now += rng.next_below(30_000);
+                let ctx = format!("{cfg:?} step {step}");
+                burst_both(&mut pair, now, addr, lines, 0, &ctx);
+            }
+            // Bank-tight laps: one row opened far ahead, then a burst
+            // re-reading it whose `earliest` trails the horizon by
+            // `back`, so the lap opens fresh banks at `earliest +
+            // penalty`. For some `back` a bank is ready exactly at its
+            // segment's start, and its next visit, `banks` rows later,
+            // gates the bus unless `banks × kf × burst` covers the
+            // penalty.
+            for back in (cfg.row_miss_penalty.saturating_sub(40)..).take(48) {
+                let mut pair = twins(cfg, 64);
+                let a = PhysAddr(77 * cfg.row_bytes);
+                burst_both(&mut pair, 0, a, cfg.row_bytes / 64, 100_000, "open");
+                let now = pair.0.earliest_free().saturating_sub(back);
+                burst_both(&mut pair, now, a, 3_000, 0, &format!("{cfg:?} back {back}"));
+            }
+        }
+    }
+
+    /// A batched model and its per-line reference twin.
+    fn twins(cfg: DramConfig, line_bytes: u64) -> (DramModel, DramModel) {
+        let mut refm = DramModel::new(cfg, line_bytes);
+        refm.set_reference_model(true);
+        (DramModel::new(cfg, line_bytes), refm)
+    }
+
+    /// Issues one read burst to both twins and asserts they agree
+    /// exactly.
+    fn burst_both(
+        (fast, refm): &mut (DramModel, DramModel),
+        now: Cycle,
+        addr: PhysAddr,
+        lines: u64,
+        delay: Cycle,
+        ctx: &str,
+    ) {
+        let a = fast.access_burst(now, addr, lines, false, delay);
+        let b = refm.access_burst(now, addr, lines, false, delay);
+        let ctx = format!("{ctx}: {lines} lines at {addr:?}, now {now}");
+        assert_eq!(a, b, "finish diverged: {ctx}");
+        assert_same(fast, refm, &ctx);
     }
 
     /// One event of a [`LineBatch`] tape under test.

@@ -231,11 +231,11 @@ impl Engine {
                 "the SoC needs at least one NPU core".into(),
             ));
         }
-        if params.soc.dram.channels == 0 {
-            return Err(EngineError::InvalidConfig(
-                "the DRAM needs at least one channel".into(),
-            ));
-        }
+        params
+            .soc
+            .dram
+            .validate()
+            .map_err(EngineError::InvalidConfig)?;
         params
             .soc
             .cache

@@ -390,6 +390,39 @@ mod tests {
     }
 
     #[test]
+    fn bad_dram_configs_are_typed_errors() {
+        // Each of these used to pass `build()`, then divide by zero
+        // mid-run or price every burst with a meaningless bandwidth.
+        type Edit = fn(&mut SocConfig);
+        let w = Workload::closed(vec![zoo::mobilenet_v2()], 2);
+        let run = |kind: PolicyKind, edit: Edit| {
+            let mut soc = SocConfig::paper_default();
+            edit(&mut soc);
+            Simulation::builder()
+                .soc(soc)
+                .policy(kind)
+                .workload(w.clone())
+                .run()
+        };
+        let bad: [(&str, Edit); 4] = [
+            ("bank", |s| s.dram.banks_per_channel = 0),
+            ("row", |s| s.dram.row_bytes = 0),
+            ("bandwidth", |s| s.dram.bytes_per_cycle = 0.0),
+            ("bandwidth", |s| s.dram.bytes_per_cycle = f64::NAN),
+        ];
+        for kind in [PolicyKind::SharedBaseline, PolicyKind::CamdnFull] {
+            for (what, edit) in bad {
+                match run(kind, edit) {
+                    Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains(what), "{msg}"),
+                    other => panic!("{kind:?}, bad {what}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+            // A row that is not a whole number of lines still runs.
+            assert!(run(kind, |s| s.dram.row_bytes = 100).is_ok());
+        }
+    }
+
+    #[test]
     fn tag_lane_overflow_is_a_build_error() {
         // The transparent cache's 16-bit tag lanes cover 16 of the 1 GiB
         // task slabs at 4 MiB and 64 at 16 MiB. Past that, a policy on
