@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 use camdn_bench::{quick_mode, speedup_workload};
-use camdn_cache::TAG_LANE_WIDTH;
 use camdn_common::config::SocConfig;
 use camdn_models::zoo;
 use camdn_runtime::{PolicyKind, RunOutput, Simulation, Workload};
@@ -181,7 +180,6 @@ fn main() {
         let cps_fast = sim_cycles as f64 / wall_fast.max(1e-9);
         let cps_ref = sim_cycles as f64 / wall_ref.max(1e-9);
         let speedup = cps_fast / cps_ref.max(1e-9);
-        let lane_width = (sc.soc.cache.ways as usize).min(TAG_LANE_WIDTH);
         println!(
             "{:<24} {:>12} sim-cycles  batched {:>10.3e} cyc/s  reference {:>10.3e} cyc/s  speedup {:>5.2}x",
             sc.name, sim_cycles, cps_fast, cps_ref, speedup
@@ -211,7 +209,7 @@ fn main() {
             cps_fast,
             cps_ref,
             speedup,
-            lane_width,
+            sc.soc.cache.ways,
             identical
         ));
     }

@@ -64,9 +64,8 @@ use camdn_common::config::CacheConfig;
 use serde::{Deserialize, Serialize};
 
 /// Maximum ways count the lane helpers accept (and the widest fixed
-/// specialization): way masks are `u16`, and the LRU order word packs
-/// one 4-bit way index per recency rank.
-pub const TAG_LANE_WIDTH: usize = 16;
+/// specialization): [`CacheConfig::MAX_WAYS`].
+pub const TAG_LANE_WIDTH: usize = CacheConfig::MAX_WAYS as usize;
 
 /// Fixed-width core of [`eq_mask`]: bit `w` of the result is set iff
 /// `tags[w] == probe`. `N` is at most [`TAG_LANE_WIDTH`]. Generic over
@@ -316,6 +315,7 @@ impl CacheGeometry {
         assert!(cfg.slices.is_power_of_two(), "slice count must be 2^n");
         assert!(sets_per_slice.is_power_of_two(), "sets/slice must be 2^n");
         assert!(cfg.ways.is_power_of_two(), "way count must be 2^n");
+        assert!(cfg.ways <= CacheConfig::MAX_WAYS, "way masks are u16");
         let lines_per_page = cfg.page_bytes / cfg.line_bytes;
         assert!(
             lines_per_page.is_multiple_of(u64::from(cfg.slices)),

@@ -40,6 +40,14 @@
 //!   the validity test, the dirtiness test and the staleness check, and
 //!   the tag compare masks spurious matches from invalid ways with the
 //!   occupancy bits instead of a sentinel tag value.
+//! * `heads` — one **run-head bit** per set (2 KiB at the paper
+//!   geometry). Sets are stored run-length: a set whose bit is clear
+//!   has the raw state (meta word, order word, tag lane) of the nearest
+//!   head below it, and its own entries in the three planes above are
+//!   ignored. Bit 0 is always set. A fresh cache starts with every bit
+//!   set, and only the batched tag pass clears bits; the per-line paths
+//!   split a set off its run before touching it, so the reference model
+//!   runs on exactly the per-set planes.
 //!
 //! Tag lanes of invalid ways hold stale garbage by design: `occ` is the
 //! source of truth (invalid ways do keep a slot in the order word — the
@@ -90,17 +98,19 @@
 //!    ([`LineBatch::evict_run`](camdn_dram::LineBatch::evict_run)):
 //!    each victim's posted writeback, then its line's gated fill.
 //!
-//! The tag pass also takes a **same-state step**. Every access is a
-//! range over consecutive sets, so sets that saw the same range history
-//! hold the same raw state — meta word, order word and tag lane alike.
-//! Once a set is resolved, each following set whose state equals the
-//! resolved set's state from before its touch gets the resolved set's
-//! post-touch state by a plain copy, and the whole run folds into the
-//! counters and the open tape event in O(1). On perfbench's
+//! The tag pass costs O(runs), not O(sets). Every access is a range
+//! over consecutive sets, so sets that saw the same range history hold
+//! the same raw state, and the `heads` plane stores each such run once.
+//! A range splits the runs at its two ends, resolves each run head it
+//! covers, and folds the run's other sets into the counters and the
+//! open tape event in O(1) without touching them; a head whose new
+//! state equals the run before it joins that run. On perfbench's
 //! `contention` workload (16 tenants under the transparent Baseline)
-//! 89.2% of tag-pass lines take this step (458.0M of 513.7M in one
-//! `--seconds 0` run); `camdn_closed` and `serve_replay` run
-//! CaMDN(Full) and make no tag-pass touches at all.
+//! runs average ~9 sets, so 89.2% of tag-pass lines are never touched
+//! (448.6M of 503.0M over the first 98k ranges of one `--seconds 0`
+//! run), and the cache holds ~2,100 runs of 16,384 sets;
+//! `camdn_closed` and `serve_replay` run CaMDN(Full) and make no
+//! tag-pass touches at all.
 //!
 //! The original fused per-line walk is retained as a reference model
 //! ([`SharedCache::set_reference_model`]); differential tests here and
@@ -202,10 +212,59 @@ fn meta_gen(m: u64) -> u32 {
     (m >> 32) as u32
 }
 
+/// True if set `g` heads a run in the run-head bitset `heads`.
+#[inline]
+fn is_head(heads: &[u64], g: usize) -> bool {
+    heads[g / 64] >> (g % 64) & 1 != 0
+}
+
+/// The head of the run holding set `g`: the highest set bit at or
+/// below `g` (bit 0 is always set, so there is one).
+#[inline]
+fn head_of(heads: &[u64], g: usize) -> usize {
+    let mut w = g / 64;
+    let mut bits = heads[w] & (u64::MAX >> (63 - g % 64));
+    while bits == 0 {
+        w -= 1;
+        bits = heads[w];
+    }
+    w * 64 + 63 - bits.leading_zeros() as usize
+}
+
+/// The first run head at or after set `from`, or `end` if none lies
+/// below it.
+#[inline]
+fn next_head(heads: &[u64], from: usize, end: usize) -> usize {
+    if from >= end {
+        return end;
+    }
+    let mut w = from / 64;
+    let mut bits = heads[w] & (u64::MAX << (from % 64));
+    while bits == 0 {
+        w += 1;
+        if w * 64 >= end {
+            return end;
+        }
+        bits = heads[w];
+    }
+    (w * 64 + bits.trailing_zeros() as usize).min(end)
+}
+
+/// True if sets `a` and `b` hold the same raw state: meta word, order
+/// word and tag lane.
+#[inline]
+fn same_state<const N: usize>(
+    metas: &[u64],
+    orders: &[u64],
+    tags: &[[u16; N]],
+    a: usize,
+    b: usize,
+) -> bool {
+    metas[a] == metas[b] && orders[a] == orders[b] && tags[a] == tags[b]
+}
+
 /// Tag-pass accumulator: hit/miss/writeback counters plus the
-/// run/eviction event tape under construction. Shared by the
-/// vectorized segment pass and the scalar fallback so the two paths
-/// cannot drift in how they fold touches into events.
+/// run/eviction event tape under construction.
 struct TagAcc {
     hits: u64,
     misses: u64,
@@ -299,7 +358,8 @@ impl TagAcc {
     }
 
     /// Folds `k` repeats of the last touch on the `k` lines after it
-    /// (the tag pass's same-state step): what [`TagAcc::hit`] or
+    /// (the rest of a run of identically-stated sets, whose head the
+    /// tag pass just resolved): what [`TagAcc::hit`] or
     /// [`TagAcc::miss`] would make of them one by one, in O(1). A hit
     /// leaves no event open and a miss always leaves one open, so the
     /// open event tells which the last touch was; a repeated miss
@@ -342,6 +402,12 @@ pub struct SharedCache {
     /// see [`meta_pack`]); the set is live iff its generation field
     /// equals `cur_gen`, and `dirty` is always a subset of `occ`.
     meta: Vec<u64>,
+    /// Run-head bits, one per set group (`heads[g / 64] >> g % 64`): a
+    /// set whose bit is clear holds the raw state of the nearest head
+    /// below it, and its own plane entries are ignored. Bit 0 is always
+    /// set. Only the tag pass clears bits; [`SharedCache::touch`] splits
+    /// the sets it reads and writes off their runs first.
+    heads: Vec<u64>,
     cur_gen: u32,
     /// `ways` (stride from one set group to the next).
     set_stride: usize,
@@ -375,6 +441,8 @@ impl SharedCache {
             // Generation 0 in every meta word against `cur_gen = 1`:
             // every set starts stale.
             meta: vec![0; groups],
+            // Every set starts as its own run.
+            heads: vec![u64::MAX; groups.div_ceil(64)],
             cur_gen: 1,
             set_stride: ways,
             group_mask: groups as u64 - 1,
@@ -433,8 +501,9 @@ impl SharedCache {
     /// subspace, invalidating any lines they held. Dirty victims are
     /// written back through `dram` at time `now`.
     ///
-    /// The flush walk is set-major and generation-skipped: sets
-    /// untouched since the last flush are known-empty and not scanned.
+    /// The flush walk is run-major and generation-skipped: runs
+    /// untouched since the last flush are known-empty and skipped
+    /// whole.
     ///
     /// Returns the mask of reserved ways.
     pub fn partition_ways(&mut self, npu_ways: u32, now: Cycle, dram: &mut DramModel) -> u16 {
@@ -449,25 +518,34 @@ impl SharedCache {
         }
         let clear = u32::from(mask);
         let groups = self.group_mask as usize + 1;
-        for g in 0..groups {
-            let m = self.meta[g];
-            if meta_gen(m) != self.cur_gen {
-                continue; // stale: nothing cached, nothing to flush
+        let mut s = 0;
+        while s < groups {
+            let e = next_head(&self.heads, s + 1, groups);
+            let m = self.meta[s];
+            if meta_gen(m) == self.cur_gen {
+                // Flush the reserved ways: the NEC takes raw ownership
+                // of them. Every set of the run shares the head's tags,
+                // but its victims carry its own set index; writebacks go
+                // out set by set in way order, as they always have.
+                let base = s * self.set_stride;
+                let flush = meta_occ(m) & meta_dirty(m) & clear;
+                for g in s..e {
+                    let mut f = flush;
+                    while f != 0 {
+                        let w = f.trailing_zeros();
+                        f &= f - 1;
+                        self.stats.writebacks.incr();
+                        // Reconstruct an address in the right channel
+                        // set; exact identity is irrelevant for timing.
+                        let tag = u64::from(self.tags[base + w as usize]);
+                        let line = (tag << self.group_bits) | g as u64;
+                        dram.access_burst(now, PhysAddr(line * self.geom.line_bytes), 1, true, 0);
+                    }
+                }
+                self.meta[s] =
+                    meta_pack(meta_occ(m) & !clear, meta_dirty(m) & !clear, self.cur_gen);
             }
-            let base = g * self.set_stride;
-            // Flush the reserved ways: the NEC takes raw ownership of
-            // them. Writebacks go out in way order, as they always have.
-            let mut flush = meta_occ(m) & meta_dirty(m) & clear;
-            while flush != 0 {
-                let w = flush.trailing_zeros();
-                flush &= flush - 1;
-                self.stats.writebacks.incr();
-                // Reconstruct an address in the right channel set;
-                // exact identity is irrelevant for timing.
-                let line = (u64::from(self.tags[base + w as usize]) << self.group_bits) | g as u64;
-                dram.access_burst(now, PhysAddr(line * self.geom.line_bytes), 1, true, 0);
-            }
-            self.meta[g] = meta_pack(meta_occ(m) & !clear, meta_dirty(m) & !clear, self.cur_gen);
+            s = e;
         }
         mask
     }
@@ -496,21 +574,26 @@ impl SharedCache {
     /// LRU order words need no periodic maintenance (unlike the stamp
     /// plane they replaced, which had to be rank-compacted here before
     /// its 32-bit offset overflowed), so in release builds this is
-    /// free; debug builds take the opportunity to sweep the live sets'
+    /// free; debug builds take the opportunity to sweep the live run heads'
     /// structural invariants.
     pub fn on_epoch(&mut self) {
         #[cfg(debug_assertions)]
         self.debug_check_planes();
     }
 
-    /// Sweeps every live set's plane invariants: `dirty ⊆ occ`, both
-    /// within the real ways, and the LRU order word a permutation of
-    /// `0..ways` with zero upper nibbles.
+    /// Sweeps every live run head's plane invariants: `dirty ⊆ occ`,
+    /// both within the real ways, and the LRU order word a permutation
+    /// of `0..ways` with zero upper nibbles. Set 0 must head a run.
     #[cfg(debug_assertions)]
     fn debug_check_planes(&self) {
         let ways = self.set_stride as u32;
         let full = u32::from(self.full_way_mask());
-        for g in 0..=self.group_mask as usize {
+        let groups = self.group_mask as usize + 1;
+        debug_assert!(is_head(&self.heads, 0), "set 0 must head a run");
+        let mut next = 0;
+        while next < groups {
+            let g = next;
+            next = next_head(&self.heads, g + 1, groups);
             let m = self.meta[g];
             if meta_gen(m) != self.cur_gen {
                 continue;
@@ -539,11 +622,19 @@ impl SharedCache {
     /// occupied ways rank in last-touch order, so this is exactly the
     /// min-stamp LRU rule. Every touched way is promoted to the MRU
     /// rank.
+    ///
+    /// `g` and `g + 1` are split off their runs first, so the touch
+    /// reads and writes `g`'s own planes and leaves its neighbours'
+    /// state as it was.
     #[inline]
     fn touch(&mut self, line: u64, is_write: bool, mask: u32) -> Touch {
         debug_assert!(mask != 0, "empty way mask");
         let ways = self.set_stride as u32;
         let g = (line & self.group_mask) as usize;
+        self.split(g);
+        if g < self.group_mask as usize {
+            self.split(g + 1);
+        }
         let tag = (line >> self.group_bits) as u16;
         let base = g * self.set_stride;
         let wr = u32::from(is_write);
@@ -586,49 +677,63 @@ impl SharedCache {
         Touch::Miss(wb)
     }
 
-    /// Scalar tag pass: per-line [`SharedCache::touch`] calls folded
-    /// into `acc`. The fallback for ways counts with no monomorphized
-    /// lane width.
-    fn tag_pass_scalar(
-        &mut self,
-        first: u64,
-        last: u64,
-        is_write: bool,
-        mask: u32,
-        acc: &mut TagAcc,
-    ) {
-        for line in first..=last {
-            match self.touch(line, is_write, mask) {
-                Touch::Hit => acc.hit(),
-                Touch::Miss(victim) => acc.miss(line, victim),
-            }
+    /// Makes set `g` head a run of its own: copies its run head's state
+    /// into its planes and sets its bit. The sets after `g` keep their
+    /// state, now through `g`.
+    #[inline]
+    fn split(&mut self, g: usize) {
+        if !is_head(&self.heads, g) {
+            self.split_off(g);
         }
+    }
+
+    /// [`SharedCache::split`] of a set that is not a head. Out of line:
+    /// the per-line reference walk tests two sets per line and never
+    /// meets a set that is not a head.
+    #[cold]
+    fn split_off(&mut self, g: usize) {
+        let h = head_of(&self.heads, g);
+        let n = self.set_stride;
+        self.meta[g] = self.meta[h];
+        self.lru[g] = self.lru[h];
+        self.tags.copy_within(h * n..(h + 1) * n, g * n);
+        self.heads[g / 64] |= 1 << (g % 64);
+    }
+
+    /// Number of runs the planes hold now.
+    #[cfg(test)]
+    fn run_count(&self) -> usize {
+        let groups = self.group_mask as usize + 1;
+        (0..groups).filter(|&g| is_head(&self.heads, g)).count()
     }
 
     /// Monomorphized segment tag pass — the vectorized hot path.
     ///
     /// Consecutive lines map to consecutive set groups (the group index
     /// is the line's low bits), so the range is walked as contiguous
-    /// group segments split only at the group-index wrap. Within a
-    /// segment `as_chunks_mut::<N>` exposes each set's tag lane as a
-    /// fixed `[u16; N]`, which is what lets the compare
-    /// ([`eq_mask_u16`]: an SSE2 movemask at 16 and 8 ways on x86-64)
-    /// and the same-state check below run as vector code. The stored
-    /// tag (`line >> group_bits`) is constant across a segment and
-    /// hoisted, as is the order word a stale set materializes with (the
-    /// mask's first way promoted over the identity permutation).
+    /// group segments split only at the group-index wrap. Each set's
+    /// tag lane is a fixed `[u16; N]` (`as_chunks_mut::<N>`), which is
+    /// what lets the compare ([`eq_mask_u16`]: an SSE2 movemask at 16
+    /// and 8 ways on x86-64) and the run-state compare below run as
+    /// vector code. The stored tag (`line >> group_bits`) is constant
+    /// across a segment and hoisted, as is the order word a stale set
+    /// materializes with (the mask's first way promoted over the
+    /// identity permutation).
     ///
-    /// **Same-state step.** After a set is resolved, each following set
-    /// of the segment whose raw state (meta word, order word, tag lane)
-    /// equals the resolved set's state from *before* its touch takes
-    /// that set's post-touch state outright, and the run of `k` such
-    /// sets folds into `acc` in O(1) ([`TagAcc::repeat`]). This is
-    /// exact: a touch's outcome and post-touch state are a function of
-    /// the raw pre-touch state, the tag, the mask, `is_write` and
-    /// `cur_gen` alone — and a segment never crosses the group-index
-    /// wrap, where the tag changes. A dirty victim's tag is part of the
-    /// shared state, so the `k` repeats evict the `k` lines after the
-    /// resolved set's victim and extend its eviction run.
+    /// **Run step.** A segment `[g0, end)` first splits `g0` and `end`
+    /// off their runs, so its runs lie inside it. It then steps from
+    /// run head to run head with a bit scan: each head is resolved, and
+    /// the `k` other sets of its run fold into `acc` in O(1)
+    /// ([`TagAcc::repeat`]) without being touched. This is exact: a
+    /// touch's outcome and post-touch state are a function of the raw
+    /// pre-touch state, the tag, the mask, `is_write` and `cur_gen`
+    /// alone, and a segment never crosses the group-index wrap, where
+    /// the tag changes. A dirty victim's tag is part of the shared
+    /// state, so the `k` repeats evict the `k` lines after the head's
+    /// victim and extend its eviction run. A head whose post-touch
+    /// state equals the previous run's state (the run before `g0`
+    /// included) loses its bit and joins that run, as does `end` when
+    /// its state equals the last run's.
     ///
     /// Precondition (checked by the caller): `N == set_stride`.
     /// Behavior is line-for-line identical to [`SharedCache::touch`] —
@@ -654,8 +759,12 @@ impl SharedCache {
         let mut line = first;
         while line <= last {
             let g0 = (line & self.group_mask) as usize;
-            let seg = (groups - g0).min((last - line + 1) as usize);
+            let end = groups.min(g0 + (last - line) as usize + 1);
             let tag = (line >> gb) as u16;
+            self.split(g0);
+            if end < groups {
+                self.split(end);
+            }
             // Touches set `g` (tag lane `ts`), returning its outcome.
             let resolve = |ts: &mut [u16; N], order: &mut u64, meta: &mut u64, g: usize| {
                 let m = *meta;
@@ -693,36 +802,34 @@ impl SharedCache {
                 *meta = meta_pack(occ | 1 << w, (dirty & !(1 << w)) | wr << w, cur_gen);
                 Touch::Miss(victim)
             };
-            let (tag_sets, _) = self.tags[g0 * N..(g0 + seg) * N].as_chunks_mut::<N>();
-            let orders = &mut self.lru[g0..g0 + seg];
-            let metas = &mut self.meta[g0..g0 + seg];
-            let mut i = 0;
-            while i < seg {
-                let (ts, order, meta) = (&mut tag_sets[i], &mut orders[i], &mut metas[i]);
-                let (pre_meta, pre_order, pre_ts) = (*meta, *order, *ts);
-                match resolve(ts, order, meta, g0 + i) {
+            let (tag_sets, _) = self.tags.as_chunks_mut::<N>();
+            let (orders, metas, heads) = (&mut self.lru, &mut self.meta, &mut self.heads);
+            // Head of the run before the next head to resolve (none
+            // before set 0).
+            let mut p = if g0 > 0 {
+                head_of(heads, g0 - 1)
+            } else {
+                usize::MAX
+            };
+            let mut s = g0;
+            while s < end {
+                let e = next_head(heads, s + 1, end);
+                match resolve(&mut tag_sets[s], &mut orders[s], &mut metas[s], s) {
                     Touch::Hit => acc.hit(),
-                    Touch::Miss(victim) => acc.miss(line + i as u64, victim),
+                    Touch::Miss(victim) => acc.miss(line + (s - g0) as u64, victim),
                 }
-                let (post_meta, post_order, post_ts) = (*meta, *order, *ts);
-                let rest = metas[i + 1..]
-                    .iter_mut()
-                    .zip(orders[i + 1..].iter_mut())
-                    .zip(tag_sets[i + 1..].iter_mut());
-                let mut k = 0;
-                for ((meta, order), ts) in rest {
-                    if *meta != pre_meta || *order != pre_order || *ts != pre_ts {
-                        break;
-                    }
-                    *meta = post_meta;
-                    *order = post_order;
-                    *ts = post_ts;
-                    k += 1;
+                acc.repeat((e - s - 1) as u64);
+                if p != usize::MAX && same_state(metas, orders, tag_sets, p, s) {
+                    heads[s / 64] &= !(1 << (s % 64));
+                } else {
+                    p = s;
                 }
-                acc.repeat(k as u64);
-                i += 1 + k;
+                s = e;
             }
-            line += seg as u64;
+            if end < groups && same_state(metas, orders, tag_sets, p, end) {
+                heads[end / 64] &= !(1 << (end % 64));
+            }
+            line += (end - g0) as u64;
         }
     }
 
@@ -852,7 +959,8 @@ impl SharedCache {
             4 => self.tag_pass_n::<4>(first, last, is_write, mask, &mut acc),
             2 => self.tag_pass_n::<2>(first, last, is_write, mask, &mut acc),
             1 => self.tag_pass_n::<1>(first, last, is_write, mask, &mut acc),
-            _ => self.tag_pass_scalar(first, last, is_write, mask, &mut acc),
+            // camdn-lint: allow(panic-in-lib, reason = "CacheGeometry::new asserts a power-of-two way count of at most 16, so the arms above cover every cache")
+            ways => unreachable!("{ways} ways fail CacheConfig::validate"),
         }
         acc.close();
         let TagAcc {
@@ -1008,8 +1116,9 @@ impl SharedCache {
     /// True if the line holding `addr` is present (test/diagnostic aid).
     pub fn probe(&self, addr: PhysAddr, way_mask: u16) -> bool {
         let line = addr.line_index(self.geom.line_bytes);
-        let g = (line & self.group_mask) as usize;
-        let m = self.meta[g];
+        let set = (line & self.group_mask) as usize;
+        let h = head_of(&self.heads, set);
+        let m = self.meta[h];
         if meta_gen(m) != self.cur_gen {
             return false; // stale set: logically empty
         }
@@ -1017,7 +1126,7 @@ impl SharedCache {
         if wide > u64::from(u16::MAX) {
             return false; // unrepresentable tags can never be cached
         }
-        let base = g * self.set_stride;
+        let base = h * self.set_stride;
         let lanes = &self.tags[base..base + self.set_stride];
         eq_mask(lanes, wide as u16) & meta_occ(m) & u32::from(way_mask) != 0
     }
@@ -1050,8 +1159,12 @@ impl SharedCache {
             h = h.wrapping_mul(0x100000001b3);
         };
         let groups = self.group_mask as usize + 1;
+        let mut head = 0;
         for g in 0..groups {
-            let m = self.meta[g];
+            if is_head(&self.heads, g) {
+                head = g;
+            }
+            let m = self.meta[head];
             if meta_gen(m) != self.cur_gen {
                 mix(0); // canonical empty set
                 continue;
@@ -1059,9 +1172,9 @@ impl SharedCache {
             let occ = meta_occ(m);
             mix(u64::from(occ));
             mix(u64::from(meta_dirty(m)));
-            let base = g * self.set_stride;
+            let base = head * self.set_stride;
             // Occupied ways LRU→MRU: the logical recency order.
-            let mut order = self.lru[g];
+            let mut order = self.lru[head];
             for _ in 0..self.set_stride {
                 let w = (order & 0xF) as usize;
                 order >>= 4;
@@ -1238,6 +1351,8 @@ mod tests {
         refm: &(SharedCache, DramModel),
         ctx: &str,
     ) {
+        #[cfg(debug_assertions)]
+        fast.0.debug_check_planes();
         assert_eq!(
             fast.0.state_fingerprint(),
             refm.0.state_fingerprint(),
@@ -1297,6 +1412,23 @@ mod tests {
         assert_eq!(a, b, "outcome diverged: {ctx}");
         assert_twin_state(fast, refm, ctx);
         a
+    }
+
+    /// [`SharedCache::access_line`] on both twins, asserting they agree
+    /// on the outcome and on all state afterwards.
+    fn twin_line(
+        fast: &mut (SharedCache, DramModel),
+        refm: &mut (SharedCache, DramModel),
+        now: Cycle,
+        addr: PhysAddr,
+        is_write: bool,
+        mask: u16,
+        ctx: &str,
+    ) {
+        let a = fast.0.access_line(now, addr, is_write, mask, &mut fast.1);
+        let b = refm.0.access_line(now, addr, is_write, mask, &mut refm.1);
+        assert_eq!(a, b, "line outcome diverged: {ctx}");
+        assert_twin_state(fast, refm, ctx);
     }
 
     /// Valid cache geometries of very different shapes, plus matching
@@ -1376,7 +1508,28 @@ mod tests {
                 let is_write = rng.next_below(3) == 0;
                 now += rng.next_below(1000);
                 let ctx = format!("geom {gi}, op {op}");
-                twin_access(&mut fast, &mut refm, now, base, bytes, is_write, mask, &ctx);
+                // Mostly ranges; now and then a single line, a probe, a
+                // flush or a repartition, each of which meets the runs
+                // the ranges before it left.
+                match rng.next_below(20) {
+                    0 => twin_line(&mut fast, &mut refm, now, base, is_write, mask, &ctx),
+                    1 => assert_eq!(fast.0.probe(base, mask), refm.0.probe(base, mask), "{ctx}"),
+                    2 => {
+                        fast.0.invalidate_all();
+                        refm.0.invalidate_all();
+                        assert_twin_state(&fast, &refm, &ctx);
+                    }
+                    3 => {
+                        let npu = rng.next_below(u64::from(ways)) as u32;
+                        let a = fast.0.partition_ways(npu, now, &mut fast.1);
+                        let b = refm.0.partition_ways(npu, now, &mut refm.1);
+                        assert_eq!(a, b, "{ctx}");
+                        assert_twin_state(&fast, &refm, &ctx);
+                    }
+                    _ => {
+                        twin_access(&mut fast, &mut refm, now, base, bytes, is_write, mask, &ctx);
+                    }
+                }
             }
         }
     }
@@ -1465,21 +1618,26 @@ mod tests {
         Invalidate,
         /// [`SharedCache::partition_ways`] reserving this many ways.
         Partition(u32),
+        /// [`SharedCache::access_line`]: `(line, is_write, way mask)`.
+        Line(u64, bool, u16),
+        /// [`SharedCache::probe`]: `(line, way mask, expected result)`.
+        Probe(u64, u16, bool),
     }
 
     #[test]
     fn same_state_boundaries_match_reference() {
-        // Scripted cases for the tag pass's same-state step, each where
-        // a run of identically-stated sets starts, breaks or must not
-        // form. Every step is checked against the per-line reference.
-        use Step::{Access, Invalidate, Partition};
+        // Scripted cases for the tag pass's runs of identically-stated
+        // sets, each where a run starts, splits, merges or must not
+        // form, and for every other reader of the run planes. Every
+        // step is checked against the per-line reference.
+        use Step::{Access, Invalidate, Line, Partition, Probe};
         for (gi, (ccfg, dcfg)) in sweep_configs().into_iter().enumerate() {
             let g = ccfg.total_bytes / ccfg.line_bytes / u64::from(ccfg.ways);
             let full = CacheGeometry::new(&ccfg).full_way_mask();
             let half = ccfg.ways / 2;
             let low = (1u16 << half) - 1; // general ways after `Partition(half)`
             let n = g / 2;
-            let cases: [(&str, Vec<Step>); 7] = [
+            let cases: [(&str, Vec<Step>); 13] = [
                 (
                     // Every set gets one dirty line, then the re-read
                     // hits in one run spanning the whole range.
@@ -1551,6 +1709,75 @@ mod tests {
                         Access(0, 3 * g, false, 0b0110),
                     ],
                 ),
+                (
+                    // A single line lands inside a run, then a range
+                    // crosses the set it split off.
+                    "access_line mid-run",
+                    vec![
+                        Access(0, g, true, full),
+                        Line(g + n, true, full),
+                        Line(2 * g + n + 1, false, 1),
+                        Access(n - 7, 20, false, full),
+                    ],
+                ),
+                (
+                    // Probes of sets that are not run heads.
+                    "probe off head",
+                    vec![
+                        Access(0, g, false, full),
+                        Probe(n, full, true),
+                        Probe(g + n, full, false),
+                        Access(g + n, 1, false, 2),
+                        Probe(g + n, 2, true),
+                        Probe(n + 2, 1, true),
+                        Probe(n + 2, 2, false),
+                        Probe(g + n + 2, full, false),
+                    ],
+                ),
+                (
+                    // Runs of dirty sets in different states: each set
+                    // of a run writes back its own victims.
+                    "partition over dirty runs",
+                    vec![
+                        Access(0, g, false, full),
+                        Access(g + n / 2, n, true, full),
+                        Access(2 * g + n, n / 2, true, full),
+                        Partition(half),
+                        Access(0, 2 * g, false, low),
+                    ],
+                ),
+                (
+                    // The last step's first set joins the run before it
+                    // and its last set the run after it.
+                    "merge at both ends",
+                    vec![
+                        Access(0, g, false, full),
+                        Access(g, n, false, full),
+                        Access(g + n + 10, 10, false, full),
+                        Access(g + n, 10, false, full),
+                    ],
+                ),
+                (
+                    // Ranges ending exactly at the group-index wrap.
+                    "end at wrap",
+                    vec![
+                        Access(g - 50, 50, true, full),
+                        Access(g - 100, 100, false, full),
+                        Access(2 * g - 1, 1, true, full),
+                        Access(0, g, false, full),
+                    ],
+                ),
+                (
+                    // A flush over merged runs leaves them all stale.
+                    "invalidate over merged runs",
+                    vec![
+                        Access(0, g, true, full),
+                        Access(g + n, 5, false, full),
+                        Invalidate,
+                        Access(n - 3, 10, true, 1),
+                        Access(0, g, false, full),
+                    ],
+                ),
             ];
             for (name, steps) in cases {
                 let [mut fast, mut refm] = twins(ccfg, dcfg);
@@ -1564,8 +1791,15 @@ mod tests {
                             let out = twin_access(
                                 &mut fast, &mut refm, now, base, bytes, is_write, mask, &ctx,
                             );
-                            if name == "uniform re-read" && k == 1 {
-                                assert_eq!(out.hits, g, "{ctx}");
+                            if name == "uniform re-read" {
+                                // A uniform stream leaves one run.
+                                assert_eq!(fast.0.run_count(), 1, "{ctx}");
+                                if k == 1 {
+                                    assert_eq!(out.hits, g, "{ctx}");
+                                }
+                            }
+                            if name == "merge at both ends" {
+                                assert_eq!(fast.0.run_count(), [1, 2, 4, 2][k], "{ctx}");
                             }
                             if name == "dirty chain across runs" && k == 4 {
                                 assert_eq!(out.writebacks, n, "{ctx}");
@@ -1587,6 +1821,15 @@ mod tests {
                             let b = refm.0.partition_ways(ways, now, &mut refm.1);
                             assert_eq!(a, b, "{ctx}");
                             assert_twin_state(&fast, &refm, &ctx);
+                        }
+                        Line(line, is_write, mask) => {
+                            let addr = PhysAddr(line * ccfg.line_bytes);
+                            twin_line(&mut fast, &mut refm, now, addr, is_write, mask, &ctx);
+                        }
+                        Probe(line, mask, expected) => {
+                            let addr = PhysAddr(line * ccfg.line_bytes);
+                            assert_eq!(fast.0.probe(addr, mask), expected, "{ctx}");
+                            assert_eq!(refm.0.probe(addr, mask), expected, "{ctx}");
                         }
                     }
                 }

@@ -70,6 +70,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Most ways a cache may have: way masks are `u16`, and an LRU
+    /// order word packs one 4-bit way index per recency rank.
+    pub const MAX_WAYS: u32 = 16;
+
     /// Shared-cache configuration from Table II (16 MiB, 16 ways, 12 NPU
     /// ways, 8 slices, 64 B lines, 32 KiB pages).
     pub fn paper_default() -> Self {
@@ -129,6 +133,13 @@ impl CacheConfig {
         }
         if self.ways == 0 || !self.ways.is_power_of_two() {
             return Err("cache way count must be a power of two".into());
+        }
+        if self.ways > Self::MAX_WAYS {
+            return Err(format!(
+                "cache way count ({}) exceeds the {} ways a way mask covers",
+                self.ways,
+                Self::MAX_WAYS
+            ));
         }
         if self.npu_ways > self.ways {
             return Err(format!(

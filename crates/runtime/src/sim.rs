@@ -387,6 +387,27 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+        // More ways than a `u16` way mask covers: a typed error on both
+        // the transparent and the NPU-controlled path, not a mid-run
+        // index panic or an all-zero way mask.
+        for ways in [32, 64] {
+            for kind in [PolicyKind::SharedBaseline, PolicyKind::CamdnFull] {
+                let mut soc = SocConfig::paper_default();
+                soc.cache.ways = ways;
+                let w = Workload::closed(vec![zoo::mobilenet_v2(), zoo::resnet50()], 2);
+                let built = Simulation::builder()
+                    .workload(w)
+                    .soc(soc)
+                    .policy(kind)
+                    .build();
+                match built.err() {
+                    Some(EngineError::InvalidConfig(msg)) => {
+                        assert!(msg.contains("way count"), "{msg}")
+                    }
+                    other => panic!("{ways} ways, {kind:?}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
