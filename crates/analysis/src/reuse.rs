@@ -18,7 +18,7 @@
 use camdn_common::stats::Histogram;
 use camdn_common::types::MIB;
 use camdn_mapper::{LoopOrder, MapperConfig, ModelMapping, TensorSizes};
-use camdn_models::{Model, WeightClass};
+use camdn_models::Model;
 use serde::{Deserialize, Serialize};
 
 /// Reuse-count buckets of Fig. 3a: {1, 2–4, 5–8, ≥9} accesses.
@@ -130,16 +130,6 @@ pub fn profile_zoo(cfg: &MapperConfig) -> Vec<ReuseProfile> {
     };
     rows.push(avg);
     rows
-}
-
-/// True when the weight operand of any layer reaches a reuse count above
-/// one (sanity helper used by tests and docs).
-pub fn has_weight_resweeps(model: &Model, mapping: &ModelMapping) -> bool {
-    model.layers.iter().enumerate().any(|(i, l)| {
-        l.weight_class == WeightClass::Static
-            && mapping.baseline[i].order == LoopOrder::SpatialOuter
-            && mapping.baseline[i].tiling.n_sp > 1
-    })
 }
 
 #[cfg(test)]

@@ -66,26 +66,14 @@ struct Knees {
 /// ramp-shaped grid whose workload axis carries the intensities.
 fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Knees>) {
     let stats = grid.seed_stats();
-    let mut points = Vec::new();
-    let mut empty_tails = 0usize;
-    for s in &stats {
-        if s.n > 0 && s.latency_tail.total() == 0 {
-            empty_tails += 1;
-        }
-        points.push(RampPoint {
+    let points: Vec<RampPoint> = stats
+        .iter()
+        .map(|s| RampPoint {
             policy: grid.axes.policies[s.coord.policy].clone(),
             intensity: intensities[s.coord.workload],
             stats: *s,
-        });
-    }
-    if empty_tails > 0 {
-        eprintln!(
-            "scaling: {empty_tails} ramp point(s) have no latency-tail samples \
-             (cells resumed from a pre-tail camdn-sweep-cells/1 log?); their \
-             percentiles read 0.0 and take no part in p99 knees — delete the \
-             cell log to re-measure"
-        );
-    }
+        })
+        .collect();
     // Knee per policy and per statistic: the first intensity whose
     // value exceeds KNEE_FACTOR x the lowest-intensity value (for
     // latencies; response time includes queueing, so saturation shows
@@ -103,9 +91,8 @@ fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Kn
                 .map(|p| metric(p))
                 .unwrap_or(0.0);
             // Without a positive baseline the knee test is
-            // meaningless (e.g. p99s zeroed by cells resumed from a
-            // pre-tail v1 log): report "no knee" rather than flagging
-            // the first point with any measurement.
+            // meaningless: report "no knee" rather than flagging the
+            // first point with any measurement.
             if base.is_nan() || base <= 0.0 {
                 return f64::INFINITY;
             }

@@ -21,29 +21,14 @@
 //! # Tag lanes
 //!
 //! The transparent cache stores per-way state as SoA planes (see
-//! `transparent.rs`); the primitives over those planes live here. Tag
-//! compares are [`eq_mask`] / [`eq_mask_n`] / [`eq_mask_u16`]:
-//!
-//! * [`eq_mask_n`] is the portable compare, monomorphized per ways
-//!   count; [`eq_mask`] dispatches a slice to it for every power-of-two
-//!   ways count and falls back to a scalar loop otherwise.
-//! * [`eq_mask_u16`] is the tag pass's compare over the transparent
-//!   cache's `u16` lanes. On x86-64 its 16- and 8-way widths build the
-//!   mask with SSE2 (part of the x86-64 baseline): two unaligned loads,
-//!   `pcmpeqw` against the broadcast probe, `packsswb` to one byte per
-//!   lane, `pmovmskb` to the bitmask. (LLVM lowers the portable compare
-//!   to a partial `pcmpeqw` plus per-lane bit assembly, about 35
-//!   instructions per set.) Its SSE2 core is the crate's one `unsafe`
-//!   block. Other widths and targets take [`eq_mask_n`], which a
-//!   property test holds it to bit for bit; the per-line reference
-//!   path keeps [`eq_mask`], so the differential tests compare SIMD
-//!   against portable code. Building with
-//!   `RUSTFLAGS="--cfg camdn_portable_lanes"` drops the SSE2 block, so
-//!   the tag pass runs the portable compare on every target; CI runs
-//!   this crate's unit tests, the golden corpus and the
-//!   reference-model tests that way.
-//!
-//! Everything else here is safe SWAR over `u64` words.
+//! `transparent.rs`); the primitives over those planes live here. The
+//! tag compare is [`eq_mask`], which dispatches a slice to
+//! [`eq_mask_n`], monomorphized per power-of-two ways count, and falls
+//! back to a scalar loop otherwise. Both are generic over the lane word.
+//! The tag pass hands [`eq_mask`] a fixed `[u16; N]` lane, so the
+//! dispatch folds away and LLVM emits the packed compare for that
+//! width. Everything here is safe Rust; the order-word helpers below
+//! are SWAR over `u64` words.
 //!
 //! # LRU order words
 //!
@@ -85,49 +70,6 @@ pub fn eq_mask_n<T: PartialEq + Copy, const N: usize>(tags: &[T; N], probe: T) -
         w += 1;
     }
     m
-}
-
-/// [`eq_mask_n`] over `u16` tag lanes, the tag pass's compare: on
-/// x86-64 the 16- and 8-way widths take the SSE2 movemask compare
-/// (see the module docs), every other width and target — and every
-/// build with `--cfg camdn_portable_lanes` — the portable
-/// [`eq_mask_n`]. The result is identical either way.
-#[inline]
-#[must_use]
-pub fn eq_mask_u16<const N: usize>(tags: &[u16; N], probe: u16) -> u32 {
-    #[cfg(all(target_arch = "x86_64", not(camdn_portable_lanes)))]
-    if N == 16 || N == 8 {
-        if let (Some(lo), Some(hi)) = (tags.first_chunk::<8>(), tags.last_chunk::<8>()) {
-            // At 8 ways both halves are the same lanes: keep one copy.
-            let m = eq_mask_sse2(lo, hi, probe);
-            return if N == 16 { m } else { m & 0xFF };
-        }
-    }
-    eq_mask_n(tags, probe)
-}
-
-/// SSE2 core of [`eq_mask_u16`]: bits 0–7 are the matches in `lo`,
-/// bits 8–15 those in `hi`. `packsswb` saturates signed words, but it
-/// only ever sees compare results (`0` or `-1`), so lanes and probes at
-/// or above `0x8000` pack exactly.
-#[cfg(all(target_arch = "x86_64", not(camdn_portable_lanes)))]
-#[inline]
-fn eq_mask_sse2(lo: &[u16; 8], hi: &[u16; 8], probe: u16) -> u32 {
-    use std::arch::x86_64::{
-        __m128i, _mm_cmpeq_epi16, _mm_loadu_si128, _mm_movemask_epi8, _mm_packs_epi16,
-        _mm_set1_epi16,
-    };
-    // SAFETY: SSE2 is part of the x86-64 baseline, so every intrinsic
-    // here is available on any CPU this code runs on. Each unaligned
-    // load reads exactly the 16 bytes of one `[u16; 8]` borrowed for
-    // the call; `_mm_loadu_si128` has no alignment requirement.
-    let bits = unsafe {
-        let p = _mm_set1_epi16(probe as i16);
-        let a = _mm_cmpeq_epi16(_mm_loadu_si128(lo.as_ptr().cast::<__m128i>()), p);
-        let b = _mm_cmpeq_epi16(_mm_loadu_si128(hi.as_ptr().cast::<__m128i>()), p);
-        _mm_movemask_epi8(_mm_packs_epi16(a, b))
-    };
-    bits as u32
 }
 
 /// Bitmask of ways whose stored tag equals `probe`.
@@ -569,7 +511,7 @@ mod tests {
     // --- tag-lane helpers (vector compare + LRU order words) ---------
 
     /// Scalar oracle for `eq_mask`.
-    fn eq_mask_scalar(tags: &[u32], probe: u32) -> u32 {
+    fn eq_mask_scalar<T: PartialEq + Copy>(tags: &[T], probe: T) -> u32 {
         tags.iter()
             .enumerate()
             .map(|(w, &t)| u32::from(t == probe) << w)
@@ -618,18 +560,11 @@ mod tests {
         assert_eq!(eq_mask(&narrow, 0), 0b0000_0100);
     }
 
-    /// Checks the tag pass's `u16` compare against the portable one at
-    /// one width.
-    fn assert_u16_compare_agrees<const N: usize>(tags: &[u16; N], probe: u16) {
-        assert_eq!(
-            eq_mask_u16(tags, probe),
-            eq_mask_n(tags, probe),
-            "N={N} probe={probe:#x} tags={tags:x?}"
-        );
-    }
-
     #[test]
     fn u16_lane_compare_matches_portable_bit_for_bit() {
+        // The tag pass's compare: `eq_mask` over the transparent
+        // cache's `u16` lanes at every width it specializes, against
+        // the scalar oracle.
         let mut x = 0x2545_F491u32;
         let mut next = move || {
             x ^= x << 13;
@@ -637,21 +572,20 @@ mod tests {
             x ^= x << 5;
             x
         };
-        // Fixed edges at both SIMD widths: no match, every lane, and
-        // probes/lanes at or above 0x8000 (where `packsswb`'s signed
-        // saturation would bite if it saw raw tags).
+        // Fixed edges: no match, every lane, and probes/lanes at or
+        // above 0x8000.
         for probe in [0u16, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFE, u16::MAX] {
-            assert_eq!(eq_mask_u16(&[probe; 16], probe), 0xFFFF);
-            assert_eq!(eq_mask_u16(&[probe; 8], probe), 0xFF);
-            assert_eq!(eq_mask_u16(&[probe ^ 0x8000; 16], probe), 0);
-            assert_eq!(eq_mask_u16(&[probe ^ 1; 8], probe), 0);
+            assert_eq!(eq_mask(&[probe; 16], probe), 0xFFFF);
+            assert_eq!(eq_mask(&[probe; 8], probe), 0xFF);
+            assert_eq!(eq_mask(&[probe ^ 0x8000; 16], probe), 0);
+            assert_eq!(eq_mask(&[probe ^ 1; 8], probe), 0);
         }
         let mut wide = [0x8000u16; 16];
         wide[3] = 0xFFFF;
         wide[12] = 0xFFFF;
-        assert_eq!(eq_mask_u16(&wide, 0xFFFF), 1 << 3 | 1 << 12);
-        assert_eq!(eq_mask_u16(&wide, 0x8000), 0xFFFF & !(1 << 3 | 1 << 12));
-        assert_eq!(eq_mask_u16(&wide, 0x7FFF), 0);
+        assert_eq!(eq_mask(&wide, 0xFFFF), 1 << 3 | 1 << 12);
+        assert_eq!(eq_mask(&wide, 0x8000), 0xFFFF & !(1 << 3 | 1 << 12));
+        assert_eq!(eq_mask(&wide, 0x7FFF), 0);
         // Seeded random lanes drawn from a small alphabet, so duplicate
         // matches are common, with high-bit values mixed in.
         for _ in 0..2000 {
@@ -671,9 +605,14 @@ mod tests {
             } else {
                 t16[(next() & 15) as usize]
             };
-            let t8 = t16.first_chunk::<8>().copied().unwrap_or_default();
-            assert_u16_compare_agrees(&t16, probe);
-            assert_u16_compare_agrees(&t8, probe);
+            for ways in [16, 8, 4, 2, 1] {
+                let lanes = &t16[..ways];
+                assert_eq!(
+                    eq_mask(lanes, probe),
+                    eq_mask_scalar(lanes, probe),
+                    "ways={ways} probe={probe:#x} tags={lanes:x?}"
+                );
+            }
         }
     }
 

@@ -37,10 +37,7 @@
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
-// The SSE2 tag compare in `geometry.rs` is the workspace's one `unsafe`
-// block (every other crate root forbids `unsafe_code`); any other block
-// here must carry its own `// SAFETY:` argument too.
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod geometry;
 pub mod nec;

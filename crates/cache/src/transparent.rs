@@ -52,11 +52,11 @@
 //! Tag lanes of invalid ways hold stale garbage by design: `occ` is the
 //! source of truth (invalid ways do keep a slot in the order word — the
 //! permutation covers all ways — but their rank is never consulted).
-//! The lane primitives live in [`geometry`](crate::geometry): the tag
-//! compares — [`eq_mask_u16`] in the tag pass (an SSE2 movemask at 16
-//! and 8 ways on x86-64, the crate's one `unsafe` block) and the
-//! portable [`eq_mask`] in the per-line reference path — and the LRU
-//! order-word helpers ([`lru_touch`], [`lru_victim`]).
+//! One function, `touch_set`, reads and updates a set's three plane
+//! entries for one line; the batched tag pass and the per-line walk
+//! both run it. The lane primitives it uses live in
+//! [`geometry`](crate::geometry): the tag compare [`eq_mask`] and the
+//! LRU order-word helpers ([`lru_touch`], [`lru_victim`]).
 //!
 //! # Generation counters
 //!
@@ -117,8 +117,7 @@
 //! in `camdn` assert the two paths are bit-identical.
 
 use crate::geometry::{
-    eq_mask, eq_mask_u16, lru_identity, lru_promote, lru_rank_of, lru_touch, lru_victim,
-    CacheGeometry,
+    eq_mask, lru_identity, lru_promote, lru_rank_of, lru_touch, lru_victim, CacheGeometry,
 };
 use camdn_common::config::CacheConfig;
 use camdn_common::stats::Counter;
@@ -261,6 +260,81 @@ fn same_state<const N: usize>(
     b: usize,
 ) -> bool {
     metas[a] == metas[b] && orders[a] == orders[b] && tags[a] == tags[b]
+}
+
+/// One line's lookup as [`touch_set`] sees it: everything a touch reads
+/// besides the set's own state.
+#[derive(Clone, Copy)]
+struct Lookup {
+    /// The stored tag, `line >> group_bits`.
+    tag: u16,
+    /// Ways the lookup may hit or allocate in (non-empty).
+    mask: u32,
+    /// 1 for a write, 0 for a read.
+    wr: u32,
+    /// The cache's current generation.
+    cur_gen: u32,
+    /// `log2(groups)`: rebuilds a victim's line index from its tag.
+    group_bits: u32,
+}
+
+/// Tag lookup and update of set `g` (tag lane `lanes`, one entry per
+/// way; order word `order`; meta word `meta`) for one line — the single
+/// source of truth for hit/replacement semantics. The tag pass runs it
+/// on each run head, [`SharedCache::touch`] on every line of the
+/// per-line walk.
+///
+/// Hit rule: first way in way order with `tag match ∧ occupied ∧
+/// allowed` wins (a matching way outside the mask is skipped).
+/// Victim rule: the first invalid allowed way in way order, else the
+/// lowest-ranked allowed way of the set's LRU order word — occupied
+/// ways rank in last-touch order, so this is exactly the min-stamp LRU
+/// rule. Every touched way is promoted to the MRU rank. A stale set is
+/// known-empty and takes a no-scan fast path.
+///
+/// Always inlined: in the tag pass `lanes` is then a fixed `[u16; N]`,
+/// so the ways count is a constant and [`eq_mask`] folds to the
+/// monomorphized compare. (Left to the inliner, it stays an
+/// out-of-line call that dispatches on the lane length per run head.)
+#[inline(always)]
+fn touch_set(lanes: &mut [u16], order: &mut u64, meta: &mut u64, g: usize, lk: Lookup) -> Touch {
+    debug_assert!(lk.mask != 0, "empty way mask");
+    let ways = lanes.len() as u32;
+    let m = *meta;
+    if meta_gen(m) != lk.cur_gen {
+        // Stale since the last flush: known-empty, no tag scan —
+        // materialize and allocate the first allowed way directly.
+        let w = lk.mask.trailing_zeros();
+        lanes[w as usize] = lk.tag;
+        *order = lru_touch(lru_identity(ways), w, ways);
+        *meta = meta_pack(1 << w, lk.wr << w, lk.cur_gen);
+        return Touch::Miss(None);
+    }
+    let occ = meta_occ(m);
+    let hits = eq_mask(lanes, lk.tag) & occ & lk.mask;
+    if hits != 0 {
+        let w = hits.trailing_zeros();
+        *order = lru_touch(*order, w, ways);
+        *meta = m | u64::from(lk.wr << w) << 16;
+        return Touch::Hit;
+    }
+    let dirty = meta_dirty(m);
+    let invalid = !occ & lk.mask;
+    let (w, rank) = if invalid != 0 {
+        let w = invalid.trailing_zeros();
+        (w, lru_rank_of(*order, w))
+    } else {
+        lru_victim(*order, lk.mask)
+    };
+    let victim = if invalid == 0 && (dirty >> w) & 1 != 0 {
+        Some((u64::from(lanes[w as usize]) << lk.group_bits) | g as u64)
+    } else {
+        None
+    };
+    lanes[w as usize] = lk.tag;
+    *order = lru_promote(*order, rank, w, ways);
+    *meta = meta_pack(occ | 1 << w, (dirty & !(1 << w)) | lk.wr << w, lk.cur_gen);
+    Touch::Miss(victim)
 }
 
 /// Tag-pass accumulator: hit/miss/writeback counters plus the
@@ -611,70 +685,33 @@ impl SharedCache {
         }
     }
 
-    /// Tag lookup and update for one line within its set — the single
-    /// source of truth for hit/replacement semantics; both the batched
-    /// and the reference paths run it.
-    ///
-    /// Hit rule: first way in way order with `tag match ∧ occupied ∧
-    /// allowed` wins (a matching way outside the mask is skipped).
-    /// Victim rule: the first invalid allowed way in way order, else
-    /// the lowest-ranked allowed way of the set's LRU order word —
-    /// occupied ways rank in last-touch order, so this is exactly the
-    /// min-stamp LRU rule. Every touched way is promoted to the MRU
-    /// rank.
-    ///
-    /// `g` and `g + 1` are split off their runs first, so the touch
-    /// reads and writes `g`'s own planes and leaves its neighbours'
-    /// state as it was.
+    /// Tag lookup and update for one line, on the set's own planes:
+    /// the per-line reference walk's and [`SharedCache::access_line`]'s
+    /// primitive. `g` and `g + 1` are split off their runs first, so
+    /// [`touch_set`] reads and writes `g`'s own planes and leaves its
+    /// neighbours' state as it was.
     #[inline]
     fn touch(&mut self, line: u64, is_write: bool, mask: u32) -> Touch {
-        debug_assert!(mask != 0, "empty way mask");
-        let ways = self.set_stride as u32;
         let g = (line & self.group_mask) as usize;
         self.split(g);
         if g < self.group_mask as usize {
             self.split(g + 1);
         }
-        let tag = (line >> self.group_bits) as u16;
-        let base = g * self.set_stride;
-        let wr = u32::from(is_write);
-        let m = self.meta[g];
-        if meta_gen(m) != self.cur_gen {
-            // Stale since the last flush: known-empty, no tag scan —
-            // materialize and allocate the first allowed way directly.
-            let w = mask.trailing_zeros();
-            self.tags[base + w as usize] = tag;
-            self.lru[g] = lru_touch(lru_identity(ways), w, ways);
-            self.meta[g] = meta_pack(1 << w, wr << w, self.cur_gen);
-            return Touch::Miss(None);
+        let lookup = self.lookup(line, is_write, mask);
+        let lanes = &mut self.tags[g * self.set_stride..(g + 1) * self.set_stride];
+        touch_set(lanes, &mut self.lru[g], &mut self.meta[g], g, lookup)
+    }
+
+    /// The [`Lookup`] of `line` in the cache's current generation.
+    #[inline]
+    fn lookup(&self, line: u64, is_write: bool, mask: u32) -> Lookup {
+        Lookup {
+            tag: (line >> self.group_bits) as u16,
+            mask,
+            wr: u32::from(is_write),
+            cur_gen: self.cur_gen,
+            group_bits: self.group_bits,
         }
-        let occ = meta_occ(m);
-        let dirty = meta_dirty(m);
-        let lanes = &self.tags[base..base + self.set_stride];
-        let hits = eq_mask(lanes, tag) & occ & mask;
-        if hits != 0 {
-            let w = hits.trailing_zeros();
-            self.lru[g] = lru_touch(self.lru[g], w, ways);
-            self.meta[g] = m | u64::from(wr << w) << 16;
-            return Touch::Hit;
-        }
-        let invalid = !occ & mask;
-        let (w, rank) = if invalid != 0 {
-            let w = invalid.trailing_zeros();
-            (w, lru_rank_of(self.lru[g], w))
-        } else {
-            lru_victim(self.lru[g], mask)
-        };
-        let wi = base + w as usize;
-        let wb = if invalid == 0 && (dirty >> w) & 1 != 0 {
-            Some((u64::from(self.tags[wi]) << self.group_bits) | g as u64)
-        } else {
-            None
-        };
-        self.tags[wi] = tag;
-        self.lru[g] = lru_promote(self.lru[g], rank, w, ways);
-        self.meta[g] = meta_pack(occ | 1 << w, (dirty & !(1 << w)) | wr << w, self.cur_gen);
-        Touch::Miss(wb)
     }
 
     /// Makes set `g` head a run of its own: copies its run head's state
@@ -707,37 +744,35 @@ impl SharedCache {
         (0..groups).filter(|&g| is_head(&self.heads, g)).count()
     }
 
-    /// Monomorphized segment tag pass — the vectorized hot path.
+    /// Monomorphized segment tag pass — the batched hot path.
     ///
     /// Consecutive lines map to consecutive set groups (the group index
     /// is the line's low bits), so the range is walked as contiguous
     /// group segments split only at the group-index wrap. Each set's
     /// tag lane is a fixed `[u16; N]` (`as_chunks_mut::<N>`), which is
-    /// what lets the compare ([`eq_mask_u16`]: an SSE2 movemask at 16
-    /// and 8 ways on x86-64) and the run-state compare below run as
-    /// vector code. The stored tag (`line >> group_bits`) is constant
-    /// across a segment and hoisted, as is the order word a stale set
-    /// materializes with (the mask's first way promoted over the
-    /// identity permutation).
+    /// what lets [`touch_set`]'s compare and the run-state compare below
+    /// run as fixed-width code. The stored tag (`line >> group_bits`) is
+    /// constant across a segment and hoisted.
     ///
     /// **Run step.** A segment `[g0, end)` first splits `g0` and `end`
     /// off their runs, so its runs lie inside it. It then steps from
-    /// run head to run head with a bit scan: each head is resolved, and
-    /// the `k` other sets of its run fold into `acc` in O(1)
-    /// ([`TagAcc::repeat`]) without being touched. This is exact: a
-    /// touch's outcome and post-touch state are a function of the raw
-    /// pre-touch state, the tag, the mask, `is_write` and `cur_gen`
-    /// alone, and a segment never crosses the group-index wrap, where
-    /// the tag changes. A dirty victim's tag is part of the shared
-    /// state, so the `k` repeats evict the `k` lines after the head's
-    /// victim and extend its eviction run. A head whose post-touch
-    /// state equals the previous run's state (the run before `g0`
-    /// included) loses its bit and joins that run, as does `end` when
-    /// its state equals the last run's.
+    /// run head to run head with a bit scan: each head is resolved with
+    /// [`touch_set`], and the `k` other sets of its run fold into `acc`
+    /// in O(1) ([`TagAcc::repeat`]) without being touched. This is
+    /// exact: a touch's outcome and post-touch state are a function of
+    /// the raw pre-touch state, the tag, the mask, `is_write` and
+    /// `cur_gen` alone, and a segment never crosses the group-index
+    /// wrap, where the tag changes. A dirty victim's tag is part of the
+    /// shared state, so the `k` repeats evict the `k` lines after the
+    /// head's victim and extend its eviction run. A head whose
+    /// post-touch state equals the previous run's state (the run before
+    /// `g0` included) loses its bit and joins that run, as does `end`
+    /// when its state equals the last run's.
     ///
     /// Precondition (checked by the caller): `N == set_stride`.
-    /// Behavior is line-for-line identical to [`SharedCache::touch`] —
-    /// the differential property tests hold the two paths together.
+    /// Behavior is line-for-line identical to the per-line walk over
+    /// [`SharedCache::touch`] — the differential property tests hold
+    /// the two paths together.
     fn tag_pass_n<const N: usize>(
         &mut self,
         first: u64,
@@ -747,61 +782,16 @@ impl SharedCache {
         acc: &mut TagAcc,
     ) {
         debug_assert_eq!(self.set_stride, N);
-        debug_assert!(mask != 0, "empty way mask");
         let groups = self.group_mask as usize + 1;
-        let cur_gen = self.cur_gen;
-        let wr = u32::from(is_write);
-        let gb = self.group_bits;
-        let ways = N as u32;
-        let first_way = mask.trailing_zeros();
-        let stale_order = lru_touch(lru_identity(ways), first_way, ways);
-        let stale_meta = meta_pack(1 << first_way, wr << first_way, cur_gen);
         let mut line = first;
         while line <= last {
             let g0 = (line & self.group_mask) as usize;
             let end = groups.min(g0 + (last - line) as usize + 1);
-            let tag = (line >> gb) as u16;
+            let lookup = self.lookup(line, is_write, mask);
             self.split(g0);
             if end < groups {
                 self.split(end);
             }
-            // Touches set `g` (tag lane `ts`), returning its outcome.
-            let resolve = |ts: &mut [u16; N], order: &mut u64, meta: &mut u64, g: usize| {
-                let m = *meta;
-                if meta_gen(m) != cur_gen {
-                    // Stale since the last flush: known-empty, no tag
-                    // scan — allocate the first allowed way directly.
-                    ts[first_way as usize] = tag;
-                    *order = stale_order;
-                    *meta = stale_meta;
-                    return Touch::Miss(None);
-                }
-                let occ = meta_occ(m);
-                let hits = eq_mask_u16(ts, tag) & occ & mask;
-                if hits != 0 {
-                    let w = hits.trailing_zeros();
-                    *order = lru_touch(*order, w, ways);
-                    *meta = m | u64::from(wr << w) << 16;
-                    return Touch::Hit;
-                }
-                let dirty = meta_dirty(m);
-                let invalid = !occ & mask;
-                let (w, rank) = if invalid != 0 {
-                    let w = invalid.trailing_zeros();
-                    (w, lru_rank_of(*order, w))
-                } else {
-                    lru_victim(*order, mask)
-                };
-                let victim = if invalid == 0 && (dirty >> w) & 1 != 0 {
-                    Some((u64::from(ts[w as usize]) << gb) | g as u64)
-                } else {
-                    None
-                };
-                ts[w as usize] = tag;
-                *order = lru_promote(*order, rank, w, ways);
-                *meta = meta_pack(occ | 1 << w, (dirty & !(1 << w)) | wr << w, cur_gen);
-                Touch::Miss(victim)
-            };
             let (tag_sets, _) = self.tags.as_chunks_mut::<N>();
             let (orders, metas, heads) = (&mut self.lru, &mut self.meta, &mut self.heads);
             // Head of the run before the next head to resolve (none
@@ -814,7 +804,7 @@ impl SharedCache {
             let mut s = g0;
             while s < end {
                 let e = next_head(heads, s + 1, end);
-                match resolve(&mut tag_sets[s], &mut orders[s], &mut metas[s], s) {
+                match touch_set(&mut tag_sets[s], &mut orders[s], &mut metas[s], s, lookup) {
                     Touch::Hit => acc.hit(),
                     Touch::Miss(victim) => acc.miss(line + (s - g0) as u64, victim),
                 }
@@ -1898,11 +1888,13 @@ mod tests {
     #[test]
     fn property_soa_lanes_match_scalar_oracle() {
         // Differential property test over random (geometry, range,
-        // way-mask) triples: the vectorized tag pass must match the
+        // way-mask) triples: `touch_set`, the one hit/victim/LRU rule
+        // the tag pass and the per-line walk share, must match the
         // scalar packed-meta walk event for event — hits, victim
         // choices, writebacks, and the full LRU age ordering. Ways
-        // counts include 1 (the lane tail) and 2 (a single chunk);
-        // masks include the full mask, single ways, and random subsets.
+        // counts cover every power of two the tag pass specializes,
+        // 16 down to 1 (the lane tail); masks include the full mask,
+        // single ways, and random subsets.
         let paper = CacheConfig::paper_default();
         let configs = [
             paper, // 16 ways: full-width lanes
@@ -1918,6 +1910,26 @@ mod tests {
             CacheConfig {
                 total_bytes: 64 * 1024,
                 ways: 1, // direct-mapped: scalar tail lane, mask = 1 only
+                npu_ways: 0,
+                slices: 1,
+                line_bytes: 64,
+                page_bytes: 8 * 1024,
+                ..paper
+            },
+            // 8 and 4 ways over 128 sets: ~47 touches per set, so every
+            // way fills and victim choices under partial masks occur.
+            CacheConfig {
+                total_bytes: 64 * 1024,
+                ways: 8,
+                npu_ways: 0,
+                slices: 1,
+                line_bytes: 64,
+                page_bytes: 8 * 1024,
+                ..paper
+            },
+            CacheConfig {
+                total_bytes: 32 * 1024,
+                ways: 4,
                 npu_ways: 0,
                 slices: 1,
                 line_bytes: 64,

@@ -9,8 +9,8 @@
 
 use camdn::common::SimRng;
 use camdn::{
-    CellOutcome, CellSink, DetailLevel, MemorySink, PolicyKind, SeedAggregate, Sweep, SweepBuilder,
-    SweepResult, Workload,
+    CellOutcome, CellSink, DetailLevel, EngineError, MemorySink, PolicyKind, SeedAggregate, Sweep,
+    SweepBuilder, SweepResult, Workload,
 };
 use camdn_models::zoo;
 
@@ -114,81 +114,39 @@ fn killed_grid_resumes_to_a_bit_for_bit_cold_run() {
 }
 
 #[test]
-fn resume_accepts_a_v1_log_with_empty_tails_and_upgrades_it() {
-    // Reconstruct, byte for byte, the log the retired
-    // `camdn-sweep-cells/1` writer produced for this grid's first two
-    // cells (no channel axis, no latency-tail fields), and resume from
-    // it: the recorded coordinates must be served from the log — with
-    // an *empty* tail, since v1 never recorded one — while everything
-    // else runs fresh, and the rewritten log must be upgraded to /3.
+fn resume_rejects_a_v1_log_naming_its_schema() {
+    // The log the retired `camdn-sweep-cells/1` writer produced for
+    // this grid's first cell (no channel axis, no latency tail).
+    // Resume reads only /3 logs: it must return a typed error that
+    // names the old schema, and leave the log as it was.
     let path = unique_path("v1log");
-    let cold = small_grid().run().expect("cold grid");
-    let v1_header = "{\"schema\": \"camdn-sweep-cells/1\", \
-                     \"policies\": [\"Baseline\", \"CaMDN(Full)\"], \"socs\": [\"paper\"], \
-                     \"caches\": [\"default\"], \"workloads\": [\"mb\"], \"qos\": [\"closed\"], \
-                     \"lookaheads\": [\"default\"], \"seeds\": [1, 2, 3]}";
-    let mut log = String::from(v1_header);
-    for cell in &cold.cells[..2] {
-        let r = cell.outcome.as_ref().unwrap();
-        let m = &r.summary;
-        let c = &cell.coord;
-        log.push_str(&format!(
-            "\n{{\"policy\": {}, \"soc\": {}, \"cache\": {}, \"workload\": {}, \"qos\": {}, \
-             \"lookahead\": {}, \"seed\": {}, \"wall_s\": 0.5, \"ok\": true, \
-             \"label\": \"{}\", \"tasks\": {}, \"inferences\": {}, \"cache_hit_rate\": {}, \
-             \"avg_latency_ms\": {}, \"mem_mb_per_model\": {}, \"makespan_ms\": {}, \
-             \"sla_rate\": {}, \"multicast_saved_mb\": {}}}",
-            c.policy,
-            c.soc,
-            c.cache,
-            c.workload,
-            c.qos,
-            c.lookahead,
-            c.seed,
-            r.policy,
-            m.tasks,
-            m.inferences,
-            m.cache_hit_rate,
-            m.avg_latency_ms,
-            m.mem_mb_per_model,
-            m.makespan_ms,
-            m.sla_rate,
-            m.multicast_saved_mb,
-        ));
-    }
-    log.push('\n');
-    std::fs::write(&path, log).expect("write v1 log");
-
-    let resumed = small_grid().resume(&path).expect("v1 log accepted");
-    assert_eq!(resumed.cells_resumed, 2, "both v1 cells are served");
-    for (i, (x, y)) in cold.cells.iter().zip(&resumed.cells).enumerate() {
-        let (a, b) = (x.outcome.as_ref().unwrap(), y.outcome.as_ref().unwrap());
-        assert_eq!(a.policy, b.policy);
-        // Scalar aggregates round-trip bit-for-bit even from v1...
-        assert_eq!(a.summary.avg_latency_ms, b.summary.avg_latency_ms);
-        assert_eq!(a.summary.makespan_ms, b.summary.makespan_ms);
-        assert_eq!(a.summary.inferences, b.summary.inferences);
-        if i < 2 {
-            // ...but v1 never recorded a tail: the resumed cells carry
-            // an empty one (documented compatibility trade-off).
-            assert_eq!(b.summary.latency_tail.total(), 0);
-        } else {
-            // Fresh cells measured their tails as usual.
-            assert_eq!(a.summary.latency_tail, b.summary.latency_tail);
-            assert!(b.summary.latency_tail.total() > 0);
-        }
-    }
-    // The resume rewrote the log in the current schema.
-    let text = std::fs::read_to_string(&path).expect("rewritten log");
-    assert!(text.lines().next().unwrap().contains("camdn-sweep-cells/3"));
+    let v1_log = "{\"schema\": \"camdn-sweep-cells/1\", \
+                  \"policies\": [\"Baseline\", \"CaMDN(Full)\"], \"socs\": [\"paper\"], \
+                  \"caches\": [\"default\"], \"workloads\": [\"mb\"], \"qos\": [\"closed\"], \
+                  \"lookaheads\": [\"default\"], \"seeds\": [1, 2, 3]}\n\
+                  {\"policy\": 0, \"soc\": 0, \"cache\": 0, \"workload\": 0, \"qos\": 0, \
+                  \"lookahead\": 0, \"seed\": 0, \"wall_s\": 0.5, \"ok\": true, \
+                  \"label\": \"Baseline\", \"tasks\": 1, \"inferences\": 2, \
+                  \"cache_hit_rate\": 0.5, \"avg_latency_ms\": 1.5, \"mem_mb_per_model\": 3, \
+                  \"makespan_ms\": 3, \"sla_rate\": 1, \"multicast_saved_mb\": 0}\n";
+    std::fs::write(&path, v1_log).expect("write v1 log");
+    let err = small_grid()
+        .resume(&path)
+        .expect_err("a v1 log must not resume");
+    assert!(
+        matches!(&err, EngineError::InvalidConfig(msg) if msg.contains("camdn-sweep-cells/1")),
+        "{err:?}"
+    );
+    let text = std::fs::read_to_string(&path).expect("log still there");
+    assert_eq!(text, v1_log, "a rejected log is not rewritten");
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn resume_rejects_a_v1_log_when_the_grid_has_a_channel_axis() {
     // A v1 grid could not express a channel axis, so its coordinates
-    // are ambiguous against one: the log must be rejected as a
-    // different grid, not silently merged at channel 0.
+    // are ambiguous against one: the log must be rejected, not
+    // silently merged at channel 0.
     let path = unique_path("v1chan");
     let v1_header = "{\"schema\": \"camdn-sweep-cells/1\", \
                      \"policies\": [\"Baseline\"], \"socs\": [\"paper\"], \
@@ -201,7 +159,7 @@ fn resume_rejects_a_v1_log_when_the_grid_has_a_channel_axis() {
         .channel_counts([2, 4])
         .resume(&path)
         .expect_err("channel-axis grid must reject a v1 log");
-    assert!(err.to_string().contains("different grid"), "{err}");
+    assert!(err.to_string().contains("camdn-sweep-cells/1"), "{err}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -306,7 +264,7 @@ fn custom_sinks_see_every_cell_without_buffering() {
 /// produces with `Debug`, which prints every `f64` in shortest
 /// round-trip form: equal text means bit-identical output.
 fn deliver_in_order(result: &SweepResult, order: &[usize]) -> (String, String) {
-    let mut memory = MemorySink::new(result.axes.clone(), None);
+    let mut memory = MemorySink::new(result.axes.clone());
     let mut agg = SeedAggregate::new();
     for &i in order {
         let cell = &result.cells[i];

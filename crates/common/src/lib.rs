@@ -31,5 +31,5 @@ pub mod types;
 
 pub use config::{CacheConfig, DramConfig, NpuConfig, SocConfig};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, MeanTracker};
+pub use stats::{Counter, Histogram};
 pub use types::{Cycle, PhysAddr, VirtCacheAddr, KIB, MIB};

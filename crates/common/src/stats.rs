@@ -227,64 +227,6 @@ pub fn bucket_quantile(edges: &[u64], counts: &[u64], max: u64, q: f64) -> Optio
     Some(max)
 }
 
-/// Streaming mean/min/max tracker for floating-point samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct MeanTracker {
-    n: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        MeanTracker {
-            n: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, v: f64) {
-        self.n += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Smallest sample (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
 /// Streaming mean/variance accumulator (Welford's algorithm), used by
 /// the sweep layer's multi-seed statistics.
 ///
@@ -574,17 +516,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mean_tracker() {
-        let mut m = MeanTracker::new();
-        m.record(1.0);
-        m.record(3.0);
-        assert_eq!(m.count(), 2);
-        assert!((m.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), 1.0);
-        assert_eq!(m.max(), 3.0);
     }
 
     #[test]

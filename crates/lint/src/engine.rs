@@ -76,7 +76,7 @@ impl Lint {
             }
             Lint::EnvRegistry => "CAMDN_* env vars must match the README, both directions",
             Lint::CrateHygiene => {
-                "crate roots must carry #![warn(missing_docs)] and #![deny(deprecated)]"
+                "crate roots must carry #![warn(missing_docs)], #![deny(deprecated)] and #![forbid(unsafe_code)]"
             }
             Lint::BadDirective => "suppression directives must parse and must suppress something",
         }

@@ -204,10 +204,15 @@ pub fn env_registry(ws: &Workspace, out: &mut Vec<Finding>) {
 }
 
 /// `crate-hygiene`: every linted crate root must carry
-/// `#![warn(missing_docs)]` and `#![deny(deprecated)]` so public-API
-/// docs and deprecation debt cannot rot silently.
+/// `#![warn(missing_docs)]`, `#![deny(deprecated)]` and
+/// `#![forbid(unsafe_code)]` so public-API docs and deprecation debt
+/// cannot rot silently and no `unsafe` block can come back unseen.
 pub fn crate_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
-    const REQUIRED: [(&str, &str); 2] = [("warn", "missing_docs"), ("deny", "deprecated")];
+    const REQUIRED: [(&str, &str); 3] = [
+        ("warn", "missing_docs"),
+        ("deny", "deprecated"),
+        ("forbid", "unsafe_code"),
+    ];
     for member in &ws.members {
         let lib_rel = format!("crates/{member}/src/lib.rs");
         let Some(file) = ws.files.iter().find(|f| f.rel_path == lib_rel) else {

@@ -2,6 +2,7 @@
 //! and must produce zero findings.
 #![warn(missing_docs)]
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 

@@ -3,6 +3,7 @@
 //! The missing `deny(deprecated)` inner attribute is itself the
 //! injected `crate-hygiene` violation.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 // camdn-lint: allow(nondet-iter, reason = "keyed memo; entries are never iterated")

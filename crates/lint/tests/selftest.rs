@@ -36,8 +36,9 @@ fn every_lint_fires_and_every_suppression_holds() {
         ("README.md", 10, "env-registry", true),
         ("docs/SCHEMAS.md", 5, "schema-registry", false),
         ("docs/SCHEMAS.md", 8, "schema-registry", true),
-        // Legacy crate: both missing attrs excused by one line-1
+        // Legacy crate: all three missing attrs excused by one line-1
         // directive, plus the malformed and stale directives.
+        ("crates/legacy/src/lib.rs", 1, "crate-hygiene", true),
         ("crates/legacy/src/lib.rs", 1, "crate-hygiene", true),
         ("crates/legacy/src/lib.rs", 1, "crate-hygiene", true),
         ("crates/legacy/src/lib.rs", 5, "bad-directive", false),
@@ -45,16 +46,16 @@ fn every_lint_fires_and_every_suppression_holds() {
         // Runtime crate: one firing and one suppressed instance per
         // lint, plus the missing `deny(deprecated)` attribute.
         ("crates/runtime/src/lib.rs", 1, "crate-hygiene", false),
-        ("crates/runtime/src/lib.rs", 7, "nondet-iter", false),
-        ("crates/runtime/src/lib.rs", 9, "nondet-iter", true),
-        ("crates/runtime/src/lib.rs", 12, "wall-clock-in-sim", false),
-        ("crates/runtime/src/lib.rs", 14, "wall-clock-in-sim", true),
-        ("crates/runtime/src/lib.rs", 18, "panic-in-lib", false),
-        ("crates/runtime/src/lib.rs", 20, "panic-in-lib", true),
-        ("crates/runtime/src/lib.rs", 25, "schema-registry", false),
-        ("crates/runtime/src/lib.rs", 27, "schema-registry", true),
-        ("crates/runtime/src/lib.rs", 29, "env-registry", false),
-        ("crates/runtime/src/lib.rs", 31, "env-registry", true),
+        ("crates/runtime/src/lib.rs", 8, "nondet-iter", false),
+        ("crates/runtime/src/lib.rs", 10, "nondet-iter", true),
+        ("crates/runtime/src/lib.rs", 13, "wall-clock-in-sim", false),
+        ("crates/runtime/src/lib.rs", 15, "wall-clock-in-sim", true),
+        ("crates/runtime/src/lib.rs", 19, "panic-in-lib", false),
+        ("crates/runtime/src/lib.rs", 21, "panic-in-lib", true),
+        ("crates/runtime/src/lib.rs", 26, "schema-registry", false),
+        ("crates/runtime/src/lib.rs", 28, "schema-registry", true),
+        ("crates/runtime/src/lib.rs", 30, "env-registry", false),
+        ("crates/runtime/src/lib.rs", 32, "env-registry", true),
         // Scheduler-component module: the crate-level `runtime` scope
         // covers `sched.rs` with no lint-config change — a `HashMap`
         // inside a component fires, and its tick path's panics fire.
@@ -126,7 +127,7 @@ fn out_of_scope_constructs_stay_silent() {
         .findings
         .iter()
         .filter(|f| f.file.ends_with("runtime/src/lib.rs"))
-        .all(|f| f.line < 35));
+        .all(|f| f.line < 36));
 
     // Same exemption inside the scheduler-component fixture: its test
     // module's HashMap and panic stay silent.

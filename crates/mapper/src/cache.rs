@@ -189,12 +189,6 @@ impl PlanCache {
             layer_misses: self.layer_misses.load(Ordering::Relaxed),
         }
     }
-
-    /// Number of whole-model mappings held.
-    pub fn models_cached(&self) -> usize {
-        // camdn-lint: allow(panic-in-lib, reason = "Mutex poisoning only follows a panic on another thread; propagating it would mask that panic")
-        self.models.lock().expect("plan cache lock").len()
-    }
 }
 
 #[cfg(test)]

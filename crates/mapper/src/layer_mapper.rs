@@ -73,12 +73,6 @@ pub struct ModelMapping {
 }
 
 impl ModelMapping {
-    /// Total estimated cycles across layers assuming the zero-page
-    /// candidates (worst case).
-    pub fn worst_case_cycles(&self) -> Cycle {
-        self.mcts.iter().map(|m| m.lwm[0].est_cycles).sum()
-    }
-
     /// Largest `pneed` over all candidates (peak page demand).
     pub fn peak_pages(&self) -> u32 {
         self.mcts

@@ -1,6 +1,6 @@
 //! Whole-model description and aggregate statistics.
 
-use crate::layer::{Layer, WeightClass};
+use crate::layer::Layer;
 use serde::{Deserialize, Serialize};
 
 /// Application domain, per Table I.
@@ -97,13 +97,6 @@ impl Model {
         } else {
             i / (w + i)
         }
-    }
-
-    /// True if any layer's weight operand is an activation (transformers).
-    pub fn has_activation_matmuls(&self) -> bool {
-        self.layers
-            .iter()
-            .any(|l| l.weight_class == WeightClass::Activation)
     }
 }
 

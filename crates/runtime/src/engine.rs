@@ -80,11 +80,6 @@ impl PolicyKind {
         PolicyKind::CamdnFull,
     ];
 
-    /// True for the two CaMDN variants (NPU-controlled cache).
-    pub fn is_camdn(&self) -> bool {
-        matches!(self, PolicyKind::CamdnHwOnly | PolicyKind::CamdnFull)
-    }
-
     /// Display label used by the experiment harness.
     pub fn label(&self) -> &'static str {
         match self {

@@ -303,25 +303,6 @@ pub struct RunDetail {
     pub queue_depth: Vec<QueueSample>,
 }
 
-impl RunDetail {
-    /// Rough heap footprint of this detail block, used by the sweep
-    /// layer's per-grid memory budget.
-    pub fn approx_bytes(&self) -> u64 {
-        let tasks: u64 = self
-            .tasks
-            .iter()
-            .map(|t| (std::mem::size_of::<TaskSummary>() + t.abbr.len()) as u64)
-            .sum();
-        let hist = self
-            .latency_hist
-            .as_ref()
-            .map(|h| 8 * (h.edges().len() + h.counts().len()) as u64)
-            .unwrap_or(0);
-        let queue = (self.queue_depth.len() * std::mem::size_of::<QueueSample>()) as u64;
-        std::mem::size_of::<RunDetail>() as u64 + tasks + hist + queue
-    }
-}
-
 /// Everything one engine run produces: the policy label, the compact
 /// [`RunSummary`], and — when the builder asked for it — a
 /// [`RunDetail`].
@@ -378,22 +359,6 @@ mod tests {
                 dropped_inferences: 0,
             },
             detail,
-        }
-    }
-
-    fn one_task_detail() -> RunDetail {
-        RunDetail {
-            tasks: vec![TaskSummary {
-                abbr: "MB".into(),
-                qos_ms: 10.0,
-                inferences: 2,
-                mean_latency_ms: 1.25,
-                mean_dram_mb: 3.5,
-                sla_rate: 1.0,
-                shed: 0,
-            }],
-            latency_hist: None,
-            queue_depth: Vec::new(),
         }
     }
 
@@ -473,16 +438,5 @@ mod tests {
         // Empty parts normalize to the canonical empty tail.
         let empty = LatencyTail::from_parts([0; LATENCY_HIST_BUCKETS], 7, 9);
         assert_eq!(empty, LatencyTail::new());
-    }
-
-    #[test]
-    fn approx_bytes_tracks_task_count() {
-        let one = one_task_detail().approx_bytes();
-        let mut two = one_task_detail();
-        two.tasks.push(two.tasks[0].clone());
-        assert!(two.approx_bytes() > one);
-        let mut full = one_task_detail();
-        full.latency_hist = Some(Histogram::new(&LATENCY_HIST_EDGES));
-        assert!(full.approx_bytes() > one);
     }
 }

@@ -26,16 +26,12 @@
 //!   changes.
 //! * **streaming collection** — finished cells are pushed into a
 //!   [`CellSink`] the moment they complete. The in-memory sink backs
-//!   [`SweepBuilder::run`] (summary-only cells by default, with an
-//!   optional per-grid [`memory_budget_bytes`] on retained detail);
+//!   [`SweepBuilder::run`] (summary-only cells by default);
 //!   [`SweepBuilder::run_streamed`] additionally writes a
 //!   `camdn-sweep-cells/3` JSONL log (summary scalars *and* the
 //!   compact latency-tail histogram), one flushed line per cell, which
 //!   [`SweepBuilder::resume`] uses to skip already-recorded
-//!   coordinates after a kill (logs written by the older
-//!   `camdn-sweep-cells/1` and `/2` schemas are still accepted —
-//!   their cells resume with zeroed missing fields); [`SeedAggregate`]
-//!   folds the seeds
+//!   coordinates after a kill; [`SeedAggregate`] folds the seeds
 //!   axis into mean / stddev / 95% confidence intervals and pools the
 //!   per-seed latency tails by histogram merge, so per-coordinate
 //!   percentiles come from the pooled samples. Custom sinks plug in
@@ -73,7 +69,6 @@
 //! needs per-task tables).
 //!
 //! [`Simulation::builder`]: camdn_runtime::Simulation::builder
-//! [`memory_budget_bytes`]: SweepBuilder::memory_budget_bytes
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
@@ -87,7 +82,7 @@ mod sink;
 pub use exec::{run_cells, run_cells_into, CellRun};
 pub use sink::{
     CellOutcome, CellSink, JsonlSink, MemorySink, MetricStats, SeedAggregate, SeedStats,
-    CELLS_SCHEMA, CELLS_SCHEMA_V1, CELLS_SCHEMA_V2,
+    CELLS_SCHEMA,
 };
 
 use camdn_common::config::SocConfig;
@@ -155,7 +150,6 @@ impl Sweep {
             threads: None,
             shared_plan_cache: true,
             detail: DetailLevel::Summary,
-            memory_budget: None,
         }
     }
 }
@@ -178,7 +172,6 @@ pub struct SweepBuilder {
     threads: Option<usize>,
     shared_plan_cache: bool,
     detail: DetailLevel,
-    memory_budget: Option<u64>,
 }
 
 impl SweepBuilder {
@@ -353,17 +346,6 @@ impl SweepBuilder {
         self
     }
 
-    /// Caps the bytes the in-memory result spends on per-cell
-    /// [`RunDetail`](camdn_runtime::RunDetail) blocks. Cells finishing
-    /// after the budget is exhausted are downgraded to their summary
-    /// ([`SweepResult::detail_dropped`] counts them); summaries are
-    /// never dropped. Which cells keep detail depends on completion
-    /// order — aggregates over summaries stay deterministic.
-    pub fn memory_budget_bytes(mut self, bytes: u64) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
     /// Expands the cross-product and executes every cell into the
     /// in-memory sink.
     ///
@@ -374,9 +356,8 @@ impl SweepBuilder {
     /// when the grid itself is malformed (no workload axis); per-cell
     /// failures land in their cell's [`SweepCell::outcome`].
     pub fn run(self) -> Result<SweepResult, EngineError> {
-        let budget = self.memory_budget;
         let prepared = self.prepare()?;
-        let mut memory = MemorySink::new(prepared.axes.clone(), budget);
+        let mut memory = MemorySink::new(prepared.axes.clone());
         let info = prepared.execute(&mut memory, &BTreeSet::new())?;
         Ok(assemble(info, memory))
     }
@@ -390,12 +371,11 @@ impl SweepBuilder {
     /// returned [`SweepResult`] is identical cell-for-cell to what
     /// [`SweepBuilder::run`] returns.
     pub fn run_streamed(self, path: impl AsRef<Path>) -> Result<SweepResult, EngineError> {
-        let budget = self.memory_budget;
         let prepared = self.prepare()?;
         let jsonl = JsonlSink::create(path, &prepared.axes).map_err(|e| EngineError::Io {
             detail: e.to_string(),
         })?;
-        let mut memory = MemorySink::new(prepared.axes.clone(), budget);
+        let mut memory = MemorySink::new(prepared.axes.clone());
         let mut tee = Tee {
             jsonl,
             inner: &mut memory,
@@ -419,10 +399,9 @@ impl SweepBuilder {
         if !path.exists() {
             return self.run_streamed(path);
         }
-        let budget = self.memory_budget;
         let prepared = self.prepare()?;
         let recorded = sink::read_recorded(path, &prepared.axes)?;
-        let mut memory = MemorySink::new(prepared.axes.clone(), budget);
+        let mut memory = MemorySink::new(prepared.axes.clone());
         // Rewrite the log before continuing: header + the valid
         // recorded lines. This compacts away error cells (about to
         // re-run) and a torn final line a kill may have left behind —
@@ -711,14 +690,12 @@ pub struct SweepInfo {
 }
 
 fn assemble(info: SweepInfo, memory: MemorySink) -> SweepResult {
-    let (cells, detail_dropped) = memory.into_cells();
     SweepResult {
         axes: info.axes,
-        cells,
+        cells: memory.into_cells(),
         threads: info.threads,
         wall_s: info.wall_s,
         plan_cache: info.plan_cache,
-        detail_dropped,
         cells_resumed: info.cells_total - info.cells_run,
     }
 }
@@ -928,9 +905,6 @@ pub struct SweepResult {
     /// Hit/miss statistics of the shared mapping-plan cache (`None`
     /// when it was disabled).
     pub plan_cache: Option<PlanCacheStats>,
-    /// Cells whose [`RunDetail`](camdn_runtime::RunDetail) was dropped
-    /// to honor [`SweepBuilder::memory_budget_bytes`].
-    pub detail_dropped: usize,
     /// Cells served from a resumed JSONL log instead of re-running.
     pub cells_resumed: usize,
 }
@@ -1091,45 +1065,6 @@ mod tests {
             r.cells[1].outcome.as_ref().err(),
             Some(&EngineError::UnknownPolicy("no-such-policy".into()))
         );
-    }
-
-    #[test]
-    fn memory_budget_zero_drops_every_detail_block() {
-        let r = Sweep::grid()
-            .workload("w", one_model())
-            .seeds([1, 2, 3])
-            .detail(DetailLevel::Tasks)
-            .memory_budget_bytes(0)
-            .run()
-            .unwrap();
-        assert_eq!(r.detail_dropped, 3);
-        assert!(r
-            .cells
-            .iter()
-            .all(|c| c.outcome.as_ref().unwrap().detail.is_none()));
-        // Summaries survive the downgrade untouched.
-        let serial = Simulation::builder()
-            .workload(one_model())
-            .seed(1)
-            .run()
-            .unwrap();
-        assert_eq!(r.cells[0].outcome.as_ref().unwrap().summary, serial.summary);
-    }
-
-    #[test]
-    fn generous_memory_budget_keeps_all_detail() {
-        let r = Sweep::grid()
-            .workload("w", one_model())
-            .seeds([1, 2])
-            .detail(DetailLevel::Tasks)
-            .memory_budget_bytes(1 << 20)
-            .run()
-            .unwrap();
-        assert_eq!(r.detail_dropped, 0);
-        assert!(r
-            .cells
-            .iter()
-            .all(|c| c.outcome.as_ref().unwrap().detail.is_some()));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   percentiles come from the pooled samples — the multi-seed
 //!   statistics the scaling studies report.
 
-use crate::jsonl::{esc, jnum, parse_flat_object, JsonVal};
+use crate::jsonl::{esc, field, jnum, parse_flat_object, JsonVal};
 use crate::{CellCoord, SweepAxes, SweepCell};
 use camdn_common::stats::Welford;
 use camdn_runtime::{
@@ -56,59 +56,31 @@ pub trait CellSink: Send {
 // In-memory sink
 // ------------------------------------------------------------------
 
-/// Collects cells into row-major order for a [`SweepResult`], bounding
-/// the memory spent on per-cell [`RunDetail`](camdn_runtime::RunDetail)
-/// blocks.
-///
-/// When a `memory_budget_bytes` is set and a cell's detail would push
-/// the running total past it, that cell is downgraded to its summary
-/// (the detail block is dropped; the summary is never touched). Which
-/// cells are downgraded depends on completion order; summaries — and
-/// therefore every aggregate a study reads — are deterministic
-/// regardless.
+/// Collects cells into row-major order for a [`SweepResult`].
 ///
 /// [`SweepResult`]: crate::SweepResult
 #[derive(Debug)]
 pub struct MemorySink {
     axes: SweepAxes,
     cells: Vec<Option<SweepCell>>,
-    budget: Option<u64>,
-    detail_bytes: u64,
-    detail_dropped: usize,
 }
 
 impl MemorySink {
     /// Creates a sink for a grid with the given axes (one slot per
-    /// coordinate of the cross-product) and optional detail budget.
-    pub fn new(axes: SweepAxes, memory_budget_bytes: Option<u64>) -> Self {
+    /// coordinate of the cross-product).
+    pub fn new(axes: SweepAxes) -> Self {
         let slots = axes.cell_count();
         MemorySink {
             axes,
             cells: (0..slots).map(|_| None).collect(),
-            budget: memory_budget_bytes,
-            detail_bytes: 0,
-            detail_dropped: 0,
         }
     }
 
-    /// Detail bytes currently retained.
-    pub fn detail_bytes(&self) -> u64 {
-        self.detail_bytes
-    }
-
-    /// Cells whose detail was dropped to honor the budget.
-    pub fn detail_dropped(&self) -> usize {
-        self.detail_dropped
-    }
-
     /// Consumes the sink: the cells in row-major order (missing slots —
-    /// a cell the executor never delivered — become structured errors)
-    /// plus the number of detail blocks dropped for the budget.
-    pub fn into_cells(self) -> (Vec<SweepCell>, usize) {
-        let dropped = self.detail_dropped;
+    /// a cell the executor never delivered — become structured errors).
+    pub fn into_cells(self) -> Vec<SweepCell> {
         let axes = self.axes;
-        let cells = self
-            .cells
+        self.cells
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
@@ -120,24 +92,12 @@ impl MemorySink {
                     wall_s: 0.0,
                 })
             })
-            .collect();
-        (cells, dropped)
+            .collect()
     }
 }
 
 impl CellSink for MemorySink {
-    fn on_cell(&mut self, coord: CellCoord, mut outcome: CellOutcome) {
-        if let Ok(run) = &mut outcome.outcome {
-            if let (Some(budget), Some(detail)) = (self.budget, run.detail.as_ref()) {
-                let bytes = detail.approx_bytes();
-                if self.detail_bytes + bytes > budget {
-                    run.detail = None;
-                    self.detail_dropped += 1;
-                } else {
-                    self.detail_bytes += bytes;
-                }
-            }
-        }
+    fn on_cell(&mut self, coord: CellCoord, outcome: CellOutcome) {
         let idx = self.axes.index_of(&coord);
         self.cells[idx] = Some(SweepCell {
             coord,
@@ -169,16 +129,9 @@ impl CellSink for MemorySink {
 /// including its [`LatencyTail`] (integer bucket counts + min/max
 /// cycles) — bit-for-bit.
 ///
-/// Logs written by the previous schemas are still accepted by
-/// [`SweepBuilder::resume`](crate::SweepBuilder::resume) when the
-/// axes they could not express are the unset defaults:
-/// `camdn-sweep-cells/2` (no fault axis, no fault counters) when the
-/// fault axis is the `"none"` singleton — its cells resume with
-/// zeroed counters — and `camdn-sweep-cells/1` (additionally no
-/// channel axis, no latency tail) when the channel axis is also the
-/// unset default — its cells resume with an *empty* tail
-/// (percentiles read 0.0). Either way the rewritten log is upgraded
-/// to `/3`.
+/// [`SweepBuilder::resume`](crate::SweepBuilder::resume) reads only
+/// this schema: a log written under an older `camdn-sweep-cells`
+/// version is an [`EngineError::InvalidConfig`] that names it.
 #[derive(Debug)]
 pub struct JsonlSink {
     file: std::fs::File,
@@ -188,28 +141,6 @@ pub struct JsonlSink {
 
 /// Schema identifier of the cell-log header line.
 pub const CELLS_SCHEMA: &str = "camdn-sweep-cells/3";
-
-/// Previous cell-log schema (no fault axis or fault counters); still
-/// accepted on resume.
-pub const CELLS_SCHEMA_V2: &str = "camdn-sweep-cells/2";
-
-/// Oldest cell-log schema (summary scalars only, no channel axis);
-/// still accepted on resume.
-pub const CELLS_SCHEMA_V1: &str = "camdn-sweep-cells/1";
-
-/// Which writer produced a cell log being resumed (detected from its
-/// header line).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LogVersion {
-    /// `camdn-sweep-cells/1`: no channel coordinate, no latency tail,
-    /// no fault coordinate or counters.
-    V1,
-    /// `camdn-sweep-cells/2`: channel + tail, but no fault coordinate
-    /// or counters.
-    V2,
-    /// The current schema.
-    V3,
-}
 
 impl JsonlSink {
     /// Creates (truncates) the log at `path` and writes the header line
@@ -315,50 +246,6 @@ pub(crate) fn header_line(axes: &SweepAxes) -> String {
     )
 }
 
-/// The header line the retired `camdn-sweep-cells/2` schema wrote for
-/// these axes (no fault axis) — used to accept old logs on resume.
-/// Only meaningful when the grid's fault axis is the unset singleton,
-/// since a v2 grid could not express one.
-pub(crate) fn header_line_v2(axes: &SweepAxes) -> String {
-    let seeds: Vec<String> = axes.seeds.iter().map(u64::to_string).collect();
-    let edges: Vec<String> = LATENCY_HIST_EDGES.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"schema\": \"{}\", \"policies\": {}, \"socs\": {}, \"caches\": {}, \
-         \"channels\": {}, \"workloads\": {}, \"qos\": {}, \"lookaheads\": {}, \
-         \"seeds\": [{}], \"hist_edges\": [{}]}}",
-        CELLS_SCHEMA_V2,
-        crate::report::str_array(&axes.policies),
-        crate::report::str_array(&axes.socs),
-        crate::report::str_array(&axes.caches),
-        crate::report::str_array(&axes.channels),
-        crate::report::str_array(&axes.workloads),
-        crate::report::str_array(&axes.qos),
-        crate::report::str_array(&axes.lookaheads),
-        seeds.join(", "),
-        edges.join(", "),
-    )
-}
-
-/// The header line the retired `camdn-sweep-cells/1` schema wrote for
-/// these axes (no channel axis, no histogram edges) — used to accept
-/// old logs on resume. Only meaningful when the grid's channel axis is
-/// the unset singleton, since a v1 grid could not express one.
-pub(crate) fn header_line_v1(axes: &SweepAxes) -> String {
-    let seeds: Vec<String> = axes.seeds.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"schema\": \"{}\", \"policies\": {}, \"socs\": {}, \"caches\": {}, \
-         \"workloads\": {}, \"qos\": {}, \"lookaheads\": {}, \"seeds\": [{}]}}",
-        CELLS_SCHEMA_V1,
-        crate::report::str_array(&axes.policies),
-        crate::report::str_array(&axes.socs),
-        crate::report::str_array(&axes.caches),
-        crate::report::str_array(&axes.workloads),
-        crate::report::str_array(&axes.qos),
-        crate::report::str_array(&axes.lookaheads),
-        seeds.join(", "),
-    )
-}
-
 /// One cell as a JSONL line (no trailing newline).
 pub(crate) fn cell_line(coord: CellCoord, outcome: &CellOutcome) -> String {
     let mut s = String::with_capacity(384);
@@ -424,13 +311,8 @@ pub(crate) fn cell_line(coord: CellCoord, outcome: &CellOutcome) -> String {
 /// Reads the successfully recorded cells of a log, validating that its
 /// header matches `axes` (a log from a different grid must not be
 /// silently merged). Error cells and torn trailing lines are skipped —
-/// resume re-runs them.
-///
-/// A header in a retired format is accepted when the axes it could
-/// not express are the unset defaults: `/2` needs the fault axis to
-/// be the `"none"` singleton, `/1` additionally needs the channel
-/// axis to be the unset singleton. Their cells parse with zeroed
-/// fault counters (and, for `/1`, an empty latency tail).
+/// resume re-runs them. A log under another schema version is an
+/// error that names its schema.
 pub(crate) fn read_recorded(
     path: impl AsRef<Path>,
     axes: &SweepAxes,
@@ -441,25 +323,27 @@ pub(crate) fn read_recorded(
     })?;
     let mut lines = text.lines();
     let header = lines.next().unwrap_or("").trim();
-    let no_fault_axis = axes.faults == ["none"];
-    let version = if header == header_line(axes) {
-        LogVersion::V3
-    } else if header == header_line_v2(axes) && no_fault_axis {
-        LogVersion::V2
-    } else if header == header_line_v1(axes) && no_fault_axis && axes.channels == ["default"] {
-        LogVersion::V1
-    } else {
-        return Err(EngineError::InvalidConfig(format!(
-            "{} belongs to a different grid (axes header mismatch); \
-             delete it or point the sweep elsewhere",
-            path.display()
-        )));
-    };
+    if header != header_line(axes) {
+        let schema = parse_flat_object(header)
+            .and_then(|fields| Some(field(&fields, "schema")?.as_str()?.to_owned()));
+        return Err(EngineError::InvalidConfig(match schema {
+            Some(schema) if schema != CELLS_SCHEMA => format!(
+                "{} is a {schema} log, and resume reads only {CELLS_SCHEMA} logs; \
+                 delete it or point the sweep elsewhere",
+                path.display()
+            ),
+            _ => format!(
+                "{} belongs to a different grid (axes header mismatch); \
+                 delete it or point the sweep elsewhere",
+                path.display()
+            ),
+        }));
+    }
     let mut out = Vec::new();
     for line in lines {
         // A torn final line (killed mid-write) parses as None: skip it
         // and let the cell re-run.
-        if let Some(cell) = parse_cell_line(line, axes, version) {
+        if let Some(cell) = parse_cell_line(line, axes) {
             out.push(cell);
         }
     }
@@ -468,34 +352,19 @@ pub(crate) fn read_recorded(
 
 /// Parses one cell line back into its coordinate + summary-only
 /// [`RunOutput`] + recorded wall seconds. `None` for error cells,
-/// malformed (torn) lines, or out-of-range coordinates. Pre-`/3`
-/// lines have no fault coordinate (it reads 0) and no fault counters
-/// (they read 0); `/1` lines additionally have no channel coordinate
-/// and no latency tail (it reads empty).
-fn parse_cell_line(
-    line: &str,
-    axes: &SweepAxes,
-    version: LogVersion,
-) -> Option<(CellCoord, RunOutput, f64)> {
+/// malformed (torn) lines, or out-of-range coordinates.
+fn parse_cell_line(line: &str, axes: &SweepAxes) -> Option<(CellCoord, RunOutput, f64)> {
     let fields = parse_flat_object(line)?;
     let num = |key: &str| fields.iter().find(|(k, _)| k.as_str() == key)?.1.as_f64();
     let coord = CellCoord {
         policy: num("policy")? as usize,
         soc: num("soc")? as usize,
         cache: num("cache")? as usize,
-        channel: if version == LogVersion::V1 {
-            0
-        } else {
-            num("channel")? as usize
-        },
+        channel: num("channel")? as usize,
         workload: num("workload")? as usize,
         qos: num("qos")? as usize,
         lookahead: num("lookahead")? as usize,
-        fault: if version == LogVersion::V3 {
-            num("fault")? as usize
-        } else {
-            0
-        },
+        fault: num("fault")? as usize,
         seed: num("seed")? as usize,
     };
     if !axes.contains(&coord) {
@@ -518,28 +387,19 @@ fn parse_cell_line(
         JsonVal::Num(s) => s.parse::<u64>().ok(),
         _ => None,
     };
-    let latency_tail = if version == LogVersion::V1 {
-        LatencyTail::new()
-    } else {
-        let counts_field = &fields.iter().find(|(k, _)| k.as_str() == "lat_counts")?.1;
-        let raw = match counts_field {
-            JsonVal::Arr(items) => items,
-            _ => return None,
-        };
-        if raw.len() != LATENCY_HIST_BUCKETS {
-            return None;
-        }
-        let mut counts = [0u64; LATENCY_HIST_BUCKETS];
-        for (slot, item) in counts.iter_mut().zip(raw) {
-            *slot = item.parse().ok()?;
-        }
-        LatencyTail::from_parts(counts, int("lat_min_cycles")?, int("lat_max_cycles")?)
+    let raw = match &fields.iter().find(|(k, _)| k.as_str() == "lat_counts")?.1 {
+        JsonVal::Arr(items) => items,
+        _ => return None,
     };
-    // Fault counters: required in /3 lines, absent (zero) before.
-    let counter = |key: &str| match version {
-        LogVersion::V3 => int(key),
-        LogVersion::V1 | LogVersion::V2 => Some(0),
-    };
+    if raw.len() != LATENCY_HIST_BUCKETS {
+        return None;
+    }
+    let mut counts = [0u64; LATENCY_HIST_BUCKETS];
+    for (slot, item) in counts.iter_mut().zip(raw) {
+        *slot = item.parse().ok()?;
+    }
+    let latency_tail =
+        LatencyTail::from_parts(counts, int("lat_min_cycles")?, int("lat_max_cycles")?);
     let summary = RunSummary {
         tasks: num("tasks")? as usize,
         inferences: num("inferences")? as usize,
@@ -549,9 +409,9 @@ fn parse_cell_line(
         makespan_ms: num("makespan_ms")?,
         sla_rate: num("sla_rate")?,
         multicast_saved_mb: num("multicast_saved_mb")?,
-        shed_requests: counter("shed_requests")?,
-        retried_inferences: counter("retried_inferences")?,
-        dropped_inferences: counter("dropped_inferences")?,
+        shed_requests: int("shed_requests")?,
+        retried_inferences: int("retried_inferences")?,
+        dropped_inferences: int("dropped_inferences")?,
         latency_tail,
     };
     Some((
@@ -913,7 +773,7 @@ mod tests {
                 wall_s: 0.015625,
             },
         );
-        let (pc, prun, wall) = parse_cell_line(&line, &axes, LogVersion::V3).expect("line parses");
+        let (pc, prun, wall) = parse_cell_line(&line, &axes).expect("line parses");
         assert_eq!(pc, c);
         assert_eq!(prun, run, "summary must roundtrip bit-for-bit");
         assert_eq!(
@@ -931,15 +791,15 @@ mod tests {
                 wall_s: 0.0,
             },
         );
-        assert!(parse_cell_line(&err_line, &axes, LogVersion::V3).is_none());
+        assert!(parse_cell_line(&err_line, &axes).is_none());
         // Torn lines (killed mid-write) are skipped, not fatal.
-        assert!(parse_cell_line(&line[..line.len() / 2], &axes, LogVersion::V3).is_none());
+        assert!(parse_cell_line(&line[..line.len() / 2], &axes).is_none());
         // Out-of-range coordinates (a log from a bigger grid) too.
         let small = SweepAxes {
             caches: vec!["default".into()],
             ..axes.clone()
         };
-        assert!(parse_cell_line(&line, &small, LogVersion::V3).is_none());
+        assert!(parse_cell_line(&line, &small).is_none());
         // Non-finite values serialize as JSON null (never `NaN`/`inf`),
         // which the reader skips — the cell re-runs instead of
         // poisoning the log.
@@ -955,60 +815,39 @@ mod tests {
         assert!(weird_line.contains("\"avg_latency_ms\": null"));
         assert!(weird_line.contains("\"wall_s\": null"));
         assert!(!weird_line.contains(": NaN") && !weird_line.contains(": inf"));
-        assert!(parse_cell_line(&weird_line, &axes, LogVersion::V3).is_none());
+        assert!(parse_cell_line(&weird_line, &axes).is_none());
     }
 
     #[test]
-    fn v1_cell_lines_parse_with_an_empty_tail() {
-        // A line in the exact format the camdn-sweep-cells/1 writer
-        // produced: no channel coordinate, no latency-tail fields.
+    fn old_schema_logs_are_rejected_by_name() {
+        // Headers in the retired `/1` and `/2` formats: resume must
+        // name the old schema, not merge the cells or call the log
+        // another grid's.
         let axes = roundtrip_axes();
-        let line = "{\"policy\": 1, \"soc\": 0, \"cache\": 2, \"workload\": 0, \"qos\": 0, \
-                    \"lookahead\": 0, \"seed\": 1, \"wall_s\": 0.25, \"ok\": true, \
-                    \"label\": \"Baseline\", \"tasks\": 2, \"inferences\": 4, \
-                    \"cache_hit_rate\": 0.5, \"avg_latency_ms\": 3.5, \
-                    \"mem_mb_per_model\": 1.25, \"makespan_ms\": 10.5, \"sla_rate\": 1, \
-                    \"multicast_saved_mb\": 0}";
-        // In v3 mode the line is rejected (no channel/tail fields)...
-        assert!(parse_cell_line(line, &axes, LogVersion::V3).is_none());
-        // ...in v1 mode it parses: channel reads 0, the tail is empty,
-        // the fault counters read 0.
-        let (c, run, wall) = parse_cell_line(line, &axes, LogVersion::V1).expect("v1 line parses");
-        assert_eq!(c, coord(1));
-        assert_eq!(wall, 0.25);
-        assert_eq!(run.summary.avg_latency_ms, 3.5);
-        assert_eq!(run.summary.shed_requests, 0);
-        assert_eq!(run.summary.latency_tail, LatencyTail::new());
-        assert_eq!(run.summary.latency_tail.p99_ms(), 0.0);
-    }
-
-    #[test]
-    fn v2_cell_lines_parse_with_zeroed_fault_counters() {
-        // A line in the exact format the camdn-sweep-cells/2 writer
-        // produced: channel + latency tail, but no fault coordinate
-        // and no fault counters.
-        let axes = roundtrip_axes();
-        let counts = vec!["0"; LATENCY_HIST_BUCKETS].join(", ");
-        let line = format!(
-            "{{\"policy\": 1, \"soc\": 0, \"cache\": 2, \"channel\": 0, \"workload\": 0, \
-             \"qos\": 0, \"lookahead\": 0, \"seed\": 1, \"wall_s\": 0.25, \"ok\": true, \
-             \"label\": \"Baseline\", \"tasks\": 2, \"inferences\": 4, \
-             \"cache_hit_rate\": 0.5, \"avg_latency_ms\": 3.5, \
-             \"mem_mb_per_model\": 1.25, \"makespan_ms\": 10.5, \"sla_rate\": 1, \
-             \"multicast_saved_mb\": 0, \"p50_ms\": 0, \"p90_ms\": 0, \"p95_ms\": 0, \
-             \"p99_ms\": 0, \"p999_ms\": 0, \"lat_counts\": [{counts}], \
-             \"lat_min_cycles\": 0, \"lat_max_cycles\": 0}}"
-        );
-        // In v3 mode the line is rejected (no fault coordinate)...
-        assert!(parse_cell_line(&line, &axes, LogVersion::V3).is_none());
-        // ...in v2 mode it parses with fault 0 and zeroed counters.
-        let (c, run, wall) = parse_cell_line(&line, &axes, LogVersion::V2).expect("v2 line parses");
-        assert_eq!(c, coord(1));
-        assert_eq!(wall, 0.25);
-        assert_eq!(run.summary.avg_latency_ms, 3.5);
-        assert_eq!(run.summary.shed_requests, 0);
-        assert_eq!(run.summary.retried_inferences, 0);
-        assert_eq!(run.summary.dropped_inferences, 0);
+        let current = header_line(&axes);
+        let v2 = current
+            .replace(CELLS_SCHEMA, "camdn-sweep-cells/2")
+            .replace(" \"faults\": [\"none\"],", "");
+        let v1 = "{\"schema\": \"camdn-sweep-cells/1\", \"policies\": [\"Baseline\"], \
+                  \"socs\": [\"paper\"], \"caches\": [\"default\"], \"workloads\": [\"w\"], \
+                  \"qos\": [\"closed\"], \"lookaheads\": [\"default\"], \"seeds\": [1, 2]}";
+        let path = std::env::temp_dir().join(format!(
+            "camdn-sink-old-schema-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        for (header, schema) in [(v1, "camdn-sweep-cells/1"), (&v2, "camdn-sweep-cells/2")] {
+            std::fs::write(&path, format!("{header}\n")).expect("write log");
+            match read_recorded(&path, &axes) {
+                Err(EngineError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&format!("is a {schema} log")), "{msg}");
+                }
+                other => panic!("{schema}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        std::fs::write(&path, format!("{current}\n")).expect("write log");
+        assert_eq!(read_recorded(&path, &axes), Ok(Vec::new()));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -243,19 +243,6 @@ pub struct TenantBurn {
     pub total: u64,
 }
 
-impl TenantBurn {
-    /// Fraction of the tenant's requests that *violated* their SLO in
-    /// this window (the burn rate of an SLO error budget). 0.0 when
-    /// nothing was measured.
-    pub fn burn_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            1.0 - self.met as f64 / self.total as f64
-        }
-    }
-}
-
 /// Everything one replayed window reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowMetrics {
@@ -369,18 +356,6 @@ impl ReplayAggregate {
         } else {
             self.sla_met as f64 / self.sla_total as f64
         }
-    }
-
-    /// Per-tenant burn rates, sorted by tenant id.
-    pub fn tenant_burns(&self) -> Vec<TenantBurn> {
-        self.tenants
-            .iter()
-            .map(|(tenant, &(met, total))| TenantBurn {
-                tenant: tenant.clone(),
-                met,
-                total,
-            })
-            .collect()
     }
 }
 
