@@ -25,7 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use camdn_bench::{quick_mode, speedup_workload};
+use camdn_bench::{cycling_workload, quick_mode};
 use camdn_common::config::SocConfig;
 use camdn_models::zoo;
 use camdn_runtime::{PolicyKind, RunOutput, Simulation, Workload};
@@ -57,7 +57,7 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         // The 16-tenant Section IV-A4 workload on the transparent
         // baseline: every weight tensor streams through the shared
         // cache under full contention — the simulator's hottest regime.
-        speedup_workload()
+        cycling_workload(16)
     };
     let open = if quick {
         Workload::poisson(

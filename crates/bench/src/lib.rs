@@ -1,23 +1,24 @@
 //! Experiment harness: shared helpers for regenerating every table and
 //! figure of the CaMDN paper.
 //!
-//! Each `fig*`/`table*` binary in `src/bin/` reproduces one artifact:
+//! The binaries in `src/bin/`:
 //!
-//! | Binary | Paper artifact |
+//! | Binary | What it runs |
 //! |---|---|
-//! | `fig2_motivation` | Fig. 2: hit rate / memory access / latency vs #DNNs × cache size |
-//! | `fig3_reuse` | Fig. 3: reuse counts and reuse distances |
-//! | `fig7_speedup` | Fig. 7: model-wise speedup over AuRORA |
-//! | `fig8_scaling` | Fig. 8: latency & memory access across scales |
-//! | `fig9_qos` | Fig. 9: SLA / STP / fairness at QoS-H/M/L |
-//! | `table3_area` | Table III: area breakdown |
+//! | `paper` | the paper's artifacts on the paper's own grids, then one paper-vs-here scorecard |
 //! | `sweep` | fig8-style grid through `Sweep::grid()` → `BENCH_sweep.json` |
 //! | `scaling` | rate ramp / tenant / SoC scaling studies → `BENCH_scaling.json` |
 //! | `throughput` | engine throughput, batched vs reference → `BENCH_engine.json` |
 //! | `serve` | trace-driven rate ramp → per-policy SLO knee → `BENCH_serve.json` |
+//! | `chaos` | the `serve` trace under seeded fault schedules → `BENCH_chaos.json` |
+//! | `ablation` | look-ahead, page-size and LBM ablations |
 //!
-//! Set `CAMDN_QUICK=1` to run reduced sweeps (used by CI); see
-//! [`quick_mode`] for the accepted values.
+//! `paper` runs the artifacts named by its arguments (`fig2`, `fig3`,
+//! `fig7`, `fig8`, `fig9`, `table3`, `diag`), or all of them when given
+//! none.
+//!
+//! Set `CAMDN_QUICK=1` to run reduced sweeps in every binary but
+//! `paper` (used by CI); see [`quick_mode`] for the accepted values.
 //!
 //! Grid-shaped experiments run through the
 //! [`camdn_sweep`](../camdn_sweep/index.html) subsystem
@@ -74,26 +75,6 @@ pub fn cycling_workload(n: usize) -> Vec<Model> {
     (0..n).map(|i| zoo[i % zoo.len()].clone()).collect()
 }
 
-/// The 16-tenant speedup workload of Section IV-A4: two instances of
-/// each Table I model, one per NPU.
-pub fn speedup_workload() -> Vec<Model> {
-    let zoo = camdn_models::zoo::all();
-    let mut v = Vec::with_capacity(16);
-    for m in &zoo {
-        v.push(m.clone());
-    }
-    for m in &zoo {
-        v.push(m.clone());
-    }
-    v
-}
-
-/// The 8-tenant QoS workload: one instance of each Table I model on the
-/// 16-NPU SoC (AuRORA-style multi-NPU allocation has headroom).
-pub fn qos_workload() -> Vec<Model> {
-    camdn_models::zoo::all()
-}
-
 /// Runs every model alone under `policy` (closed loop, no QoS) and
 /// returns its mean isolated latency (ms) keyed by abbreviation. Used
 /// for STP/fairness.
@@ -118,27 +99,17 @@ pub fn isolated_latencies(policy: PolicyKind) -> Result<HashMap<String, f64>, En
     Ok(out)
 }
 
-/// Mean latency per model abbreviation over the per-task summaries of
-/// a run (see [`RunOutput::tasks`](camdn_runtime::RunOutput::tasks)).
-pub fn latency_by_model(tasks: &[TaskSummary]) -> HashMap<String, f64> {
+/// Mean of `field` per model abbreviation over the per-task summaries
+/// of a run (see [`RunOutput::tasks`](camdn_runtime::RunOutput::tasks)),
+/// e.g. `|t| t.mean_latency_ms`.
+pub fn mean_by_model(
+    tasks: &[TaskSummary],
+    field: fn(&TaskSummary) -> f64,
+) -> HashMap<String, f64> {
     let mut sums: HashMap<String, (f64, u32)> = HashMap::new();
     for t in tasks {
         let e = sums.entry(t.abbr.clone()).or_insert((0.0, 0));
-        e.0 += t.mean_latency_ms;
-        e.1 += 1;
-    }
-    sums.into_iter()
-        .map(|(k, (s, n))| (k, s / f64::from(n)))
-        .collect()
-}
-
-/// Mean DRAM MB per model abbreviation over the per-task summaries of
-/// a run.
-pub fn dram_by_model(tasks: &[TaskSummary]) -> HashMap<String, f64> {
-    let mut sums: HashMap<String, (f64, u32)> = HashMap::new();
-    for t in tasks {
-        let e = sums.entry(t.abbr.clone()).or_insert((0.0, 0));
-        e.0 += t.mean_dram_mb;
+        e.0 += field(t);
         e.1 += 1;
     }
     sums.into_iter()
@@ -171,11 +142,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The geometric-mean helper re-exported for the binaries.
-pub fn geomean(values: &[f64]) -> f64 {
-    camdn_common::stats::geomean(values)
-}
-
 /// Standard policy set of the speedup/scaling experiments.
 pub fn speedup_policies() -> [PolicyKind; 3] {
     [
@@ -191,8 +157,17 @@ mod tests {
 
     #[test]
     fn workloads_have_expected_shapes() {
-        assert_eq!(speedup_workload().len(), 16);
-        assert_eq!(qos_workload().len(), 8);
+        // Section IV-A4's 16-tenant workload is two instances of each
+        // Table I model; the 8-tenant QoS workload is one of each.
+        let abbrs =
+            |n| -> Vec<String> { cycling_workload(n).into_iter().map(|m| m.abbr).collect() };
+        let zoo: Vec<String> = camdn_models::zoo::all()
+            .into_iter()
+            .map(|m| m.abbr)
+            .collect();
+        assert_eq!(zoo.len(), 8);
+        assert_eq!(abbrs(8), zoo);
+        assert_eq!(abbrs(16), [zoo.clone(), zoo].concat());
     }
 
     #[test]

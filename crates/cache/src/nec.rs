@@ -173,11 +173,6 @@ impl Nec {
         &self.stats
     }
 
-    /// Resets statistics (ownership survives).
-    pub fn reset_stats(&mut self) {
-        self.stats = NecStats::default();
-    }
-
     fn page_slot(&self, pcpn: u32) -> Result<usize, NecError> {
         if pcpn < self.first_pcpn || pcpn >= self.first_pcpn + self.npu_pages {
             return Err(NecError::BadPage { pcpn });

@@ -538,11 +538,6 @@ impl SharedCache {
         &self.stats
     }
 
-    /// Resets statistics (cache contents survive).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Selects the fused per-line reference walk (`true`) or the batched
     /// two-pass walk (`false`, default) for range accesses. Both are
     /// bit-identical; the reference path exists for differential
@@ -989,8 +984,12 @@ impl SharedCache {
 
     /// Reference implementation of [`SharedCache::access_range`]: the
     /// original fused per-line walk, one tag probe and one DRAM burst
-    /// call per line. Kept as the differential baseline.
-    pub fn access_range_reference(
+    /// call per line. Kept as the differential baseline, selected by
+    /// [`SharedCache::set_reference_model`]. Out of line: `access_range`
+    /// is its only caller, and inlining this cold walk there grows the
+    /// batched path's function by ~4 KiB.
+    #[inline(never)]
+    fn access_range_reference(
         &mut self,
         now: Cycle,
         base: PhysAddr,
@@ -1930,6 +1929,18 @@ mod tests {
             CacheConfig {
                 total_bytes: 32 * 1024,
                 ways: 4,
+                npu_ways: 0,
+                slices: 1,
+                line_bytes: 64,
+                page_bytes: 8 * 1024,
+                ..paper
+            },
+            // 16 ways over 128 sets: the paper geometry above sees ~0.4
+            // touches per set, so only this case fills a 16-way set and
+            // checks its victim scan.
+            CacheConfig {
+                total_bytes: 128 * 1024,
+                ways: 16,
                 npu_ways: 0,
                 slices: 1,
                 line_bytes: 64,

@@ -604,9 +604,8 @@ impl DramModel {
     /// bandwidth (fault injection: a browned-out or degraded channel).
     /// `1.0` restores nominal pricing exactly, so a round trip through
     /// degrade-and-restore leaves timing bit-identical. Busy-cycle
-    /// statistics and [`DramModel::unloaded_line_latency`] stay at
-    /// nominal pricing (they are utilization/estimate quantities, not
-    /// timing).
+    /// statistics stay at nominal pricing (they are a utilization
+    /// quantity, not timing).
     ///
     /// # Panics
     ///
@@ -629,12 +628,6 @@ impl DramModel {
     /// Current bandwidth scale of `channel` (1.0 = nominal).
     pub fn channel_bandwidth_scale(&self, channel: usize) -> f64 {
         self.scale_ch[channel]
-    }
-
-    /// Latency of a single line access with no queueing (used for
-    /// analytical latency estimates in the mapper).
-    pub fn unloaded_line_latency(&self) -> Cycle {
-        self.cfg.cas_latency + self.burst_ceil
     }
 
     /// The earliest cycle at which any channel is free (useful to detect
