@@ -18,7 +18,7 @@ use camdn_common::config::{CacheConfig, NpuConfig};
 use camdn_common::stats::geomean;
 use camdn_common::types::MIB;
 use camdn_mapper::MapperConfig;
-use camdn_runtime::{qos_metrics, DetailLevel, PolicyKind, Simulation, Workload};
+use camdn_runtime::{qos_metrics, DetailLevel, PolicyKind, RunOutput, Simulation, Workload};
 use camdn_sweep::{Sweep, SweepBuilder};
 use std::process::ExitCode;
 
@@ -27,7 +27,15 @@ use std::process::ExitCode;
 struct Claim(&'static str, &'static str, String);
 
 /// An artifact: prints its tables and returns its claims.
-type Figure = fn() -> Vec<Claim>;
+type Figure = fn(&mut Shared) -> Vec<Claim>;
+
+/// Runs one artifact leaves for a later one. Fig. 8(b)'s 16-DNN cells
+/// (AuRORA, HW-only and Full over 2 rounds at 16 MiB) are `diag`'s
+/// runs of those policies.
+#[derive(Default)]
+struct Shared {
+    dnn16: Vec<(PolicyKind, RunOutput)>,
+}
 
 const FIGURES: [(&str, Figure); 7] = [
     ("fig2", fig2),
@@ -50,10 +58,11 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let mut rows = Vec::new();
+    let mut shared = Shared::default();
     for (id, figure) in FIGURES {
         if ids.is_empty() || ids.iter().any(|s| s == id) {
             rows.extend(
-                figure()
+                figure(&mut shared)
                     .into_iter()
                     .map(|Claim(id, paper, here)| vec![id.into(), paper.into(), here]),
             );
@@ -81,7 +90,7 @@ fn span(values: &[f64], prec: usize, unit: &str) -> String {
 /// A cell the engine rejects prints `n/a` with its error, and its cache
 /// row is left out of the 32-DNN ranges: 4 MiB × 32 DNNs reaches past
 /// the transparent cache's 16-bit tag lanes (`InvalidConfig`).
-fn fig2() -> Vec<Claim> {
+fn fig2(_: &mut Shared) -> Vec<Claim> {
     const DNNS: [usize; 6] = [1, 2, 4, 8, 16, 32];
     const CACHE_MIBS: [u64; 5] = [4, 8, 16, 32, 64];
 
@@ -203,7 +212,7 @@ fn fig2() -> Vec<Claim> {
 /// Fig. 3: reuse-count and reuse-distance statistics of the benchmark
 /// models on the shared cache (the workload analysis that motivates
 /// bypassing and NPU-controlled retention).
-fn fig3() -> Vec<Claim> {
+fn fig3(_: &mut Shared) -> Vec<Claim> {
     let profiles = profile_zoo(&MapperConfig::paper_default());
     let rows = |fractions: fn(&camdn_analysis::ReuseProfile) -> &[f64]| -> Vec<Vec<String>> {
         profiles
@@ -252,7 +261,7 @@ fn fig3() -> Vec<Claim> {
 /// Fig. 7: model-wise speedup of CaMDN over AuRORA. 16 tenants (two
 /// instances of each Table I model) on the Table II SoC, all NPUs busy,
 /// closed loop.
-fn fig7() -> Vec<Claim> {
+fn fig7(_: &mut Shared) -> Vec<Claim> {
     let grid = Sweep::grid()
         .policies(speedup_policies())
         .workload("16tenant", Workload::closed(cycling_workload(16), 3))
@@ -331,23 +340,30 @@ fn fig7() -> Vec<Claim> {
     ]
 }
 
-/// Runs one Fig. 8 policies × points grid and prints its two tables.
-/// The caller sets the point axis on `grid`, either the cache axis or
-/// the workload axis, with one point per label. Returns the spans of the
-/// latency and the memory-access reductions of CaMDN(Full) over AuRORA.
-fn fig8_sweep(title: &str, labels: &[String], grid: SweepBuilder) -> (String, String) {
+/// Runs one Fig. 8 grid over the speedup policies, with one point
+/// axis of `points` points; returns each point's AuRORA, HW-only and
+/// Full outputs.
+fn fig8_points(grid: SweepBuilder, points: usize) -> Vec<[RunOutput; 3]> {
     let grid = grid.policies(speedup_policies()).run().expect("fig8 grid");
+    let outputs: Vec<RunOutput> = grid
+        .cells
+        .into_iter()
+        .map(|cell| cell.outcome.expect("fig8 cell"))
+        .collect();
+    // Cells are row-major with the policy axis outermost.
+    (0..points)
+        .map(|i| [0, 1, 2].map(|p| outputs[p * points + i].clone()))
+        .collect()
+}
+
+/// Prints one Fig. 8 sweep's two tables, one row per labelled point.
+/// Returns the spans of the latency and the memory-access reductions
+/// of CaMDN(Full) over AuRORA.
+fn fig8_tables(title: &str, labels: &[String], points: &[[RunOutput; 3]]) -> (String, String) {
     let (mut lat_rows, mut mem_rows) = (Vec::new(), Vec::new());
     let (mut lat_reds, mut mem_reds) = (Vec::new(), Vec::new());
-    for (i, label) in labels.iter().enumerate() {
-        // Cells are row-major with the policy axis outermost.
-        let [base, hw, full] = [0, 1, 2].map(|p| {
-            &grid.cells[p * labels.len() + i]
-                .outcome
-                .as_ref()
-                .expect("fig8 cell")
-                .summary
-        });
+    for (label, point) in labels.iter().zip(points) {
+        let [base, hw, full] = point.each_ref().map(|r| &r.summary);
         let lat_red = 100.0 * (1.0 - full.avg_latency_ms / base.avg_latency_ms.max(1e-9));
         let mem_red = 100.0 * (1.0 - full.mem_mb_per_model / base.mem_mb_per_model.max(1e-9));
         lat_reds.push(lat_red);
@@ -392,23 +408,47 @@ fn fig8_sweep(title: &str, labels: &[String], grid: SweepBuilder) -> (String, St
 /// shared-cache capacity 4→64 MiB at 8 co-located DNNs, and (b) the
 /// number of co-located DNNs 1→16 at 16 MiB. The paper gives one range
 /// across both sweeps.
-fn fig8() -> Vec<Claim> {
+///
+/// The sweeps cross at 16 MiB and 8 DNNs, which runs once, in (b).
+/// (b) keeps per-task detail, so `diag` can reuse its 16-DNN cells.
+fn fig8(shared: &mut Shared) -> Vec<Claim> {
     const CACHE_MIBS: [u64; 5] = [4, 8, 16, 32, 64];
     const DNNS: [usize; 5] = [1, 2, 4, 8, 16];
-    let (lat_a, mem_a) = fig8_sweep(
-        "Fig. 8(a) — cache capacity sweep (8 DNNs)",
-        &CACHE_MIBS.map(|mb| format!("{mb}MB")),
-        Sweep::grid()
-            .cache_bytes(CACHE_MIBS.map(|mb| mb * MIB))
-            .workload("8dnn", Workload::closed(cycling_workload(8), 2)),
-    );
-    let (lat_b, mem_b) = fig8_sweep(
-        "Fig. 8(b) — co-located DNN sweep (16 MiB cache)",
-        &DNNS.map(|n| format!("{n} DNNs")),
+    let mut dnn_points = fig8_points(
         Sweep::grid()
             .cache_bytes([16 * MIB])
-            .workloads(DNNS.map(|n| (format!("{n}dnn"), Workload::closed(cycling_workload(n), 2)))),
+            .workloads(DNNS.map(|n| (format!("{n}dnn"), Workload::closed(cycling_workload(n), 2))))
+            .detail(DetailLevel::Tasks),
+        DNNS.len(),
     );
+    let dnns_at = |n| {
+        DNNS.iter()
+            .position(|&m| m == n)
+            .expect("a swept DNN count")
+    };
+    let other_mibs: Vec<u64> = CACHE_MIBS.into_iter().filter(|&mb| mb != 16).collect();
+    let mut cache_points = fig8_points(
+        Sweep::grid()
+            .cache_bytes(other_mibs.iter().map(|mb| mb * MIB))
+            .workload("8dnn", Workload::closed(cycling_workload(8), 2)),
+        other_mibs.len(),
+    );
+    let at16 = CACHE_MIBS.iter().position(|&mb| mb == 16).expect("16 MiB");
+    cache_points.insert(at16, dnn_points[dnns_at(8)].clone());
+    let (lat_a, mem_a) = fig8_tables(
+        "Fig. 8(a) — cache capacity sweep (8 DNNs)",
+        &CACHE_MIBS.map(|mb| format!("{mb}MB")),
+        &cache_points,
+    );
+    let (lat_b, mem_b) = fig8_tables(
+        "Fig. 8(b) — co-located DNN sweep (16 MiB cache)",
+        &DNNS.map(|n| format!("{n} DNNs")),
+        &dnn_points,
+    );
+    shared.dnn16 = speedup_policies()
+        .into_iter()
+        .zip(dnn_points.swap_remove(dnns_at(16)))
+        .collect();
     let (lat_paper, mem_paper) = ("34.3%..42.3%", "16.0%..37.7%");
     vec![
         Claim("fig8a.latency_cut", lat_paper, lat_a),
@@ -423,7 +463,7 @@ fn fig8() -> Vec<Claim> {
 /// = 0.8×, QoS-M = 1.0×, QoS-L = 1.2× the Table I targets), 8 tenants
 /// (one of each Table I model) on the 16-NPU SoC. Each gain is CaMDN's
 /// over the better of MoCA and AuRORA, averaged over the levels.
-fn fig9() -> Vec<Claim> {
+fn fig9(_: &mut Shared) -> Vec<Claim> {
     let workload = cycling_workload(8);
     let levels = [("QoS-H", 0.8), ("QoS-M", 1.0), ("QoS-L", 1.2)];
     let policies = [PolicyKind::Moca, PolicyKind::Aurora, PolicyKind::CamdnFull];
@@ -479,7 +519,7 @@ fn fig9() -> Vec<Claim> {
 /// Table III: area breakdown of the CaMDN architecture at 45 nm, from
 /// the calibrated analytical area model (substituting for the paper's
 /// Synopsys DC + OpenRAM flow).
-fn table3() -> Vec<Claim> {
+fn table3(_: &mut Shared) -> Vec<Claim> {
     let b = area_breakdown(
         &NpuConfig::paper_default(),
         &CacheConfig::paper_default(),
@@ -529,8 +569,9 @@ fn table3() -> Vec<Claim> {
 }
 
 /// Diagnostic run, not a paper figure: the per-policy traffic breakdown
-/// of the 16-tenant Fig. 7 workload.
-fn diag() -> Vec<Claim> {
+/// of the 16-tenant Fig. 7 workload. Fig. 8(b)'s 16-DNN cells are these
+/// runs for AuRORA, HW-only and Full; they are reused when Fig. 8 ran.
+fn diag(shared: &mut Shared) -> Vec<Claim> {
     println!();
     for p in [
         PolicyKind::SharedBaseline,
@@ -538,11 +579,14 @@ fn diag() -> Vec<Claim> {
         PolicyKind::CamdnHwOnly,
         PolicyKind::CamdnFull,
     ] {
-        let r = Simulation::builder()
-            .policy(p)
-            .workload(Workload::closed(cycling_workload(16), 2))
-            .run()
-            .expect("diag run");
+        let r = match shared.dnn16.iter().position(|(q, _)| *q == p) {
+            Some(i) => shared.dnn16.swap_remove(i).1,
+            None => Simulation::builder()
+                .policy(p)
+                .workload(Workload::closed(cycling_workload(16), 2))
+                .run()
+                .expect("diag run"),
+        };
         println!(
             "{:16} hit={:.3} avg_lat={:8.2}ms mem/model={:7.1}MB makespan={:8.1}ms mcast={:6.1}MB",
             p.label(),

@@ -141,3 +141,50 @@ fn open_loop_scenarios_run_every_builtin() {
         );
     }
 }
+
+#[test]
+fn starved_dram_bandwidth_is_a_typed_error_not_a_wrapped_clock() {
+    // The DRAM model keeps time in 64-bit fixed point, 2^44 cycles of
+    // range. Down the bandwidth ladder the makespan grows as 1 /
+    // bandwidth until a run would pass that range; from there on the
+    // run is refused per transfer, and a line burst that does not fit
+    // at all is refused at build time. Before, the horizon wrapped:
+    // makespans pinned at 2^44 cycles, then read a few milliseconds.
+    let run = |bytes_per_cycle: f64| {
+        let mut soc = camdn::common::config::SocConfig::paper_default();
+        soc.dram.bytes_per_cycle = bytes_per_cycle;
+        Simulation::builder()
+            .soc(soc)
+            .policy(PolicyKind::SharedBaseline)
+            .workload(Workload::closed(
+                vec![zoo::mobilenet_v2(), zoo::resnet50()],
+                1,
+            ))
+            .warmup_rounds(0)
+            .run()
+    };
+    let mut last = 0.0;
+    for bw in [1e-3, 1e-4, 1e-5] {
+        let ms = run(bw).expect("a representable run").summary.makespan_ms;
+        if last > 0.0 {
+            let ratio = ms / last;
+            assert!(
+                (9.0..11.0).contains(&ratio),
+                "makespan x{ratio} at {bw} B/cycle"
+            );
+        }
+        last = ms;
+    }
+    for bw in [1e-6, 1e-7, 1e-8, 1e-9] {
+        match run(bw) {
+            Err(EngineError::DramRange { .. }) => {}
+            other => panic!("{bw} B/cycle: expected DramRange, got {other:?}"),
+        }
+    }
+    for bw in [1e-11, 1e-12] {
+        match run(bw) {
+            Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("range"), "{msg}"),
+            other => panic!("{bw} B/cycle: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}

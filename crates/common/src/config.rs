@@ -196,6 +196,10 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
+    /// The longest span of time, in cycles, the DRAM model represents:
+    /// it keeps bus time in 64-bit fixed point at 2^20 ticks per cycle.
+    pub const MAX_HORIZON_CYCLES: u64 = 1 << 44;
+
     /// DRAM configuration from Table II (102.4 GB/s over 4 channels).
     pub fn paper_default() -> Self {
         DramConfig {
@@ -219,10 +223,11 @@ impl DramConfig {
     }
 
     /// Checks the invariants the DRAM model relies on (it divides by
-    /// the channel, bank and row sizes), so callers can reject a bad
+    /// the channel, bank and row sizes, and one `line_bytes` burst must
+    /// fit its fixed-point time), so callers can reject a bad
     /// configuration with an error instead of panicking or pricing
     /// bursts with a meaningless bandwidth.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self, line_bytes: u64) -> Result<(), String> {
         if self.channels == 0 {
             return Err("the DRAM needs at least one channel".into());
         }
@@ -236,6 +241,15 @@ impl DramConfig {
             return Err(format!(
                 "DRAM bandwidth must be positive and finite, got {} bytes/cycle",
                 self.bytes_per_cycle
+            ));
+        }
+        let burst = line_bytes as f64 / self.channel_bytes_per_cycle();
+        if burst >= Self::MAX_HORIZON_CYCLES as f64 {
+            return Err(format!(
+                "one {line_bytes} B line takes {burst:.3e} cycles on a channel at {} bytes/cycle, \
+                 past the DRAM model's {}-cycle range",
+                self.bytes_per_cycle,
+                Self::MAX_HORIZON_CYCLES
             ));
         }
         Ok(())
@@ -348,11 +362,13 @@ mod tests {
         let with = |edit: fn(&mut DramConfig)| {
             let mut c = DramConfig::paper_default();
             edit(&mut c);
-            c.validate()
+            c.validate(64)
         };
         assert!(with(|_| {}).is_ok());
         // Odd but runnable geometry stays legal.
         assert!(with(|c| c.row_bytes = 100).is_ok());
+        // Slow but representable: 2.56e11 cycles per line.
+        assert!(with(|c| c.bytes_per_cycle = 1e-9).is_ok());
         for bad in [
             with(|c| c.channels = 0),
             with(|c| c.banks_per_channel = 0),
@@ -361,6 +377,9 @@ mod tests {
             with(|c| c.bytes_per_cycle = -1.0),
             with(|c| c.bytes_per_cycle = f64::NAN),
             with(|c| c.bytes_per_cycle = f64::INFINITY),
+            // A 64 B line would take 2.56e14 cycles, past the 2^44-cycle
+            // range of the model's fixed-point time.
+            with(|c| c.bytes_per_cycle = 1e-12),
         ] {
             assert!(bad.is_err());
         }

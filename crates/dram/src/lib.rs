@@ -36,7 +36,14 @@
 //! delay the bus again, so the remaining rows are priced in closed
 //! form: one update per bank and one horizon step per channel. A burst
 //! costs O(channels × min(rows, banks)) instead of O(rows × channels);
-//! a channel that misses the bound walks every row.
+//! a channel that misses the bound walks every row. A [`LineBatch`]
+//! fill run prices its rows past the first lap the same way, under one
+//! more bound that keeps its MSHR gates off the bus (see there).
+//!
+//! Time is kept in 64-bit fixed point, which spans
+//! [`DramConfig::MAX_HORIZON_CYCLES`] (2^44 cycles). A horizon past it
+//! would wrap silently, so [`DramModel::fits`] bounds a transfer's
+//! reach before it is priced; the runtime checks it once per transfer.
 //!
 //! The per-line walk is retained as a **reference model**
 //! ([`DramModel::set_reference_model`]) and differential tests in this
@@ -64,8 +71,10 @@ use camdn_common::stats::Counter;
 use camdn_common::types::{Cycle, PhysAddr};
 use serde::{Deserialize, Serialize};
 
-/// Sub-cycle fixed-point resolution: 1 cycle == `2^FP_SHIFT` ticks.
-const FP_SHIFT: u32 = 20;
+/// Sub-cycle fixed-point resolution: 1 cycle == `2^FP_SHIFT` ticks,
+/// so a `u64` of ticks spans [`DramConfig::MAX_HORIZON_CYCLES`] (2^20
+/// ticks per cycle).
+const FP_SHIFT: u32 = u64::BITS - DramConfig::MAX_HORIZON_CYCLES.trailing_zeros();
 /// One cycle in fixed-point ticks.
 const FP_ONE: u64 = 1 << FP_SHIFT;
 
@@ -202,6 +211,9 @@ pub struct DramModel {
     /// `ceil` of the nominal per-line bus occupancy (busy-cycle
     /// accounting, kept at nominal pricing even for degraded channels).
     burst_ceil: Cycle,
+    /// The most one operation can move the latest horizon, fixed-point
+    /// ticks (see [`DramModel::fits`]); saturates.
+    op_reach: u64,
     /// Fixed-point tick at which each channel's data bus becomes free.
     /// Sub-cycle resolution keeps a 64 B burst at 25.6 B/cycle on exactly
     /// 2.5 cycles instead of a rounded 3 — rounding up would silently
@@ -250,13 +262,14 @@ impl DramModel {
             Some(0) => cfg.row_bytes / round,
             _ => 0,
         };
-        DramModel {
+        let mut model = DramModel {
             cfg,
             line_bytes,
             burst_fp,
             burst_fp_ch: vec![burst_fp; cfg.channels as usize],
             scale_ch: vec![1.0; cfg.channels as usize],
             burst_ceil: ceil_fp(burst_fp),
+            op_reach: 0,
             free_at: vec![0; nch],
             banks: vec![
                 Bank {
@@ -273,7 +286,31 @@ impl DramModel {
             stats: DramStats::default(),
             reference: false,
             scratch: BatchScratch::default(),
-        }
+        };
+        model.set_op_reach();
+        model
+    }
+
+    /// Recomputes [`DramModel::fits`]'s per-operation reach from the
+    /// slowest channel's burst.
+    fn set_op_reach(&mut self) {
+        let slow = self
+            .burst_fp_ch
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(self.burst_fp);
+        let slack = self
+            .cfg
+            .cas_latency
+            .saturating_add(self.cfg.row_miss_penalty)
+            + 1;
+        let slack = if slack < DramConfig::MAX_HORIZON_CYCLES {
+            fp(slack)
+        } else {
+            u64::MAX
+        };
+        self.op_reach = slow.saturating_add(slack);
     }
 
     /// The configuration this model was built with.
@@ -558,6 +595,16 @@ impl DramModel {
             && per_ch >= 1
             && fp(self.cfg.cas_latency) + FP_ONE <= (per_ch - 1) * min_burst;
         let track_hist = use_ring && inert_gates && !self.reference;
+        // Full rows past a fill run's first lap of banks telescope (see
+        // `LineBatch::row_tail`) when a lap of rows covers the penalty,
+        // as in `row_run`, and a row-opening line's gate plus the
+        // penalty never reaches the bus. Both bounds grow with the
+        // burst, so the fastest channel decides for all.
+        let pen = self.cfg.row_miss_penalty;
+        let row_tails = track_hist
+            && self.row_run_kf != 0
+            && u64::from(self.cfg.banks_per_channel) * self.row_run_kf * min_burst >= fp(pen)
+            && fp(self.cfg.cas_latency + pen) + FP_ONE <= (per_ch - 1) * min_burst;
         // A power-of-two ring (at least the look-back) wraps with a
         // mask; retaining extra descriptors never changes a look-up,
         // which always takes the newest one that covers the line.
@@ -586,6 +633,7 @@ impl DramModel {
             scratch,
             hist_cap: cap,
             run_hist: false,
+            row_tails,
             per_ch,
             run_start_miss: 0,
             dram: self,
@@ -623,11 +671,34 @@ impl DramModel {
         } else {
             (self.burst_fp as f64 / scale).round() as u64
         };
+        self.set_op_reach();
     }
 
     /// Current bandwidth scale of `channel` (1.0 = nominal).
     pub fn channel_bandwidth_scale(&self, channel: usize) -> f64 {
         self.scale_ch[channel]
+    }
+
+    /// Whether `ops` more one-line operations (fills, writebacks or the
+    /// lines of bursts), none gated before `earliest`, are sure to keep
+    /// every channel's horizon inside the model's fixed-point range,
+    /// [`DramConfig::MAX_HORIZON_CYCLES`]. Past it the horizon would
+    /// wrap silently, so callers check this once per transfer.
+    ///
+    /// A bank is never ready after its channel's horizon, and a gate is
+    /// a completion, at most `cas + 1` cycles past the latest horizon.
+    /// So one operation moves the latest horizon by at most the slowest
+    /// channel's burst plus `cas + penalty + 1` cycles beyond the later
+    /// of `earliest` and that horizon.
+    #[inline]
+    pub fn fits(&self, earliest: Cycle, ops: u64) -> bool {
+        if earliest >= DramConfig::MAX_HORIZON_CYCLES {
+            return false;
+        }
+        let latest = self.free_at.iter().fold(fp(earliest), |m, &f| m.max(f));
+        ops.checked_mul(self.op_reach)
+            .and_then(|reach| reach.checked_add(latest))
+            .is_some()
     }
 
     /// The earliest cycle at which any channel is free (useful to detect
@@ -693,11 +764,15 @@ struct SegDesc {
 ///   evict nothing dirty (the closed-form walk below);
 /// * [`LineBatch::evict_run`] — a run of missing lines whose dirty
 ///   victims are consecutive lines too, the shape a tenant streaming
-///   over another's written tensor produces. Every fill is preceded by
-///   a write, so no closed form applies; one fused loop prices each
-///   (writeback, gated fill) pair with a single bank/bus update per
-///   operation, stepping the fill channel, the victim channel and the
-///   MSHR slot incrementally;
+///   over another's written tensor produces. When each victim shares
+///   its line's channel, bank and in-row offset (as every victim of a
+///   set-associative cache does when a cache way spans whole laps of
+///   banks), each (row, channel) segment walks its first pair exactly;
+///   every later operation is then a row miss on one bank, and a pair
+///   is one step of the bank-readiness and bus recurrences, with no
+///   row check or bank look-up. Other runs take one fused loop that
+///   prices each (writeback, gated fill) pair with a single bank/bus
+///   update per operation;
 /// * [`LineBatch::writeback`] — one posted writeback on its own.
 ///
 /// Within a gap-free run the gate of miss `k` is the completion time of
@@ -716,6 +791,13 @@ struct SegDesc {
 /// segment's closed form (`ceil(d0 + (i + 1) × burst) + cas` for the
 /// segment's `i`-th line on its channel) as it goes. The per-line walk
 /// only ever reads the real ring.
+///
+/// Whole rows go further, as in [`DramModel::access_burst`]: once the
+/// walk has visited every bank, the full rows before the run's last
+/// `window` lines are one step per channel and one update per bank
+/// (`row_tail`) when `banks × kf × burst ≥ fp(penalty)`
+/// and `fp(cas + penalty) + 1 cycle ≤ (window/channels − 1) × burst`
+/// (61 ≤ 87.5 cycles on the paper SoC). Otherwise every row is walked.
 pub struct LineBatch<'a> {
     dram: &'a mut DramModel,
     now: Cycle,
@@ -731,6 +813,9 @@ pub struct LineBatch<'a> {
     /// True while the current run is long enough (`> window`) for
     /// in-run gate look-ups — only then is history recorded.
     run_hist: bool,
+    /// True when fill runs may price full rows past their first lap
+    /// of banks in closed form ([`LineBatch::row_tail`]).
+    row_tails: bool,
     /// `window / channels`: per-channel gate look-back in lines.
     per_ch: u64,
     /// `miss_no` at the start of the current run.
@@ -790,7 +875,6 @@ impl LineBatch<'_> {
     /// after `base`, reading gates from the MSHR ring and recording
     /// ring/history state. Exact for arbitrary (even binding) gates.
     fn per_line(&mut self, base: PhysAddr, start: u64, n: u64) {
-        let w = self.window as u64;
         let lb = self.dram.line_bytes;
         let nch = u64::from(self.dram.cfg.channels) as usize;
         // Consecutive lines advance the MSHR slot and the channel by
@@ -800,11 +884,7 @@ impl LineBatch<'_> {
         let mut ch = self.dram.ch_div.rem(self.dram.line_div.div(base.0) + start) as usize;
         for i in start..start + n {
             let byte = base.0 + i * lb;
-            let gate = if self.miss_no < w {
-                self.now
-            } else {
-                self.scratch.ring[slot].max(self.now)
-            };
+            let gate = self.gate(slot, self.miss_no);
             let row = self.dram.row_div.div(byte);
             let bank_idx = self.dram.bank_div.rem(row) as usize;
             let done = self.dram.line_timing_at(gate, ch, bank_idx, row);
@@ -855,12 +935,26 @@ impl LineBatch<'_> {
         let l0 = self.dram.line_div.div(base.0);
         // `self.slot` is line `offset`'s MSHR slot.
         let slot0 = self.slot as u64;
+        let row_lines = self.dram.row_run_kf * nch;
         let mut j = offset;
         let end = offset + n;
         let ring_from = offset.max(end.saturating_sub(w));
+        // Full rows walked so far: once every bank has seen one, whole
+        // rows before `ring_from` whose row-opening lines gate within
+        // the run go to `row_tail`.
+        let mut lap = 0u64;
         while j < end {
             let byte = base.0 + j * lb;
             let row = self.dram.row_div.div(byte);
+            if self.row_tails && self.dram.row_div.rem(byte) < lb {
+                let rows = ring_from.saturating_sub(j) / row_lines;
+                if lap >= nbanks as u64 && self.run_start_miss + j >= w && rows > 0 {
+                    self.row_tail(row, rows);
+                    j += rows * row_lines;
+                    continue;
+                }
+                lap += 1;
+            }
             let seg = self
                 .dram
                 .line_div
@@ -925,6 +1019,62 @@ impl LineBatch<'_> {
         }
         self.miss_no += n;
         self.slot = ((self.slot as u64 + n) % w) as usize;
+    }
+
+    /// Prices `rows` full rows from `row0` on in closed form, inside
+    /// [`LineBatch::run_closed_form`]: the walk has just finished a
+    /// full lap of `banks` rows, every row-opening line from here on
+    /// gates on a line of this run, and the rows end before the run's
+    /// last `window` lines, whose MSHR slots the walk still rewrites.
+    ///
+    /// No bank or gate delays the bus in these rows. A bank's ready
+    /// time is at most the start of its last visit, `banks` rows and at
+    /// least `banks × kf × burst ≥ fp(penalty)` earlier. A gate is the
+    /// completion of the line `window/channels` lines back on the same
+    /// channel, so the gate plus the penalty lands before the bus frees
+    /// when `fp(cas + penalty) + 1 cycle ≤ (window/channels − 1) ×
+    /// burst`. So each channel's horizon advances by `rows × kf ×
+    /// burst`, and every (row, channel) is one row miss and `kf − 1`
+    /// hits. The tail's lines continue the last walked row's transfer
+    /// without a gap, so that row's descriptor already covers them for
+    /// gate look-ups, here and after the tail.
+    ///
+    /// A bank visited `m` times folds `R ← max(g, R) + penalty` over
+    /// its visits' gates. Its gates are completions of lines `banks ×
+    /// kf` apart on one channel, so each exceeds the one before by at
+    /// least the penalty, and the fold ends at `max(g_last + penalty,
+    /// R + m × penalty)`.
+    fn row_tail(&mut self, row0: u64, rows: u64) {
+        let kf = self.dram.row_run_kf;
+        let nb = u64::from(self.dram.cfg.banks_per_channel);
+        let nbanks = nb as usize;
+        let pen = self.dram.cfg.row_miss_penalty;
+        let cas = self.dram.cfg.cas_latency;
+        let b0 = self.dram.bank_div.rem(row0) as usize;
+        // Each bank's last visit is among the last `banks` rows.
+        let first_last = rows.saturating_sub(nb);
+        for c in 0..self.dram.free_at.len() {
+            let n0 = self.scratch.nproc[c];
+            self.scratch.nproc[c] = n0 + rows * kf;
+            let free = self.dram.free_at[c] + rows * kf * self.dram.burst_fp_ch[c];
+            self.dram.free_at[c] = free;
+            self.finish = self.finish.max(ceil_fp(free) + cas);
+            let mut b = (b0 + self.dram.bank_div.rem(first_last) as usize) % nbanks;
+            for r in first_last..rows {
+                let gate = self.hist_done(c, n0 + r * kf - self.per_ch);
+                let bank = &mut self.dram.banks[c * nbanks + b];
+                let m = r / nb + 1;
+                bank.ready_at = (gate + pen).max(bank.ready_at + m * pen);
+                bank.open_row = row0 + r;
+                b += 1;
+                if b == nbanks {
+                    b = 0;
+                }
+            }
+        }
+        let ops = rows * self.dram.free_at.len() as u64;
+        self.dram.stats.row_misses.add(ops);
+        self.dram.stats.row_hits.add(ops * (kf - 1));
     }
 
     /// Issues a gap-free run of `lines` consecutive missing lines
@@ -992,30 +1142,54 @@ impl LineBatch<'_> {
     /// evicts the dirty line `victim + i`: for each `i`, the posted
     /// writeback of the victim at `now`, then the MSHR-gated fill of
     /// the line. Exactly equivalent to `n` pairs of
-    /// [`LineBatch::writeback`] and a 1-line [`LineBatch::fill_run`],
-    /// priced in one fused walk that steps both channels and the MSHR
-    /// slot incrementally.
+    /// [`LineBatch::writeback`] and a 1-line [`LineBatch::fill_run`].
+    ///
+    /// A victim that shares its line's channel, bank and in-row offset
+    /// from a different row keeps sharing them, so every pair stays on
+    /// one channel and one bank, and such a run is priced per (row,
+    /// channel) segment (`evict_rows`). Any other run is one fused
+    /// walk that steps both channels and the MSHR slot incrementally.
     pub fn evict_run(&mut self, base: PhysAddr, victim: PhysAddr, n: u64) {
         self.fill_lines += n;
         self.wb_lines += n;
-        let d = &mut *self.dram;
+        let d = &*self.dram;
+        let (brow, vrow) = (d.row_div.div(base.0), d.row_div.div(victim.0));
+        if brow != vrow
+            && d.row_div.rem(base.0) == d.row_div.rem(victim.0)
+            && d.bank_div.rem(brow) == d.bank_div.rem(vrow)
+            && d.channel_of(base) == d.channel_of(victim)
+        {
+            self.evict_rows(base, victim, n);
+        } else {
+            self.evict_pairs(base, victim, 0, n);
+        }
+    }
+
+    /// The gate of the fill that is miss `miss` in MSHR slot `slot`.
+    #[inline]
+    fn gate(&self, slot: usize, miss: u64) -> Cycle {
+        if self.use_ring && miss >= self.window as u64 {
+            self.scratch.ring[slot].max(self.now)
+        } else {
+            self.now
+        }
+    }
+
+    /// The fused per-pair walk of pairs `from..from + n` of an eviction
+    /// run.
+    fn evict_pairs(&mut self, base: PhysAddr, victim: PhysAddr, from: u64, n: u64) {
+        let d = &*self.dram;
         let lb = d.line_bytes;
         let nch = d.cfg.channels as usize;
-        let w = self.window as u64;
-        let mut fill_ch = d.ch_div.rem(d.line_div.div(base.0)) as usize;
-        let mut wb_ch = d.ch_div.rem(d.line_div.div(victim.0)) as usize;
+        let mut fill_ch = d.ch_div.rem(d.line_div.div(base.0) + from) as usize;
+        let mut wb_ch = d.ch_div.rem(d.line_div.div(victim.0) + from) as usize;
         let mut slot = self.slot;
-        for i in 0..n {
+        for i in from..from + n {
+            let gate = self.gate(slot, self.miss_no);
+            let d = &mut *self.dram;
             let wb = victim.0 + i * lb;
             let row = d.row_div.div(wb);
             d.line_timing_at(self.now, wb_ch, d.bank_div.rem(row) as usize, row);
-            // The fill is a 1-line run, so its gate always comes from
-            // the real ring (no in-run history).
-            let gate = if self.use_ring && self.miss_no >= w {
-                self.scratch.ring[slot].max(self.now)
-            } else {
-                self.now
-            };
             let row = d.row_div.div(base.0 + i * lb);
             let done = d.line_timing_at(gate, fill_ch, d.bank_div.rem(row) as usize, row);
             if self.use_ring {
@@ -1037,6 +1211,104 @@ impl LineBatch<'_> {
             }
         }
         self.slot = slot;
+    }
+
+    /// An eviction run whose victims share their lines' channel, bank
+    /// and in-row offset, priced per (row, channel) segment: channels
+    /// share no state, and a row holding at most `window` lines reads
+    /// only ring slots written before it, so the row's pairs may go
+    /// channel by channel. A row longer than the window walks per pair.
+    fn evict_rows(&mut self, base: PhysAddr, victim: PhysAddr, n: u64) {
+        let lb = self.dram.line_bytes;
+        let nch = self.dram.cfg.channels as usize;
+        let w = self.window;
+        let mut c0 = self.dram.channel_of(base);
+        let mut i = 0;
+        while i < n {
+            let byte = base.0 + i * lb;
+            let row = self.dram.row_div.div(byte);
+            let seg = self
+                .dram
+                .line_div
+                .div_ceil((row + 1) * self.dram.cfg.row_bytes - byte)
+                .min(n - i);
+            if self.use_ring && seg > w as u64 {
+                self.evict_pairs(base, victim, i, seg);
+            } else {
+                let vrow = self.dram.row_div.div(victim.0 + i * lb);
+                let bank = self.dram.bank_div.rem(row) as usize;
+                let (mut c, mut slot) = (c0, self.slot);
+                for t in 0..nch.min(seg as usize) {
+                    let k = self.dram.ch_div.div_ceil(seg - t as u64);
+                    self.evict_segment(c, bank, [vrow, row], k, slot, self.miss_no + t as u64);
+                    c = if c + 1 == nch { 0 } else { c + 1 };
+                    slot = if slot + 1 == w { 0 } else { slot + 1 };
+                }
+                self.miss_no += seg;
+                self.slot = ((self.slot as u64 + seg) % w as u64) as usize;
+            }
+            c0 = self.dram.ch_div.rem(c0 as u64 + seg) as usize;
+            i += seg;
+        }
+    }
+
+    /// The `k` pairs of one (row, channel) segment of
+    /// [`LineBatch::evict_rows`]: each writes back to row `rows[0]` and
+    /// fills from row `rows[1]` of bank `bank` on channel `c`. The
+    /// first pair is miss `miss` in MSHR slot `slot`; each later pair
+    /// is `channels` misses on.
+    ///
+    /// The first pair walks exactly and leaves the bank open on the
+    /// fill's row. Every later operation is then a row miss on the same
+    /// bank and bus, so a pair is one step of two recurrences: the
+    /// bank's readiness `R ← max(g, R + penalty) + penalty` over the
+    /// fills' gates `g`, and the horizon, which each operation moves to
+    /// `max(F, R_op) + burst`. While the bus binds, that is `F + 2 ×
+    /// burst` per pair and the fill completes at `ceil(F) + cas`.
+    fn evict_segment(
+        &mut self,
+        c: usize,
+        bank: usize,
+        rows: [u64; 2],
+        k: u64,
+        slot: usize,
+        miss: u64,
+    ) {
+        let nch = self.dram.cfg.channels as usize;
+        let w = self.window;
+        let pen = self.dram.cfg.row_miss_penalty;
+        let cas = self.dram.cfg.cas_latency;
+        let burst = self.dram.burst_fp_ch[c];
+        let gate = self.gate(slot, miss);
+        self.dram.line_timing_at(self.now, c, bank, rows[0]);
+        let done = self.dram.line_timing_at(gate, c, bank, rows[1]);
+        if self.use_ring {
+            self.scratch.ring[slot] = done;
+        }
+        // Both operations of a later pair lie past `now`: the bank was
+        // last readied at a gate plus the penalty.
+        let bi = c * self.dram.cfg.banks_per_channel as usize + bank;
+        let mut free = self.dram.free_at[c];
+        let mut ready = self.dram.banks[bi].ready_at;
+        let (mut slot, mut miss) = (slot, miss);
+        for _ in 1..k {
+            slot += nch;
+            if slot >= w {
+                slot -= w;
+            }
+            miss += nch as u64;
+            let wb_ready = ready + pen;
+            free = free.max(fp(wb_ready)) + burst;
+            ready = self.gate(slot, miss).max(wb_ready) + pen;
+            free = free.max(fp(ready)) + burst;
+            if self.use_ring {
+                self.scratch.ring[slot] = ceil_fp(free) + cas;
+            }
+        }
+        self.dram.free_at[c] = free;
+        self.dram.banks[bi].ready_at = ready;
+        self.dram.stats.row_misses.add(2 * (k - 1));
+        self.finish = self.finish.max(ceil_fp(free) + cas);
     }
 
     /// Completion cycle of the latest fill so far (`now` if none).
@@ -1566,6 +1838,150 @@ mod tests {
                     assert_same(&fast, &refm, &ctx);
                 }
             }
+        }
+    }
+
+    /// Runs `events` through a fresh batch on a model and through the
+    /// gated emulation on its twin (same warm-up burst), asserting they
+    /// agree exactly.
+    fn batch_both(
+        cfg: DramConfig,
+        scales: &[(usize, f64)],
+        warm: (PhysAddr, u64),
+        events: &[Ev],
+        ctx: &str,
+    ) {
+        const W: usize = 144;
+        let mut fast = DramModel::new(cfg, 64);
+        let mut refm = DramModel::new(cfg, 64);
+        for d in [&mut fast, &mut refm] {
+            for &(c, s) in scales {
+                d.set_channel_bandwidth_scale(c, s);
+            }
+            d.access_burst(0, warm.0, warm.1, false, 0);
+        }
+        let a = run_batch(&mut fast, 70, W, events);
+        let b = emulate_gated(&mut refm, 70, W, events);
+        assert_eq!(a, b, "finish diverged: {ctx}");
+        assert_same(&fast, &refm, ctx);
+    }
+
+    #[test]
+    fn long_fill_runs_match_gated_reference_exactly() {
+        // Fill runs long enough to reach rows past the first lap of
+        // banks (`row_tail`): at the paper geometry a lap is 16 rows of
+        // 32 lines, so a run needs ~700 lines after a 144-line head.
+        // Runs start mid-row or on a row, with and without a lead-in
+        // (a lead-in makes the run's first `window` lines its head),
+        // and are followed by 1-line fills and an eviction run that
+        // gate on the ring slots the run rewrote.
+        let paper = DramConfig::paper_default();
+        let row_lines = paper.row_bytes / 64;
+        let with = |banks, pen| DramConfig {
+            banks_per_channel: banks,
+            row_miss_penalty: pen,
+            ..paper
+        };
+        let mut rng = SimRng::new(0x7A1E);
+        // The paper geometry (both bounds hold), a penalty of 400 (the
+        // lap bound fails: 16 × 8 × 2.5 < 400), one of 70 (the gate
+        // bound fails: 20 + 70 + 1 > 35 × 2.5), and 2 banks, whose lap
+        // of 16 rows' lines is shorter than the gate look-back.
+        for cfg in [paper, with(16, 400), with(16, 70), with(2, 40), with(2, 41)] {
+            for scales in [&[][..], &[(1, 0.25), (3, 0.05)][..]] {
+                for trial in 0..6 {
+                    let len = 700 + rng.next_below(3_300);
+                    let skew = (trial % 2) * rng.next_below(row_lines);
+                    let start = (1000 + rng.next_below(1 << 12)) * row_lines + skew;
+                    let mut events = Vec::new();
+                    if trial % 3 != 0 {
+                        let lead = 1 + rng.next_below(200);
+                        events.push(Ev::Fill(PhysAddr(500 * row_lines * 64), lead));
+                    }
+                    events.push(Ev::Fill(PhysAddr(start * 64), len));
+                    for _ in 0..40 {
+                        let row = 9000 + rng.next_below(1 << 16);
+                        events.push(Ev::Fill(PhysAddr(row * row_lines * 64), 1));
+                    }
+                    let victim = PhysAddr((300 * row_lines + 7) * 64);
+                    events.push(Ev::Evict(PhysAddr((start + len) * 64), victim, 90));
+                    let warm = (
+                        PhysAddr(rng.next_below(1 << 18) * 64),
+                        rng.next_below(3_000),
+                    );
+                    let ctx = format!("{cfg:?} {scales:?} trial {trial}, {len} lines");
+                    batch_both(cfg, scales, warm, &events, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_bank_eviction_runs_match_gated_reference_exactly() {
+        // Victims congruent to their lines modulo 1 MiB share channel,
+        // bank and in-row offset, so `evict_rows` prices them per (row,
+        // channel) segment. Each tape opens with fill runs that push
+        // the horizon ahead of the banks (bus-bound pairs), then evicts
+        // over short, long and row-unaligned spans; the 1-line fills and
+        // the second eviction run read the ring slots it wrote.
+        const MIB: u64 = 1 << 20;
+        let paper = DramConfig::paper_default();
+        let row_lines = paper.row_bytes / 64;
+        let with = |banks, pen| DramConfig {
+            banks_per_channel: banks,
+            row_miss_penalty: pen,
+            ..paper
+        };
+        let mut rng = SimRng::new(0xE71C);
+        // Paper geometry; 2 banks; a penalty of 2 (bank-bound pairs
+        // never occur); 400 (most pairs wait on the bank).
+        for cfg in [paper, with(2, 40), with(16, 2), with(16, 400)] {
+            // Degraded to 0.05, a channel's burst (50 cycles) outlasts
+            // the penalty, and its segments walk per pair.
+            for scales in [&[][..], &[(1, 0.25), (3, 0.05)][..]] {
+                for trial in 0..8u64 {
+                    let start = 64 * MIB + rng.next_below(1 << 14) * 64;
+                    let victim = start - (1 + rng.next_below(48)) * MIB;
+                    let mut events = Vec::new();
+                    let queue = rng.next_below(4) * 1_500;
+                    if queue > 0 {
+                        events.push(Ev::Fill(PhysAddr(8 * MIB), queue));
+                    }
+                    let n = [1, 7, 33, 300, 2_000][trial as usize % 5] + rng.next_below(row_lines);
+                    events.push(Ev::Evict(PhysAddr(start), PhysAddr(victim), n));
+                    for _ in 0..20 {
+                        let row = 9000 + rng.next_below(1 << 16);
+                        events.push(Ev::Fill(PhysAddr(row * row_lines * 64), 1));
+                    }
+                    let (b2, v2) = (start + n * 64 + 640, victim + n * 64 + 640);
+                    events.push(Ev::Evict(PhysAddr(b2), PhysAddr(v2), 200));
+                    let warm = (
+                        PhysAddr(rng.next_below(1 << 18) * 64),
+                        rng.next_below(3_000),
+                    );
+                    let ctx = format!("{cfg:?} {scales:?} trial {trial}, {n} pairs");
+                    batch_both(cfg, scales, warm, &events, &ctx);
+                }
+            }
+        }
+        // One channel and a 16-miss window: a row of 32 lines outgrows
+        // the window, so its pairs walk one by one.
+        let narrow = DramConfig {
+            channels: 1,
+            bytes_per_cycle: 25.6,
+            ..paper
+        };
+        let events = [
+            Ev::Fill(PhysAddr(0), 400),
+            Ev::Evict(PhysAddr(2 * MIB + 5 * 64), PhysAddr(MIB + 5 * 64), 500),
+        ];
+        for window in [16usize, 144] {
+            let mut fast = DramModel::new(narrow, 64);
+            let mut refm = DramModel::new(narrow, 64);
+            let a = run_batch(&mut fast, 0, window, &events);
+            let b = emulate_gated(&mut refm, 0, window, &events);
+            assert_eq!(a, b, "window {window}");
+            assert_same(&fast, &refm, &format!("one channel, window {window}"));
         }
     }
 

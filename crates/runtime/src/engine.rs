@@ -229,7 +229,7 @@ impl Engine {
         params
             .soc
             .dram
-            .validate()
+            .validate(params.soc.cache.line_bytes)
             .map_err(EngineError::InvalidConfig)?;
         params
             .soc
@@ -1126,6 +1126,13 @@ impl Engine {
             } else {
                 now
             };
+            // A line costs at most a fill and a dirty victim's writeback.
+            if tr.route.touches_dram() && !dram.fits(start, 2 * lines) {
+                return Err(EngineError::DramRange {
+                    task: tid,
+                    at_cycle: start,
+                });
+            }
             let multicast = group > 1 && tr.tensor == TensorKind::Weight && weight_is_static;
             let done = match tr.route {
                 Route::Transparent => {
@@ -1169,7 +1176,10 @@ impl Engine {
             };
             mem_finish = mem_finish.max(done);
             if throttled && tr.route.touches_dram() {
-                bw_gate = start + (tr.bytes as f64 / (bw_share * peak_bw)).ceil() as Cycle;
+                // Saturates on a starved bandwidth, so the next transfer
+                // reports the range instead of wrapping.
+                bw_gate =
+                    start.saturating_add((tr.bytes as f64 / (bw_share * peak_bw)).ceil() as Cycle);
             }
         }
 

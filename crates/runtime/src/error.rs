@@ -90,6 +90,17 @@ pub enum EngineError {
         /// The underlying I/O error, as text.
         detail: String,
     },
+    /// A transfer could carry the DRAM's timing horizon past the
+    /// model's fixed-point range ([`DramConfig::MAX_HORIZON_CYCLES`]):
+    /// the bandwidth is too low for the workload to be timed.
+    ///
+    /// [`DramConfig::MAX_HORIZON_CYCLES`]: camdn_common::config::DramConfig::MAX_HORIZON_CYCLES
+    DramRange {
+        /// Task whose transfer was refused.
+        task: u32,
+        /// Cycle at which the transfer would have started.
+        at_cycle: Cycle,
+    },
     /// A run budget expired before every task finished. The work
     /// simulated up to the cut-off is aggregated into `partial` — a
     /// truncated cell reports what it measured instead of running away.
@@ -137,6 +148,12 @@ impl fmt::Display for EngineError {
                 write!(f, "simulation panicked: {detail}")
             }
             EngineError::Io { detail } => write!(f, "i/o failed: {detail}"),
+            EngineError::DramRange { task, at_cycle } => write!(
+                f,
+                "task {task}'s transfer at cycle {at_cycle} could carry the DRAM horizon \
+                 past its {}-cycle range",
+                camdn_common::config::DramConfig::MAX_HORIZON_CYCLES
+            ),
             EngineError::BudgetExceeded {
                 budget, at_cycle, ..
             } => write!(f, "{budget} budget exceeded at cycle {at_cycle}"),
