@@ -22,6 +22,20 @@
 //! pages it touches. Ownership is page-granular, maintained by the cache
 //! page allocator in `camdn-core`.
 //!
+//! # Ownership memo
+//!
+//! A layer's phases name the same page list on every transfer, so the
+//! check keeps, per task, the list it last verified. A check whose list
+//! equals the memo (one slice compare) passes without walking the page
+//! owners. This is exact: [`Nec::claim_page`] never takes an owned page,
+//! and only [`Nec::release_page`] by the task itself ends a task's
+//! ownership, so a verified list stays owned until that task releases a
+//! page, and every such release drops its memo. Any other list is walked
+//! page by page and reports the first offending page, as without the
+//! memo. The memo is direct-mapped on the task id (64 slots, each
+//! tagged with its task), so arbitrary task ids cost no memory; two
+//! tasks sharing a slot only walk more.
+//!
 //! # Timing
 //!
 //! All NEC routes are **bulk DMA**: a transfer of `n` lines is one
@@ -41,7 +55,7 @@
 use crate::geometry::CacheGeometry;
 use camdn_common::config::CacheConfig;
 use camdn_common::stats::Counter;
-use camdn_common::types::{Cycle, PhysAddr};
+use camdn_common::types::{ceil_u64, Cycle, PhysAddr};
 use camdn_dram::DramModel;
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +86,8 @@ pub enum NecError {
         /// Current owner.
         owner: TaskId,
     },
+    /// A multicast names an empty NPU group (`group == 0`).
+    EmptyGroup,
 }
 
 impl std::fmt::Display for NecError {
@@ -87,6 +103,7 @@ impl std::fmt::Display for NecError {
             NecError::AlreadyOwned { pcpn, owner } => {
                 write!(f, "cache page {pcpn} is already owned by task {owner}")
             }
+            NecError::EmptyGroup => write!(f, "multicast group must be at least 1 NPU"),
         }
     }
 }
@@ -122,6 +139,18 @@ impl NecStats {
     }
 }
 
+/// Slots of the ownership memo (module docs, "Ownership memo"): task
+/// `t` uses slot `t % OWNER_MEMO_SLOTS`.
+const OWNER_MEMO_SLOTS: usize = 64;
+
+/// One slot of the ownership memo: a page list `task` owns in full,
+/// verified since its last release.
+#[derive(Debug, Clone, Default)]
+struct OwnerMemo {
+    task: TaskId,
+    pages: Vec<u32>,
+}
+
 /// The logical NPU-exclusive controller over the NPU subspace.
 #[derive(Debug, Clone)]
 pub struct Nec {
@@ -132,6 +161,8 @@ pub struct Nec {
     /// `page_owner[pcpn - first_pcpn]`: owner task, if claimed.
     page_owner: Vec<Option<TaskId>>,
     first_pcpn: u32,
+    /// Last verified page list per task (see "Ownership memo").
+    memo: Vec<OwnerMemo>,
     stats: NecStats,
 }
 
@@ -154,6 +185,7 @@ impl Nec {
             npu_pages,
             page_owner: vec![None; npu_pages as usize],
             first_pcpn,
+            memo: vec![OwnerMemo::default(); OWNER_MEMO_SLOTS],
             stats: NecStats::default(),
         }
     }
@@ -211,6 +243,10 @@ impl Nec {
             });
         }
         self.page_owner[slot] = None;
+        let memo = &mut self.memo[task as usize % OWNER_MEMO_SLOTS];
+        if memo.task == task {
+            memo.pages.clear();
+        }
         Ok(())
     }
 
@@ -224,7 +260,11 @@ impl Nec {
         self.page_owner.iter().filter(|o| o.is_some()).count() as u32
     }
 
-    fn check_owned(&self, task: TaskId, pcpns: &[u32]) -> Result<(), NecError> {
+    fn check_owned(&mut self, task: TaskId, pcpns: &[u32]) -> Result<(), NecError> {
+        let memo = &self.memo[task as usize % OWNER_MEMO_SLOTS];
+        if memo.task == task && memo.pages == pcpns {
+            return Ok(());
+        }
         for &p in pcpns {
             let slot = self.page_slot(p)?;
             if self.page_owner[slot] != Some(task) {
@@ -235,6 +275,10 @@ impl Nec {
                 });
             }
         }
+        let memo = &mut self.memo[task as usize % OWNER_MEMO_SLOTS];
+        memo.task = task;
+        memo.pages.clear();
+        memo.pages.extend_from_slice(pcpns);
         Ok(())
     }
 
@@ -244,7 +288,7 @@ impl Nec {
     #[inline]
     fn serve_cycles(&self, lines: u64) -> Cycle {
         self.hit_latency
-            + (lines as f64 / (f64::from(self.geom.slices) * self.lines_per_cycle)).ceil() as Cycle
+            + ceil_u64(lines as f64 / (f64::from(self.geom.slices) * self.lines_per_cycle))
     }
 
     /// **Basic semantics**: read `lines` lines of `task`'s region into the
@@ -363,7 +407,8 @@ impl Nec {
     ///
     /// # Errors
     ///
-    /// Fails if any of `pcpns` is not owned by `task`.
+    /// [`NecError::EmptyGroup`] if `group == 0`; otherwise fails if any
+    /// of `pcpns` is not owned by `task`.
     pub fn multicast_read(
         &mut self,
         now: Cycle,
@@ -372,7 +417,9 @@ impl Nec {
         lines: u64,
         group: u32,
     ) -> Result<Cycle, NecError> {
-        assert!(group >= 1, "multicast group must be at least 1");
+        if group == 0 {
+            return Err(NecError::EmptyGroup);
+        }
         self.check_owned(task, pcpns)?;
         self.stats.reads.add(lines);
         self.stats.multicast_ops.incr();
@@ -385,6 +432,10 @@ impl Nec {
     /// **Multicast semantics (4)**: multicast-bypass-read `lines` lines
     /// from memory to a group of `group` NPUs: one DRAM fetch serves the
     /// whole group.
+    ///
+    /// # Errors
+    ///
+    /// [`NecError::EmptyGroup`] if `group == 0`.
     pub fn multicast_bypass_read(
         &mut self,
         now: Cycle,
@@ -393,14 +444,16 @@ impl Nec {
         group: u32,
         dram: &mut DramModel,
         bw_delay: Cycle,
-    ) -> Cycle {
-        assert!(group >= 1, "multicast group must be at least 1");
+    ) -> Result<Cycle, NecError> {
+        if group == 0 {
+            return Err(NecError::EmptyGroup);
+        }
         self.stats.bypass_reads.add(lines);
         self.stats.multicast_ops.incr();
         self.stats
             .multicast_saved_lines
             .add(lines * u64::from(group - 1));
-        dram.access_burst(now, src, lines, false, bw_delay)
+        Ok(dram.access_burst(now, src, lines, false, bw_delay))
     }
 }
 
@@ -502,7 +555,8 @@ mod tests {
         nec.multicast_read(0, 1, &[p], 100, 4).unwrap();
         assert_eq!(nec.stats().multicast_saved_lines.get(), 300);
         // Bypass multicast: one DRAM fetch for the group.
-        nec.multicast_bypass_read(0, PhysAddr(0), 10, 4, &mut dram, 0);
+        nec.multicast_bypass_read(0, PhysAddr(0), 10, 4, &mut dram, 0)
+            .unwrap();
         assert_eq!(dram.stats().read_bytes.get(), 10 * 64);
         assert_eq!(nec.stats().multicast_saved_lines.get(), 300 + 30);
     }
@@ -553,8 +607,10 @@ mod tests {
                     nr.bypass_write(now, a, lines, &mut dr, 0),
                 ),
                 _ => (
-                    nf.multicast_bypass_read(now, a, lines, 4, &mut df, 0),
-                    nr.multicast_bypass_read(now, a, lines, 4, &mut dr, 0),
+                    nf.multicast_bypass_read(now, a, lines, 4, &mut df, 0)
+                        .unwrap(),
+                    nr.multicast_bypass_read(now, a, lines, 4, &mut dr, 0)
+                        .unwrap(),
                 ),
             };
             assert_eq!(tf, tr, "finish diverged on op {op}");
@@ -564,6 +620,112 @@ mod tests {
         assert_eq!(df.stats().total_bytes(), dr.stats().total_bytes());
         assert_eq!(df.stats().row_hits.get(), dr.stats().row_hits.get());
         assert_eq!(df.stats().row_misses.get(), dr.stats().row_misses.get());
+    }
+
+    #[test]
+    fn empty_multicast_group_is_a_typed_error() {
+        let (mut nec, mut dram) = setup();
+        let p = nec.first_pcpn();
+        nec.claim_page(1, p).unwrap();
+        assert_eq!(
+            nec.multicast_read(0, 1, &[p], 100, 0),
+            Err(NecError::EmptyGroup)
+        );
+        assert_eq!(
+            nec.multicast_bypass_read(0, PhysAddr(0), 10, 0, &mut dram, 0),
+            Err(NecError::EmptyGroup)
+        );
+        let s = nec.stats();
+        for c in [
+            &s.reads,
+            &s.bypass_reads,
+            &s.multicast_ops,
+            &s.multicast_saved_lines,
+        ] {
+            assert_eq!(c.get(), 0, "a rejected multicast left a count behind");
+        }
+        assert_eq!(dram.stats().total_bytes(), 0);
+    }
+
+    #[test]
+    fn ownership_memo_is_exact() {
+        let (mut nec, _) = setup();
+        let base = nec.first_pcpn();
+        let pages: Vec<u32> = (base..base + 4).collect();
+        for &p in &pages {
+            nec.claim_page(1, p).unwrap();
+        }
+        nec.claim_page(2, base + 10).unwrap();
+        assert!(nec.read(0, 1, &pages, 8).is_ok());
+        assert!(nec.read(0, 1, &pages, 8).is_ok(), "memoized list passes");
+
+        // A different list of the same length is walked, not waved
+        // through: page base + 10 belongs to task 2.
+        let other = [base, base + 1, base + 2, base + 10];
+        assert_eq!(
+            nec.read(0, 1, &other, 8),
+            Err(NecError::NotOwner {
+                pcpn: base + 10,
+                task: 1,
+                owner: Some(2)
+            })
+        );
+        // Another task naming task 1's verified list is rejected at its
+        // first page.
+        assert_eq!(
+            nec.write(0, 2, &pages, 8),
+            Err(NecError::NotOwner {
+                pcpn: base,
+                task: 2,
+                owner: Some(1)
+            })
+        );
+
+        // Re-verify, then release one page: the same list now fails on
+        // exactly that page.
+        assert!(nec.read(0, 1, &pages, 8).is_ok());
+        nec.release_page(1, base + 2).unwrap();
+        assert_eq!(
+            nec.read(0, 1, &pages, 8),
+            Err(NecError::NotOwner {
+                pcpn: base + 2,
+                task: 1,
+                owner: None
+            })
+        );
+        // Another task claiming the freed page keeps the list failing.
+        nec.claim_page(3, base + 2).unwrap();
+        assert_eq!(
+            nec.read(0, 1, &pages, 8),
+            Err(NecError::NotOwner {
+                pcpn: base + 2,
+                task: 1,
+                owner: Some(3)
+            })
+        );
+        // Once task 1 holds the page again, the list passes.
+        nec.release_page(3, base + 2).unwrap();
+        nec.claim_page(1, base + 2).unwrap();
+        assert!(nec.read(0, 1, &pages, 8).is_ok());
+        assert!(nec.read(0, 1, &pages, 8).is_ok());
+
+        // An empty list names no page, so it always passes.
+        assert!(nec.read(0, 1, &[], 8).is_ok());
+        assert!(nec.read(0, 9, &[], 8).is_ok());
+
+        // Tasks sharing a memo slot keep their own answers.
+        let alias = 1 + OWNER_MEMO_SLOTS as TaskId;
+        nec.claim_page(alias, base + 20).unwrap();
+        assert!(nec.read(0, alias, &[base + 20], 8).is_ok());
+        assert!(nec.read(0, 1, &[base + 20], 8).is_err());
+        assert!(nec.read(0, alias, &pages, 8).is_err());
+        assert!(nec.read(0, 1, &pages, 8).is_ok());
+        // A release by the slot's other task leaves task 1's memo
+        // alone, and task 1's own release still drops it.
+        nec.release_page(alias, base + 20).unwrap();
+        assert!(nec.read(0, 1, &pages, 8).is_ok());
+        nec.release_page(1, base).unwrap();
+        assert!(nec.read(0, 1, &pages, 8).is_err());
     }
 
     #[test]

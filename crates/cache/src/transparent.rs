@@ -128,7 +128,7 @@ use crate::geometry::{
 };
 use camdn_common::config::CacheConfig;
 use camdn_common::stats::Counter;
-use camdn_common::types::{Cycle, PhysAddr};
+use camdn_common::types::{ceil_u64, Cycle, PhysAddr};
 use camdn_dram::DramModel;
 use serde::{Deserialize, Serialize};
 
@@ -888,7 +888,7 @@ impl SharedCache {
     /// collectively serve `slices * lines_per_cycle` lines per cycle.
     #[inline]
     fn port_cycles(&self, lines: u64) -> Cycle {
-        (lines as f64 / (f64::from(self.geom.slices) * self.lines_per_cycle)).ceil() as Cycle
+        ceil_u64(lines as f64 / (f64::from(self.geom.slices) * self.lines_per_cycle))
     }
 
     /// Accesses a contiguous byte range through the transparent path.

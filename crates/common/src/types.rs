@@ -122,6 +122,23 @@ pub fn ceil_div(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
+/// `x.ceil() as u64`, bit for bit for every `f64` (NaN and negatives
+/// give 0, values past `u64::MAX` saturate), without the libm call:
+/// baseline x86-64 has no rounding instruction, so `f64::ceil` is a
+/// function call on the engine's per-transfer cycle counts.
+///
+/// Exact because `x as u64` truncates toward zero and saturates, and
+/// `t as f64` is exact wherever `x` has a fractional part (below 2^52).
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// Rounds `a` up to the next multiple of `b`.
 #[inline]
 pub fn round_up(a: u64, b: u64) -> u64 {
@@ -170,6 +187,64 @@ mod tests {
         assert_eq!(ceil_div(9, 3), 3);
         assert_eq!(round_up(10, 8), 16);
         assert_eq!(round_up(16, 8), 16);
+    }
+
+    #[test]
+    fn ceil_u64_matches_libm_ceil_on_edges_and_random_bits() {
+        let p52 = 2f64.powi(52);
+        let p53 = 2f64.powi(53);
+        let p63 = 2f64.powi(63);
+        let p64 = 2f64.powi(64);
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let edges = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1), // smallest subnormal
+            0.5,
+            1.0,
+            up(1.0),
+            down(1.0),
+            p52,
+            up(p52),
+            down(p52),
+            p53,
+            up(p53),
+            down(p53),
+            p63,
+            up(p63),
+            down(p63),
+            p64,
+            up(p64),
+            down(p64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in edges {
+            assert_eq!(
+                ceil_u64(x),
+                x.ceil() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+        let mut rng = crate::SimRng::new(0xCE11);
+        for _ in 0..200_000 {
+            let x = f64::from_bits(rng.next_u64());
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "bits {:#x}", x.to_bits());
+            // Bit patterns rarely land in the cycle range; probe it too.
+            let y = (rng.next_u64() >> 11) as f64 / 1024.0;
+            assert_eq!(ceil_u64(y), y.ceil() as u64, "y = {y}");
+        }
     }
 
     #[test]

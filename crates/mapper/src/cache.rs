@@ -16,10 +16,13 @@
 //!   which also dedupes repeated identical layers *within* one model
 //!   (transformer encoder stacks hit this even on a cold model).
 //!
-//! Lookups are lock-brief: nothing holds a mutex while the solver runs,
-//! so concurrent misses on the same key may both compute, but the value
-//! is a deterministic function of the key and the first insert wins —
-//! results are bit-identical with and without the cache.
+//! Lookups are lock-brief: a lookup takes the map lock only to find or
+//! insert the key's once-cell, and the solve runs outside it, inside
+//! that cell. Concurrent lookups of one key wait on its cell rather than
+//! solving again, so each key is solved exactly once and counted as one
+//! miss; every other lookup is a hit. The counters therefore do not
+//! depend on which thread gets there first, and results are
+//! bit-identical with and without the cache.
 
 use crate::candidate::MappingCandidate;
 use crate::layer_mapper::{lwm_ladder, map_model_with, MapperConfig, ModelMapping};
@@ -28,7 +31,7 @@ use camdn_models::{Layer, Model};
 // camdn-lint: allow(nondet-iter, reason = "keyed memo; entries are only get/insert by key, never iterated, and the keys are not Ord")
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Every [`MapperConfig`] knob, in hashable form (`f64` by bits).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -84,6 +87,37 @@ struct LadderKey {
     est_bw_bits: u64,
 }
 
+/// A key's shared once-cell: the first lookup initialises it, later
+/// and concurrent lookups read (or wait for) that one value.
+type Once<T> = Arc<OnceLock<T>>;
+
+/// The once-cell of `key` in `map`, inserted empty on first lookup. The
+/// map lock is held only for this find-or-insert.
+// camdn-lint: allow(nondet-iter, reason = "keyed memo; entries are only get/insert by key, never iterated, and the keys are not Ord")
+fn once_cell<K: std::hash::Hash + Eq, T>(map: &Mutex<HashMap<K, Once<T>>>, key: K) -> Once<T> {
+    // camdn-lint: allow(panic-in-lib, reason = "Mutex poisoning only follows a panic on another thread; propagating it would mask that panic")
+    let mut map = map.lock().expect("plan cache lock");
+    Arc::clone(map.entry(key).or_default())
+}
+
+/// The value of `cell`, computed by `init` if this call is the one that
+/// initialises it. That call counts a miss; every other call a hit.
+fn get_or_count<'a, T>(
+    cell: &'a OnceLock<T>,
+    hits: &AtomicU64,
+    misses: &AtomicU64,
+    init: impl FnOnce() -> T,
+) -> &'a T {
+    let mut solved = false;
+    let value = cell.get_or_init(|| {
+        solved = true;
+        init()
+    });
+    let counter = if solved { misses } else { hits };
+    counter.fetch_add(1, Ordering::Relaxed);
+    value
+}
+
 /// Hit/miss counters of a [`PlanCache`], snapshotted by
 /// [`PlanCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,9 +148,9 @@ pub struct PlanCacheStats {
 #[derive(Default)]
 pub struct PlanCache {
     // camdn-lint: allow(nondet-iter, reason = "keyed memo; entries are only get/insert by key, never iterated, and the keys are not Ord")
-    models: Mutex<HashMap<ModelKey, Arc<ModelMapping>>>,
+    models: Mutex<HashMap<ModelKey, Once<Arc<ModelMapping>>>>,
     // camdn-lint: allow(nondet-iter, reason = "keyed memo; entries are only get/insert by key, never iterated, and the keys are not Ord")
-    ladders: Mutex<HashMap<LadderKey, Arc<Vec<MappingCandidate>>>>,
+    ladders: Mutex<HashMap<LadderKey, Once<Vec<MappingCandidate>>>>,
     model_hits: AtomicU64,
     model_misses: AtomicU64,
     layer_hits: AtomicU64,
@@ -140,20 +174,13 @@ impl PlanCache {
             layers: model.layers.clone(),
             cfg: ConfigKey::of(cfg),
         };
-        // camdn-lint: allow(panic-in-lib, reason = "Mutex poisoning only follows a panic on another thread; propagating it would mask that panic")
-        if let Some(hit) = self.models.lock().expect("plan cache lock").get(&key) {
-            self.model_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.model_misses.fetch_add(1, Ordering::Relaxed);
-        let mapping = Arc::new(map_model_with(model, cfg, &mut |layer, cfg| {
-            self.ladder(layer, cfg)
-        }));
-        // camdn-lint: allow(panic-in-lib, reason = "Mutex poisoning only follows a panic on another thread; propagating it would mask that panic")
-        let mut models = self.models.lock().expect("plan cache lock");
-        // A concurrent miss may have inserted first; keep that value so
-        // every holder shares one Arc.
-        Arc::clone(models.entry(key).or_insert(mapping))
+        let cell = once_cell(&self.models, key);
+        let mapping = get_or_count(&cell, &self.model_hits, &self.model_misses, || {
+            Arc::new(map_model_with(model, cfg, &mut |layer, cfg| {
+                self.ladder(layer, cfg)
+            }))
+        });
+        Arc::clone(mapping)
     }
 
     /// Cached LWM ladder for one layer (cloned out of the shared entry).
@@ -168,16 +195,11 @@ impl PlanCache {
             cu_levels: cfg.cu_levels.clone(),
             est_bw_bits: cfg.est_bw_bytes_per_cycle.to_bits(),
         };
-        // camdn-lint: allow(panic-in-lib, reason = "Mutex poisoning only follows a panic on another thread; propagating it would mask that panic")
-        if let Some(hit) = self.ladders.lock().expect("plan cache lock").get(&key) {
-            self.layer_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.as_ref().clone();
-        }
-        self.layer_misses.fetch_add(1, Ordering::Relaxed);
-        let solved = Arc::new(lwm_ladder(layer, cfg));
-        // camdn-lint: allow(panic-in-lib, reason = "Mutex poisoning only follows a panic on another thread; propagating it would mask that panic")
-        let mut ladders = self.ladders.lock().expect("plan cache lock");
-        ladders.entry(key).or_insert(solved).as_ref().clone()
+        let cell = once_cell(&self.ladders, key);
+        get_or_count(&cell, &self.layer_hits, &self.layer_misses, || {
+            lwm_ladder(layer, cfg)
+        })
+        .clone()
     }
 
     /// Snapshot of the hit/miss counters.
@@ -245,6 +267,42 @@ mod tests {
         let ma = cache.map_model(&a, &cfg);
         let mb = cache.map_model(&b, &cfg);
         assert_ne!(ma.mcts.len(), mb.mcts.len(), "must not alias by name");
+    }
+
+    #[test]
+    fn concurrent_lookups_solve_each_key_once() {
+        // Threads racing on the same models must not solve (or count) a
+        // key twice: the counters equal a single-threaded pass's, run
+        // after run.
+        const THREADS: usize = 4;
+        let cfg = MapperConfig::paper_default();
+        let zoo = zoo::all();
+        let serial = PlanCache::new();
+        for _ in 0..THREADS {
+            for m in &zoo {
+                serial.map_model(m, &cfg);
+            }
+        }
+        let expected = serial.stats();
+        assert_eq!(expected.model_misses, zoo.len() as u64);
+        for _ in 0..2 {
+            let cache = PlanCache::new();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    let (cache, cfg, zoo, start) = (&cache, &cfg, &zoo, &start);
+                    // Released together, in the same model order, so
+                    // the threads collide on every key.
+                    s.spawn(move || {
+                        start.wait();
+                        for m in zoo {
+                            cache.map_model(m, cfg);
+                        }
+                    });
+                }
+            });
+            assert_eq!(cache.stats(), expected);
+        }
     }
 
     #[test]

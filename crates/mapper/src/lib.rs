@@ -10,7 +10,8 @@
 //!   (MCT) format;
 //! * [`layer_mapper`] — model-level mapping: LWM ladders, LBM block
 //!   segmentation, [`layer_mapper::map_model`];
-//! * [`plan`] — dispatch-time unrolling of a candidate into tile phases;
+//! * [`plan`] — dispatch-time tile phases of a candidate, generated on
+//!   demand ([`PhasePlan`]) or unrolled ([`lower`]);
 //! * [`cache`] — a shared, thread-safe [`PlanCache`] memoizing mapping
 //!   results across simulations (grid sweeps map each model once).
 //!
@@ -41,5 +42,7 @@ pub use candidate::{
     BlockInfo, CacheMapEntry, CandidateKind, LoopOrder, MappingCandidate, Mct, TensorKind, Tiling,
 };
 pub use layer_mapper::{lwm_ladder, map_layer_lwm, map_model, MapperConfig, ModelMapping};
-pub use plan::{lower, LayerPlan, LowerMode, Phase, PlanSizes, Route, Transfer};
+pub use plan::{
+    lower, LayerPlan, LowerMode, Phase, PhasePlan, PhaseTransfers, PlanSizes, Route, Transfer,
+};
 pub use solver::{solve, Solution, TensorSizes};

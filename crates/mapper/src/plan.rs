@@ -1,10 +1,14 @@
 //! Lowering mapping candidates to executable phase plans ("generate &
 //! send NPU instructions" in Fig. 6).
 //!
-//! MCTs store candidates compactly; only when the online allocator picks
-//! a candidate is it unrolled into a [`LayerPlan`]: a sequence of
-//! double-buffered tile phases, each with its memory transfers and
-//! compute work. The same plan structure serves both worlds:
+//! MCTs store candidates compactly. When the online allocator picks a
+//! candidate, the engine holds it as a [`PhasePlan`]: a few words of
+//! `Copy` state from which [`PhasePlan::phase`] generates each
+//! double-buffered tile phase's memory transfers on demand, on the
+//! stack. [`lower`] is the unrolled view of the same plan, a
+//! [`LayerPlan`] of every [`Phase`], for callers that want the whole
+//! sequence; both go through the one definition of a phase in
+//! [`PhasePlan::phase`]. The same plan serves both worlds:
 //!
 //! * [`LowerMode::Transparent`] routes every transfer through the
 //!   hardware-managed shared cache (the baseline systems);
@@ -131,144 +135,213 @@ fn chunk(total: u64, n: u64, i: u64) -> (u64, u64) {
     (start, end - start)
 }
 
-/// Unrolls `candidate` into a phase plan.
+/// Most transfers one phase issues: the bias, the re-swept tensor's
+/// cached and streamed parts, the stationary chunk's cached and streamed
+/// parts, and the output chunk.
+const MAX_PHASE_TRANSFERS: usize = 6;
+
+/// One phase's transfers, held inline (no heap); derefs to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseTransfers {
+    buf: [Transfer; MAX_PHASE_TRANSFERS],
+    len: usize,
+}
+
+impl PhaseTransfers {
+    fn new() -> Self {
+        const EMPTY: Transfer = Transfer {
+            tensor: TensorKind::Bias,
+            offset: 0,
+            bytes: 0,
+            write: false,
+            route: Route::Transparent,
+        };
+        PhaseTransfers {
+            buf: [EMPTY; MAX_PHASE_TRANSFERS],
+            len: 0,
+        }
+    }
+
+    /// Appends a transfer; empty transfers are dropped.
+    fn push(&mut self, tensor: TensorKind, offset: u64, bytes: u64, write: bool, route: Route) {
+        if bytes > 0 {
+            self.buf[self.len] = Transfer {
+                tensor,
+                offset,
+                bytes,
+                write,
+                route,
+            };
+            self.len += 1;
+        }
+    }
+}
+
+impl std::ops::Deref for PhaseTransfers {
+    type Target = [Transfer];
+
+    fn deref(&self) -> &[Transfer] {
+        &self.buf[..self.len]
+    }
+}
+
+/// A layer's phase plan under one candidate, generated on demand.
 ///
 /// The phase structure mirrors the cache-level loop: one phase per outer
 /// iteration (`n_oc` phases for [`LoopOrder::OcOuter`], `n_sp` for
 /// [`LoopOrder::SpatialOuter`]), with the re-swept tensor re-transferred
 /// every phase and the stationary tensors moved in per-phase chunks.
-pub fn lower(candidate: &MappingCandidate, sizes: PlanSizes, mode: LowerMode) -> LayerPlan {
-    let (n_outer_raw, resweep_tensor) = match candidate.order {
-        LoopOrder::OcOuter => (candidate.tiling.n_oc, TensorKind::Input),
-        LoopOrder::SpatialOuter => (candidate.tiling.n_sp, TensorKind::Weight),
-    };
-    let n_outer = n_outer_raw.clamp(1, MAX_PHASES);
-    let compute_per_phase = candidate.compute_cycles / n_outer;
-    let cached = |t: TensorKind| candidate.entry(t).map(|e| e.cached_bytes).unwrap_or(0);
-    let in_cached = cached(TensorKind::Input);
-    let w_cached = cached(TensorKind::Weight);
-    let out_cached = cached(TensorKind::Output);
+/// The plan is a few words of `Copy` state; [`PhasePlan::phase`] builds
+/// phase `j`'s transfers on the stack, so executing a layer allocates
+/// nothing. [`lower`] is the same plan unrolled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhasePlan {
+    mode: LowerMode,
+    n_phases: u64,
+    compute_per_phase: Cycle,
+    bias: u64,
+    /// The tensor transferred in full every phase, its size and cached
+    /// bytes.
+    resweep: (TensorKind, u64, u64),
+    /// The tensor moved in per-phase chunks, its size and cached bytes.
+    stationary: (TensorKind, u64, u64),
+    output: u64,
+    out_cached: u64,
+    /// Under LBM, a cached *input* marked non-bypass was written into
+    /// the region by the previous layer of the block: it is already
+    /// resident, so even the first sweep is a cache read, never a DRAM
+    /// fill. (Block-head inputs have `bypass == true` and still fill
+    /// from DRAM.)
+    preloaded: bool,
+}
 
-    let mut phases = Vec::with_capacity(n_outer as usize);
-    for j in 0..n_outer {
-        let mut transfers = Vec::with_capacity(6);
-        let mut push = |tensor, offset, bytes: u64, write, route| {
-            if bytes > 0 {
-                transfers.push(Transfer {
-                    tensor,
-                    offset,
-                    bytes,
-                    write,
-                    route,
-                });
-            }
+impl PhasePlan {
+    /// The phase plan of `candidate` on a layer of `sizes`, lowered for
+    /// `mode`.
+    pub fn new(candidate: &MappingCandidate, sizes: PlanSizes, mode: LowerMode) -> Self {
+        let (n_outer_raw, resweep) = match candidate.order {
+            LoopOrder::OcOuter => (candidate.tiling.n_oc, TensorKind::Input),
+            LoopOrder::SpatialOuter => (candidate.tiling.n_sp, TensorKind::Weight),
         };
-
-        // Bias rides along with the first phase.
-        if j == 0 && sizes.bias > 0 {
-            let route = match mode {
-                LowerMode::Transparent => Route::Transparent,
-                LowerMode::Camdn => Route::BypassRead,
-            };
-            push(TensorKind::Bias, 0, sizes.bias, false, route);
-        }
-
-        // The re-swept tensor: transferred in full every phase.
-        let (rs_total, rs_cached) = match resweep_tensor {
-            TensorKind::Input => (sizes.input, in_cached),
-            _ => (sizes.weight, w_cached),
+        let n_phases = n_outer_raw.clamp(1, MAX_PHASES);
+        let cached = |t: TensorKind| candidate.entry(t).map(|e| e.cached_bytes).unwrap_or(0);
+        let input = (TensorKind::Input, sizes.input, cached(TensorKind::Input));
+        let weight = (TensorKind::Weight, sizes.weight, cached(TensorKind::Weight));
+        let (resweep, stationary) = match resweep {
+            TensorKind::Input => (input, weight),
+            _ => (weight, input),
         };
-        // Under LBM, a cached *input* marked non-bypass was written into
-        // the region by the previous layer of the block — it is already
-        // resident, so even the first sweep is a cache read, never a
-        // DRAM fill. (Block-head inputs have `bypass == true` and still
-        // fill from DRAM.)
         let preloaded = matches!(candidate.kind, crate::candidate::CandidateKind::Lbm)
-            && resweep_tensor == TensorKind::Input
+            && resweep.0 == TensorKind::Input
             && candidate
                 .entry(TensorKind::Input)
                 .map(|e| !e.bypass)
                 .unwrap_or(false);
-        match mode {
-            LowerMode::Transparent => {
-                push(resweep_tensor, 0, rs_total, false, Route::Transparent);
-            }
-            LowerMode::Camdn => {
-                if rs_cached > 0 {
-                    // First sweep fills the region; later sweeps hit it.
-                    let route = if j == 0 && !preloaded {
-                        Route::Fill
-                    } else {
-                        Route::CacheRead
-                    };
-                    push(resweep_tensor, 0, rs_cached, false, route);
-                }
-                let streamed = rs_total - rs_cached;
-                if streamed > 0 {
-                    push(
-                        resweep_tensor,
-                        rs_cached,
-                        streamed,
-                        false,
-                        Route::BypassRead,
-                    );
-                }
-            }
+        PhasePlan {
+            mode,
+            n_phases,
+            compute_per_phase: candidate.compute_cycles / n_phases,
+            bias: sizes.bias,
+            resweep,
+            stationary,
+            output: sizes.output,
+            out_cached: cached(TensorKind::Output),
+            preloaded,
+        }
+    }
+
+    /// Number of phases (at least 1, at most [`MAX_PHASES`]).
+    pub fn n_phases(&self) -> usize {
+        self.n_phases as usize
+    }
+
+    /// PE-array busy cycles of every phase.
+    pub fn compute_cycles(&self) -> Cycle {
+        self.compute_per_phase
+    }
+
+    /// The memory transfers phase `j` issues at its start, in issue
+    /// order. `j` must be below [`PhasePlan::n_phases`].
+    pub fn phase(&self, j: usize) -> PhaseTransfers {
+        let j = j as u64;
+        let camdn = self.mode == LowerMode::Camdn;
+        let mut out = PhaseTransfers::new();
+
+        // Bias rides along with the first phase.
+        if j == 0 {
+            let route = if camdn {
+                Route::BypassRead
+            } else {
+                Route::Transparent
+            };
+            out.push(TensorKind::Bias, 0, self.bias, false, route);
+        }
+
+        // The re-swept tensor: transferred in full every phase.
+        let (rs, rs_total, rs_cached) = self.resweep;
+        if !camdn {
+            out.push(rs, 0, rs_total, false, Route::Transparent);
+        } else {
+            // First sweep fills the region; later sweeps hit it.
+            let route = if j == 0 && !self.preloaded {
+                Route::Fill
+            } else {
+                Route::CacheRead
+            };
+            out.push(rs, 0, rs_cached, false, route);
+            out.push(
+                rs,
+                rs_cached,
+                rs_total - rs_cached,
+                false,
+                Route::BypassRead,
+            );
         }
 
         // The stationary tensor: chunk j only.
-        let stationary = match resweep_tensor {
-            TensorKind::Input => TensorKind::Weight,
-            _ => TensorKind::Input,
-        };
-        let (st_total, st_cached) = match stationary {
-            TensorKind::Weight => (sizes.weight, w_cached),
-            _ => (sizes.input, in_cached),
-        };
-        let (off, len) = chunk(st_total, n_outer, j);
-        match mode {
-            LowerMode::Transparent => push(stationary, off, len, false, Route::Transparent),
-            LowerMode::Camdn => {
-                if st_cached > 0 {
-                    // LBM: the stationary input lives in the cache region.
-                    let cached_len = len.min(st_cached.saturating_sub(off));
-                    push(stationary, off, cached_len, false, Route::CacheRead);
-                    if len > cached_len {
-                        push(
-                            stationary,
-                            off + cached_len,
-                            len - cached_len,
-                            false,
-                            Route::BypassRead,
-                        );
-                    }
-                } else {
-                    push(stationary, off, len, false, Route::BypassRead);
-                }
-            }
+        let (st, st_total, st_cached) = self.stationary;
+        let (off, len) = chunk(st_total, self.n_phases, j);
+        if !camdn {
+            out.push(st, off, len, false, Route::Transparent);
+        } else {
+            // LBM: the stationary input lives in the cache region.
+            let cached_len = len.min(st_cached.saturating_sub(off));
+            out.push(st, off, cached_len, false, Route::CacheRead);
+            out.push(
+                st,
+                off + cached_len,
+                len - cached_len,
+                false,
+                Route::BypassRead,
+            );
         }
 
         // Output: chunk j, written once.
-        let (o_off, o_len) = chunk(sizes.output, n_outer, j);
-        match mode {
-            LowerMode::Transparent => {
-                push(TensorKind::Output, o_off, o_len, true, Route::Transparent)
-            }
-            LowerMode::Camdn => {
-                if out_cached > 0 {
-                    push(TensorKind::Output, o_off, o_len, true, Route::CacheWrite);
-                } else {
-                    push(TensorKind::Output, o_off, o_len, true, Route::BypassWrite);
-                }
-            }
-        }
-
-        phases.push(Phase {
-            transfers,
-            compute_cycles: compute_per_phase,
-        });
+        let (o_off, o_len) = chunk(self.output, self.n_phases, j);
+        let route = if !camdn {
+            Route::Transparent
+        } else if self.out_cached > 0 {
+            Route::CacheWrite
+        } else {
+            Route::BypassWrite
+        };
+        out.push(TensorKind::Output, o_off, o_len, true, route);
+        out
     }
-    LayerPlan { phases }
+}
+
+/// Unrolls `candidate` into a [`LayerPlan`]: [`PhasePlan::new`] with
+/// every phase collected.
+pub fn lower(candidate: &MappingCandidate, sizes: PlanSizes, mode: LowerMode) -> LayerPlan {
+    let plan = PhasePlan::new(candidate, sizes, mode);
+    LayerPlan {
+        phases: (0..plan.n_phases())
+            .map(|j| Phase {
+                transfers: plan.phase(j).to_vec(),
+                compute_cycles: plan.compute_cycles(),
+            })
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -304,17 +377,52 @@ mod tests {
 
     #[test]
     fn camdn_plan_matches_candidate_traffic() {
-        let l = layer();
+        // Every zoo layer, every LWM candidate and the LBM candidate,
+        // both modes: the on-demand phases, and `lower`'s unrolled view
+        // of them, carry the candidate's phase count, compute per phase
+        // and DRAM traffic. CaMDN lowering moves the candidate's modelled
+        // traffic; transparent lowering moves everything its loop order
+        // sweeps, which is the candidate's traffic with nothing cached.
+        use crate::layer_mapper::map_model;
+        use crate::solver::{traffic_of, TensorSizes};
         let cfg = MapperConfig::paper_default();
-        for cu in [0u64, 512 << 10, 2 << 20] {
-            let cand = map_layer_lwm(&l, &cfg, cu);
-            let plan = lower(&cand, sizes(&l), LowerMode::Camdn);
-            assert_eq!(
-                plan.dram_bytes(),
-                cand.dram_bytes,
-                "DRAM bytes mismatch at CU={cu}"
-            );
+        let mut checked = 0;
+        for model in camdn_models::zoo::all() {
+            let mapping = map_model(&model, &cfg);
+            for (mct, l) in mapping.mcts.iter().zip(&model.layers) {
+                let s = PlanSizes {
+                    weight: l.weight_operand_bytes(),
+                    input: l.input_bytes(),
+                    output: l.output_bytes(),
+                    bias: l.static_weight_bytes().min(l.nest.bias_bytes()),
+                };
+                for cand in mct.lwm.iter().chain(&mct.lbm) {
+                    let n = match cand.order {
+                        LoopOrder::OcOuter => cand.tiling.n_oc,
+                        LoopOrder::SpatialOuter => cand.tiling.n_sp,
+                    };
+                    assert!(n <= MAX_PHASES, "{}: {n} phases", l.name);
+                    let uncached = traffic_of(&TensorSizes::of(l), cand.order, &cand.tiling, 0).0;
+                    for (mode, dram) in [
+                        (LowerMode::Camdn, cand.dram_bytes),
+                        (LowerMode::Transparent, uncached),
+                    ] {
+                        let phases = PhasePlan::new(cand, s, mode);
+                        let plan = lower(cand, s, mode);
+                        let at = format!("{} {} {:?} {mode:?}", model.name, l.name, cand.kind);
+                        assert_eq!(phases.n_phases() as u64, n, "{at}");
+                        assert_eq!(plan.phases.len() as u64, n, "{at}");
+                        for (j, p) in plan.phases.iter().enumerate() {
+                            assert_eq!(p.transfers, *phases.phase(j), "{at} phase {j}");
+                            assert_eq!(p.compute_cycles, cand.compute_cycles / n, "{at}");
+                        }
+                        assert_eq!(plan.dram_bytes(), dram, "{at}");
+                        checked += 1;
+                    }
+                }
+            }
         }
+        assert!(checked > 1000, "only {checked} plans checked");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::task::{InferenceRecord, Task, TaskState};
 use camdn_cache::{Nec, SharedCache};
 use camdn_common::config::SocConfig;
 use camdn_common::stats::Histogram;
-use camdn_common::types::{cycles_to_ms, ms_to_cycles, Cycle};
+use camdn_common::types::{ceil_u64, cycles_to_ms, ms_to_cycles, Cycle};
 use camdn_common::SimRng;
 use camdn_core::{
     install_region, resolve_candidate, teardown_region, CandidateRef, Decision, PageAllocator,
@@ -38,8 +38,8 @@ use camdn_core::{
 };
 use camdn_dram::DramModel;
 use camdn_mapper::{
-    lower, map_model, LayerPlan, LowerMode, MapperConfig, ModelMapping, PlanCache, PlanSizes,
-    Route, TensorKind,
+    map_model, LowerMode, MapperConfig, ModelMapping, PhasePlan, PlanCache, PlanSizes, Route,
+    TensorKind,
 };
 use camdn_models::{Model, WeightClass};
 use camdn_npu::NpuCore;
@@ -144,7 +144,7 @@ pub(crate) struct SimParams {
 /// by the group throughput alone.
 fn compute_master_cycles(compute: Cycle, group: u32, rate: f64) -> Cycle {
     let eff = if group > 1 { 0.9 } else { 1.0 };
-    (compute as f64 / (f64::from(group) * eff * rate)).ceil() as Cycle
+    ceil_u64(compute as f64 / (f64::from(group) * eff * rate))
 }
 
 /// The multi-tenant discrete-event engine.
@@ -794,16 +794,18 @@ impl Engine {
                 // phase's transfers).
                 let n_phases = {
                     let t = &self.tasks[tid as usize];
-                    t.plan.as_ref().map(|p| p.phases.len()).unwrap_or(0)
+                    t.plan.map(|p| p.n_phases()).unwrap_or(0)
                 };
                 {
                     let t = &mut self.tasks[tid as usize];
                     if phase_idx < n_phases {
-                        let plan = t.plan.as_ref().ok_or(EngineError::MissingPlan {
-                            task: tid,
-                            layer: t.cur_layer,
-                        })?;
-                        let c = plan.phases[phase_idx].compute_cycles;
+                        let Some(plan) = t.plan else {
+                            return Err(EngineError::MissingPlan {
+                                task: tid,
+                                layer: t.cur_layer,
+                            });
+                        };
+                        let c = plan.compute_cycles();
                         // Local compute cycles become master cycles
                         // at the NPU clock rate; the fault-free full
                         // rate is IEEE-exact, so results without a
@@ -948,7 +950,7 @@ impl Engine {
             Selection::Transparent => {
                 // Cache-unaware candidate, transparent lowering.
                 let cand = &self.mappings[model_idx].baseline[cur_layer];
-                let plan = lower(cand, sizes, LowerMode::Transparent);
+                let plan = PhasePlan::new(cand, sizes, LowerMode::Transparent);
                 return self.start_plan(tid, now, plan, false);
             }
             Selection::Camdn(d) => d,
@@ -1040,7 +1042,7 @@ impl Engine {
                     next_pneed,
                 };
                 policy.on_install(now, tid, &ev);
-                break (lower(cand, sizes, LowerMode::Camdn), is_lbm);
+                break (PhasePlan::new(cand, sizes, LowerMode::Camdn), is_lbm);
             }
         };
         self.start_plan(tid, now, plan, is_lbm)
@@ -1050,7 +1052,7 @@ impl Engine {
         &mut self,
         tid: u32,
         now: Cycle,
-        plan: LayerPlan,
+        plan: PhasePlan,
         is_lbm: bool,
     ) -> Result<(), EngineError> {
         let t = &mut self.tasks[tid as usize];
@@ -1090,11 +1092,13 @@ impl Engine {
         let weight_is_act = layer.weight_class == WeightClass::Activation;
         let weight_is_static = layer.weight_class == WeightClass::Static;
         let input_bytes = layer.input_bytes();
-        let plan = t.plan.as_ref().ok_or(EngineError::MissingPlan {
-            task: tid,
-            layer: cur_layer,
-        })?;
-        let phase = &plan.phases[idx];
+        let Some(plan) = t.plan else {
+            return Err(EngineError::MissingPlan {
+                task: tid,
+                layer: cur_layer,
+            });
+        };
+        let transfers = plan.phase(idx);
         let layout = &t.layout;
         let bw_share = t.bw_share;
         let mut bw_gate = t.bw_gate;
@@ -1116,7 +1120,7 @@ impl Engine {
         };
 
         let mut mem_finish = now;
-        for tr in &phase.transfers {
+        for tr in transfers.iter() {
             let lines = tr.bytes.div_ceil(line);
             let addr = layout.addr_of(cur_layer, tr.tensor, weight_is_act, input_bytes, tr.offset);
             // Bandwidth regulation: DRAM-touching transfers may not start
@@ -1150,6 +1154,7 @@ impl Engine {
                 Route::BypassRead => {
                     if multicast {
                         nec.multicast_bypass_read(start, addr, lines, group, dram, 0)
+                            .map_err(cache_err("multicast bypass read"))?
                     } else {
                         nec.bypass_read(start, addr, lines, dram, 0)
                     }
@@ -1178,8 +1183,7 @@ impl Engine {
             if throttled && tr.route.touches_dram() {
                 // Saturates on a starved bandwidth, so the next transfer
                 // reports the range instead of wrapping.
-                bw_gate =
-                    start.saturating_add((tr.bytes as f64 / (bw_share * peak_bw)).ceil() as Cycle);
+                bw_gate = start.saturating_add(ceil_u64(tr.bytes as f64 / (bw_share * peak_bw)));
             }
         }
 

@@ -15,6 +15,10 @@
 //! * Events at the **same** cycle fire in the order they were
 //!   scheduled (FIFO by a monotone sequence number). The engine's RNG
 //!   draw order, and so every result, depends on this.
+//! * Both rules are one comparison: each entry carries the key
+//!   `(time << 64) | seq` as a `u128`, so a heap step compares one
+//!   integer. The sequence number is a `u64` and never wraps, so the
+//!   packed order is exactly the `(time, seq)` order.
 //! * The tracked time never runs backwards: it is the max of all
 //!   popped timestamps.
 //!
@@ -66,16 +70,23 @@ pub struct Scheduler<E> {
     now: Cycle,
 }
 
+/// A pending event under its packed `(time << 64) | seq` key: one
+/// `u128` compare orders by time, then by insertion sequence.
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    time: Cycle,
-    seq: u64,
+    key: u128,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> Cycle {
+        (self.key >> 64) as Cycle
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -86,7 +97,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -102,9 +113,9 @@ impl<E> Scheduler<E> {
 
     /// Schedules `payload` at absolute master cycle `time`.
     pub fn push(&mut self, time: Cycle, payload: E) {
-        let seq = self.seq;
+        let key = (u128::from(time) << 64) | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, payload }));
+        self.heap.push(Reverse(Entry { key, payload }));
     }
 
     /// Removes and returns the earliest event, advancing the tracked
@@ -112,8 +123,9 @@ impl<E> Scheduler<E> {
     /// time is the max of all popped timestamps.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         self.heap.pop().map(|Reverse(e)| {
-            self.now = self.now.max(e.time);
-            (e.time, e.payload)
+            let time = e.time();
+            self.now = self.now.max(time);
+            (time, e.payload)
         })
     }
 
@@ -124,7 +136,7 @@ impl<E> Scheduler<E> {
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.time())
     }
 
     /// Number of pending events.
@@ -182,6 +194,26 @@ mod tests {
         for i in 0..100 {
             assert_eq!(s.pop(), Some((7, i)));
         }
+    }
+
+    #[test]
+    fn fifo_among_equal_times_at_both_ends_of_the_clock() {
+        // The time sits in the key's high half: the extremes must not
+        // bleed into the sequence bits.
+        let mut s = Scheduler::new();
+        for i in 0..10 {
+            s.push(u64::MAX, i);
+            s.push(0, 100 + i);
+        }
+        for i in 0..10 {
+            assert_eq!(s.pop(), Some((0, 100 + i)));
+        }
+        for i in 0..10 {
+            assert_eq!(s.peek_time(), Some(u64::MAX));
+            assert_eq!(s.pop(), Some((u64::MAX, i)));
+        }
+        assert_eq!(s.now(), u64::MAX);
+        assert_eq!(s.pop(), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::layout::TaskLayout;
 use camdn_common::types::Cycle;
 use camdn_core::{Decision, RegionGrant};
-use camdn_mapper::LayerPlan;
+use camdn_mapper::PhasePlan;
 use serde::{Deserialize, Serialize};
 
 /// Execution state of a task.
@@ -56,8 +56,8 @@ pub struct Task {
     pub npus: Vec<usize>,
     /// Layer currently executing.
     pub cur_layer: usize,
-    /// Unrolled plan of the current layer.
-    pub plan: Option<LayerPlan>,
+    /// Phase plan of the current layer (phases are generated on demand).
+    pub plan: Option<PhasePlan>,
     /// Whether the current layer reads cached tensors via multicast.
     pub group: u32,
     /// Region grant for the current layer (LWM).
