@@ -12,7 +12,7 @@
 
 use camdn_analysis::{area_breakdown, profile_zoo, AreaModel};
 use camdn_bench::{
-    cycling_workload, isolated_latencies, mean_by_model, print_table, speedup_policies,
+    cycling_workload, isolated_latencies, mean_by_model, print_table, select, speedup_policies,
 };
 use camdn_common::config::{CacheConfig, NpuConfig};
 use camdn_common::stats::geomean;
@@ -49,24 +49,21 @@ const FIGURES: [(&str, Figure); 7] = [
 
 fn main() -> ExitCode {
     let ids: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(bad) = ids.iter().find(|id| FIGURES.iter().all(|(f, _)| f != id)) {
-        let known: Vec<&str> = FIGURES.iter().map(|(f, _)| *f).collect();
-        eprintln!(
-            "unknown figure {bad:?}; expected any of {}",
-            known.join(", ")
-        );
-        return ExitCode::from(2);
-    }
+    let figures = match select("figure", &FIGURES, &ids) {
+        Ok(figures) => figures,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let mut rows = Vec::new();
     let mut shared = Shared::default();
-    for (id, figure) in FIGURES {
-        if ids.is_empty() || ids.iter().any(|s| s == id) {
-            rows.extend(
-                figure(&mut shared)
-                    .into_iter()
-                    .map(|Claim(id, paper, here)| vec![id.into(), paper.into(), here]),
-            );
-        }
+    for (_, figure) in figures {
+        rows.extend(
+            figure(&mut shared)
+                .into_iter()
+                .map(|Claim(id, paper, here)| vec![id.into(), paper.into(), here]),
+        );
     }
     print_table(
         "Scorecard — paper vs here",

@@ -1,32 +1,23 @@
 //! Experiment harness: shared helpers for regenerating every table and
-//! figure of the CaMDN paper.
+//! figure of the CaMDN paper and the studies around them.
 //!
 //! The binaries in `src/bin/`:
 //!
 //! | Binary | What it runs |
 //! |---|---|
 //! | `paper` | the paper's artifacts on the paper's own grids, then one paper-vs-here scorecard |
-//! | `sweep` | fig8-style grid through `Sweep::grid()` → `BENCH_sweep.json` |
-//! | `scaling` | rate ramp / tenant / SoC scaling studies → `BENCH_scaling.json` |
-//! | `throughput` | engine throughput, batched vs reference → `BENCH_engine.json` |
-//! | `serve` | trace-driven rate ramp → per-policy SLO knee → `BENCH_serve.json` |
-//! | `chaos` | the `serve` trace under seeded fault schedules → `BENCH_chaos.json` |
-//! | `ablation` | look-ahead, page-size and LBM ablations |
+//! | `bench` | harness studies, one grid each: `throughput` → `BENCH_engine.json`, `sweep` → `BENCH_sweep.json`, `scaling` → `BENCH_scaling.json`, `serve` → `BENCH_serve.json`, `chaos` → `BENCH_chaos.json`, and `ablation` |
 //!
-//! `paper` runs the artifacts named by its arguments (`fig2`, `fig3`,
-//! `fig7`, `fig8`, `fig9`, `table3`, `diag`), or all of them when given
-//! none.
-//!
-//! Set `CAMDN_QUICK=1` to run reduced sweeps in every binary but
-//! `paper` (used by CI); see [`quick_mode`] for the accepted values.
+//! Each takes positional ids naming what to run (`paper`: `fig2`,
+//! `fig3`, `fig7`, `fig8`, `fig9`, `table3`, `diag`; `bench`: the study
+//! names above) and runs everything when given none; see [`select`].
 //!
 //! Grid-shaped experiments run through the
 //! [`camdn_sweep`](../camdn_sweep/index.html) subsystem
 //! (`Sweep::grid()`), which fans cells out over a thread pool, shares
 //! one mapping-plan cache across the grid, and surfaces per-cell
-//! errors without aborting the sweep. The `sweep` binary records a
-//! fig8-style grid (with and without the shared cache) in
-//! `BENCH_sweep.json`.
+//! errors without aborting the sweep. `bench sweep` records the fig8
+//! grid (with and without the shared cache) in `BENCH_sweep.json`.
 
 #![warn(missing_docs)]
 #![deny(deprecated)]
@@ -36,37 +27,30 @@ use camdn_models::Model;
 use camdn_runtime::{EngineError, PolicyKind, Simulation, TaskSummary, Workload};
 use std::collections::HashMap;
 
-/// True when the `CAMDN_QUICK` environment variable requests reduced
-/// sweeps.
-///
-/// Falsy values (case-insensitive, surrounding whitespace ignored):
-/// unset, empty, `0`, `false`, `no`, `off`. Every other value —
-/// `1`, `true`, `yes`, `on`, … — enables quick mode. The old parser
-/// treated anything but the literal `"0"` as enabled, so
-/// `CAMDN_QUICK=false` silently ran *reduced* sweeps.
-pub fn quick_mode() -> bool {
-    env_flag("CAMDN_QUICK")
-}
-
-/// True when the environment variable `name` holds a truthy value.
-///
-/// The single boolean-flag parse shared by every bench binary
-/// (`CAMDN_QUICK`, `CAMDN_SCALING_RESUME`, …),
-/// so `FLAG=false` means the same thing everywhere. Falsy
-/// (case-insensitive, surrounding whitespace ignored): unset, empty,
-/// `0`, `false`, `no`, `off`; everything else is truthy.
-pub fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| env_flag_truthy(&v))
-        .unwrap_or(false)
-}
-
-/// Truthy/falsy parse behind [`env_flag`].
-fn env_flag_truthy(value: &str) -> bool {
-    !matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "" | "0" | "false" | "no" | "off"
-    )
+/// The entries of `table` that `ids` name, in table order, or all of
+/// them when `ids` is empty. A repeated id selects its entry once; an
+/// id naming no entry is an error that names it, the `what` it should
+/// have been, and every known id.
+pub fn select<T: Copy>(
+    what: &str,
+    table: &[(&'static str, T)],
+    ids: &[String],
+) -> Result<Vec<(&'static str, T)>, String> {
+    if let Some(bad) = ids
+        .iter()
+        .find(|id| table.iter().all(|(name, _)| name != id))
+    {
+        let known: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown {what} {bad:?}; expected any of {}",
+            known.join(", ")
+        ));
+    }
+    Ok(table
+        .iter()
+        .filter(|(name, _)| ids.is_empty() || ids.iter().any(|id| id == name))
+        .copied()
+        .collect())
 }
 
 /// The standard N-tenant workload: cycle the Table I zoo models.
@@ -168,16 +152,6 @@ mod tests {
         assert_eq!(zoo.len(), 8);
         assert_eq!(abbrs(8), zoo);
         assert_eq!(abbrs(16), [zoo.clone(), zoo].concat());
-    }
-
-    #[test]
-    fn quick_mode_flag_parses_truthy_and_falsy() {
-        for falsy in ["", "0", "false", "no", "off", "FALSE", " Off ", "No"] {
-            assert!(!env_flag_truthy(falsy), "{falsy:?} must be falsy");
-        }
-        for truthy in ["1", "true", "yes", "on", "2", "quick", "TRUE"] {
-            assert!(env_flag_truthy(truthy), "{truthy:?} must be truthy");
-        }
     }
 
     #[test]
