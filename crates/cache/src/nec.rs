@@ -43,10 +43,13 @@
 //! form (`hit_latency + n / (slices × lines_per_cycle)`), and the
 //! DRAM-touching routes (`fill`, `writeback`, `bypass_*`, multicast
 //! bypass) issue a single [`DramModel::access_burst`]. Its row-run
-//! step prices the burst's full rows in O(channels × min(rows, banks)):
-//! one step per row for the first lap of banks, then one update per
-//! bank for the rest, whenever `banks × kf × burst` covers the row-miss
-//! penalty (`kf` lines per channel per row). This is the structural
+//! step prices the burst's full rows with one step per row for the
+//! first lap of banks, then one update per bank for the rest, whenever
+//! `banks × kf × burst` covers the row-miss penalty (`kf` lines per
+//! channel per row). While every channel agrees on the banks it visits,
+//! which bulk DMA nearly always leaves them doing, each bank is updated
+//! once for all channels: O(min(rows, banks) + channels) per burst, and
+//! O(channels × min(rows, banks)) otherwise. This is the structural
 //! reason the CaMDN configurations simulate an order of magnitude
 //! faster than the transparent baseline at equal fidelity. Multicast
 //! routes serve a whole NPU group with one walk plus an analytic
@@ -55,7 +58,7 @@
 use crate::geometry::CacheGeometry;
 use camdn_common::config::CacheConfig;
 use camdn_common::stats::Counter;
-use camdn_common::types::{ceil_u64, Cycle, PhysAddr};
+use camdn_common::types::{CeilDiv, Cycle, PhysAddr};
 use camdn_dram::DramModel;
 use serde::{Deserialize, Serialize};
 
@@ -154,9 +157,9 @@ struct OwnerMemo {
 /// The logical NPU-exclusive controller over the NPU subspace.
 #[derive(Debug, Clone)]
 pub struct Nec {
-    geom: CacheGeometry,
     hit_latency: Cycle,
-    lines_per_cycle: f64,
+    /// Lines the slices move per cycle, as a divide.
+    port: CeilDiv,
     npu_pages: u32,
     /// `page_owner[pcpn - first_pcpn]`: owner task, if claimed.
     page_owner: Vec<Option<TaskId>>,
@@ -179,9 +182,8 @@ impl Nec {
         // NPU way.
         let first_pcpn = pages_per_way * geom.first_npu_way(cfg.npu_ways);
         Nec {
-            geom,
             hit_latency: cfg.hit_latency,
-            lines_per_cycle: cfg.lines_per_cycle,
+            port: CeilDiv::new(f64::from(geom.slices) * cfg.lines_per_cycle),
             npu_pages,
             page_owner: vec![None; npu_pages as usize],
             first_pcpn,
@@ -287,8 +289,7 @@ impl Nec {
     /// cycle, so bulk DMA never loops per line).
     #[inline]
     fn serve_cycles(&self, lines: u64) -> Cycle {
-        self.hit_latency
-            + ceil_u64(lines as f64 / (f64::from(self.geom.slices) * self.lines_per_cycle))
+        self.hit_latency + self.port.ceil(lines)
     }
 
     /// **Basic semantics**: read `lines` lines of `task`'s region into the

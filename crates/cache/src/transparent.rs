@@ -128,7 +128,7 @@ use crate::geometry::{
 };
 use camdn_common::config::CacheConfig;
 use camdn_common::stats::Counter;
-use camdn_common::types::{ceil_u64, Cycle, PhysAddr};
+use camdn_common::types::{CeilDiv, Cycle, PhysAddr};
 use camdn_dram::DramModel;
 use serde::{Deserialize, Serialize};
 
@@ -469,7 +469,8 @@ impl TagAcc {
 pub struct SharedCache {
     geom: CacheGeometry,
     hit_latency: Cycle,
-    lines_per_cycle: f64,
+    /// Lines the slices serve per cycle, as a divide.
+    port: CeilDiv,
     /// Way-tag lanes, set-major: `tags[(line % groups) * ways + way]`.
     /// Consecutive lines walk this array sequentially (slices are the
     /// low-order index), which is what keeps the tag pass streaming.
@@ -514,7 +515,7 @@ impl SharedCache {
         SharedCache {
             geom,
             hit_latency: cfg.hit_latency,
-            lines_per_cycle: cfg.lines_per_cycle,
+            port: CeilDiv::new(f64::from(geom.slices) * cfg.lines_per_cycle),
             tags: vec![0; groups * ways],
             // Order words are rebuilt from the identity permutation when
             // a stale set materializes.
@@ -888,7 +889,7 @@ impl SharedCache {
     /// collectively serve `slices * lines_per_cycle` lines per cycle.
     #[inline]
     fn port_cycles(&self, lines: u64) -> Cycle {
-        ceil_u64(lines as f64 / (f64::from(self.geom.slices) * self.lines_per_cycle))
+        self.port.ceil(lines)
     }
 
     /// Accesses a contiguous byte range through the transparent path.

@@ -139,6 +139,40 @@ pub fn ceil_u64(x: f64) -> u64 {
     }
 }
 
+/// `ceil_u64(n as f64 / d)` for a fixed divisor `d`, bit for bit, with
+/// an integer shift in place of the divide when `d` is a power-of-two
+/// integer (8.0 lines per cycle across the paper SoC's cache slices)
+/// and `n < 2^53`.
+///
+/// Exact because such an `n` converts to `f64` exactly and dividing it
+/// by a power of two only moves the exponent, so the `f64` quotient is
+/// `n / d` itself and its ceiling is the integer one. Larger `n` round
+/// on conversion, so they keep the `f64` form.
+#[derive(Debug, Clone, Copy)]
+pub struct CeilDiv {
+    d: f64,
+    /// `log2(d)` when `d` is a power-of-two integer.
+    shift: Option<u32>,
+}
+
+impl CeilDiv {
+    /// Precomputes the divide by `d`.
+    pub fn new(d: f64) -> Self {
+        let int = d as u64;
+        let shift = (int as f64 == d && int.is_power_of_two()).then(|| int.trailing_zeros());
+        CeilDiv { d, shift }
+    }
+
+    /// `ceil(n / d)`, as [`ceil_u64`] of the `f64` quotient.
+    #[inline]
+    pub fn ceil(self, n: u64) -> u64 {
+        match self.shift {
+            Some(s) if n < 1 << 53 => (n + (1 << s) - 1) >> s,
+            _ => ceil_u64(n as f64 / self.d),
+        }
+    }
+}
+
 /// Rounds `a` up to the next multiple of `b`.
 #[inline]
 pub fn round_up(a: u64, b: u64) -> u64 {
@@ -245,6 +279,56 @@ mod tests {
             let y = (rng.next_u64() >> 11) as f64 / 1024.0;
             assert_eq!(ceil_u64(y), y.ceil() as u64, "y = {y}");
         }
+    }
+
+    #[test]
+    fn ceil_div_matches_the_f64_quotient() {
+        let p53 = 1u64 << 53;
+        let mut rng = crate::SimRng::new(0xD1F8);
+        // Powers of two take the shift; the rest, and `n ≥ 2^53`, the
+        // f64 form.
+        for d in [
+            8.0,
+            1.0,
+            2.0,
+            16.0,
+            2f64.powi(40),
+            3.0,
+            2.5,
+            0.5,
+            1e-3,
+            12.0,
+        ] {
+            let div = CeilDiv::new(d);
+            let want = |n: u64| ceil_u64(n as f64 / d);
+            let di = d as u64;
+            let edges = [
+                0,
+                1,
+                di.saturating_sub(1),
+                di,
+                di + 1,
+                2 * di + 1,
+                p53 - 1,
+                p53,
+                p53 + 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            for n in edges {
+                assert_eq!(div.ceil(n), want(n), "d = {d}, n = {n}");
+            }
+            for _ in 0..20_000 {
+                // Uniform bits, then values in the common range.
+                let n = rng.next_u64();
+                assert_eq!(div.ceil(n), want(n), "d = {d}, n = {n}");
+                let n = rng.next_u64() >> (11 + rng.next_below(50));
+                assert_eq!(div.ceil(n), want(n), "d = {d}, n = {n}");
+            }
+        }
+        assert!(CeilDiv::new(8.0).shift == Some(3));
+        assert!(CeilDiv::new(2f64.powi(64)).shift.is_none());
+        assert!(CeilDiv::new(f64::NAN).shift.is_none());
     }
 
     #[test]

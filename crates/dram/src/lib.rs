@@ -34,11 +34,20 @@
 //! row for its first `banks` rows. Past that first lap, if `banks × kf
 //! × burst` covers the row-miss penalty, no bank and no `earliest` can
 //! delay the bus again, so the remaining rows are priced in closed
-//! form: one update per bank and one horizon step per channel. A burst
-//! costs O(channels × min(rows, banks)) instead of O(rows × channels);
-//! a channel that misses the bound walks every row. A [`LineBatch`]
-//! fill run prices its rows past the first lap the same way, under one
-//! more bound that keeps its MSHR gates off the bus (see there).
+//! form: one update per bank and one horizon step per channel. A channel
+//! that misses the bound walks every row. A [`LineBatch`] fill run
+//! prices its rows past the first lap the same way, under one more
+//! bound that keeps its MSHR gates off the bus (see there).
+//!
+//! A bank's update never involves its channel's bus, so while every
+//! channel holds the same state of a bank, the model stores that bank
+//! once (bit `b` of a one-word agreement mask) and a burst updates it
+//! once for all channels. Each channel's horizon then folds the lap in
+//! closed form (a max-plus sum; see `row_run`). A burst costs
+//! O(min(rows, banks) + channels) while the banks it visits agree, and
+//! O(channels × min(rows, banks)) otherwise, instead of O(rows ×
+//! channels). Writes to one channel's bank (the per-line walk and the
+//! [`LineBatch`] paths) first give each channel its own copy.
 //!
 //! Time is kept in 64-bit fixed point, which spans
 //! [`DramConfig::MAX_HORIZON_CYCLES`] (2^44 cycles). A horizon past it
@@ -181,7 +190,14 @@ impl DramStats {
 /// byte address decomposes to it).
 const NO_ROW: u64 = u64::MAX;
 
-#[derive(Debug, Clone, Copy)]
+/// Bank `b`'s bit in [`DramModel`]'s agreement mask. Past 64 banks the
+/// mask is always empty, so the bits the high banks alias are never set.
+#[inline]
+fn bank_bit(b: usize) -> u64 {
+    1 << (b & 63)
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Bank {
     /// Open row index, or [`NO_ROW`].
     open_row: u64,
@@ -214,15 +230,27 @@ pub struct DramModel {
     /// The most one operation can move the latest horizon, fixed-point
     /// ticks (see [`DramModel::fits`]); saturates.
     op_reach: u64,
+    /// The fastest channel's burst, fixed-point ticks.
+    min_burst: u64,
     /// Fixed-point tick at which each channel's data bus becomes free.
     /// Sub-cycle resolution keeps a 64 B burst at 25.6 B/cycle on exactly
     /// 2.5 cycles instead of a rounded 3 — rounding up would silently
     /// shave 17 % off the peak bandwidth.
     free_at: Vec<u64>,
-    /// Bank state, channel-major: `banks[ch * banks_per_channel + bank]`
-    /// — one flat allocation, no per-channel `Vec` indirection on the
-    /// per-line hot path.
+    /// Bank state, bank-major: `banks[bank * channels + ch]` — one
+    /// flat allocation, no per-channel `Vec` indirection on the per-line
+    /// hot path. A bank every channel agrees on is stored once, in its
+    /// first channel's slot (see `agree`).
     banks: Vec<Bank>,
+    /// Bit `b` set: every channel's bank `b` holds the same state, kept
+    /// in `banks[b * channels]`; the bank's other slots are stale and
+    /// never read. A step that may write one channel's bank first copies
+    /// the state to every slot and clears the bit
+    /// ([`DramModel::unshare`]); a step that wrote the bank on every
+    /// channel rechecks it. Always empty past 64 banks per channel.
+    agree: u64,
+    /// The bits of every bank (`banks_per_channel ≤ 64`), else 0.
+    agree_all: u64,
     /// Lines each channel receives from one full row when a row holds a
     /// whole number of channel rounds (every row then starts at channel
     /// 0); 0 when it does not, which disables the row-run step of
@@ -262,6 +290,11 @@ impl DramModel {
             Some(0) => cfg.row_bytes / round,
             _ => 0,
         };
+        let agree_all = match nbanks {
+            64 => u64::MAX,
+            0..64 => (1 << nbanks) - 1,
+            _ => 0,
+        };
         let mut model = DramModel {
             cfg,
             line_bytes,
@@ -270,6 +303,7 @@ impl DramModel {
             scale_ch: vec![1.0; cfg.channels as usize],
             burst_ceil: ceil_fp(burst_fp),
             op_reach: 0,
+            min_burst: burst_fp,
             free_at: vec![0; nch],
             banks: vec![
                 Bank {
@@ -278,6 +312,8 @@ impl DramModel {
                 };
                 nch * nbanks
             ],
+            agree: agree_all,
+            agree_all,
             row_run_kf,
             line_div: FastDiv::new(line_bytes),
             row_div: FastDiv::new(cfg.row_bytes),
@@ -287,19 +323,16 @@ impl DramModel {
             reference: false,
             scratch: BatchScratch::default(),
         };
-        model.set_op_reach();
+        model.set_burst_bounds();
         model
     }
 
-    /// Recomputes [`DramModel::fits`]'s per-operation reach from the
-    /// slowest channel's burst.
-    fn set_op_reach(&mut self) {
-        let slow = self
-            .burst_fp_ch
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(self.burst_fp);
+    /// Recomputes the fastest channel's burst and [`DramModel::fits`]'s
+    /// per-operation reach, which the slowest channel's burst sets.
+    fn set_burst_bounds(&mut self) {
+        let bursts = self.burst_fp_ch.iter().copied();
+        self.min_burst = bursts.clone().min().unwrap_or(self.burst_fp);
+        let slow = bursts.max().unwrap_or(self.burst_fp);
         let slack = self
             .cfg
             .cas_latency
@@ -371,7 +404,8 @@ impl DramModel {
         bank_idx: usize,
         row: u64,
     ) -> Cycle {
-        let bank = &mut self.banks[ch_idx * self.cfg.banks_per_channel as usize + bank_idx];
+        self.unshare(bank_idx);
+        let bank = &mut self.banks[bank_idx * self.cfg.channels as usize + ch_idx];
         if bank.open_row == row {
             self.stats.row_hits.incr();
         } else {
@@ -403,11 +437,16 @@ impl DramModel {
     /// channel) pair collapses to one horizon update. From the first row
     /// start on, [`DramModel::row_run`] prices all remaining full rows
     /// at once. Bit-identical to [`DramModel::burst_lines_reference`].
+    ///
+    /// A segment that reaches every channel updates its bank the same
+    /// way on each, since `earliest` and the row are common to all. So
+    /// when the channels agree on the bank, the segment updates it once
+    /// and then steps each channel's horizon by its own lines.
     fn burst_lines_batched(&mut self, earliest: Cycle, addr: PhysAddr, lines: u64) -> Cycle {
         let lb = self.line_bytes;
         let nch = u64::from(self.cfg.channels);
-        let nbanks = self.cfg.banks_per_channel as usize;
         let row_lines = self.row_run_kf * nch;
+        let pen = self.cfg.row_miss_penalty;
         let e_fp = fp(earliest);
         let first_line = self.line_div.div(addr.0);
         let mut finish = earliest;
@@ -429,29 +468,51 @@ impl DramModel {
             let seg = self.line_div.div_ceil(row_end - byte).min(lines - i);
             let bank_idx = self.bank_div.rem(row) as usize;
             let c0 = self.ch_div.rem(first_line + i);
-            for t in 0..nch.min(seg) {
-                // Lines of this segment landing on this channel.
-                let k = self.ch_div.div_ceil(seg - t);
-                let mut c = c0 + t;
-                if c >= nch {
-                    c -= nch;
-                }
-                let ci = c as usize;
-                let burst = self.burst_fp_ch[ci];
-                let bank = &mut self.banks[ci * nbanks + bank_idx];
+            if seg >= nch && self.agree & bank_bit(bank_idx) != 0 {
+                let bi = self.shared_at(bank_idx);
+                let mut bank = self.banks[bi];
                 if bank.open_row == row {
-                    self.stats.row_hits.add(k);
+                    self.stats.row_hits.add(seg);
                 } else {
-                    self.stats.row_misses.incr();
-                    self.stats.row_hits.add(k - 1);
+                    self.stats.row_misses.add(nch);
+                    self.stats.row_hits.add(seg - nch);
                     bank.open_row = row;
-                    bank.ready_at = earliest.max(bank.ready_at) + self.cfg.row_miss_penalty;
+                    bank.ready_at = earliest.max(bank.ready_at) + pen;
+                    self.banks[bi] = bank;
                 }
-                // After the first line, each line starts exactly where
-                // the previous one on this channel finished.
-                let start = e_fp.max(self.free_at[ci]).max(fp(bank.ready_at));
-                self.free_at[ci] = start + k * burst;
-                finish = finish.max(ceil_fp(self.free_at[ci]) + self.cfg.cas_latency);
+                let floor = e_fp.max(fp(bank.ready_at));
+                let mut last = 0;
+                for t in 0..nch {
+                    let k = self.ch_div.div_ceil(seg - t);
+                    let c = if c0 + t >= nch { c0 + t - nch } else { c0 + t };
+                    last = last.max(self.bus_step(c as usize, floor, k));
+                }
+                finish = finish.max(ceil_fp(last) + self.cfg.cas_latency);
+            } else {
+                for t in 0..nch.min(seg) {
+                    // Lines of this segment landing on this channel.
+                    let k = self.ch_div.div_ceil(seg - t);
+                    let ci = (if c0 + t >= nch { c0 + t - nch } else { c0 + t }) as usize;
+                    let mut bi = self.bank_at(bank_idx, ci);
+                    if self.banks[bi].open_row == row {
+                        self.stats.row_hits.add(k);
+                    } else {
+                        self.stats.row_misses.incr();
+                        self.stats.row_hits.add(k - 1);
+                        self.unshare(bank_idx);
+                        bi = bank_idx * nch as usize + ci;
+                        let bank = &mut self.banks[bi];
+                        bank.open_row = row;
+                        bank.ready_at = earliest.max(bank.ready_at) + pen;
+                    }
+                    // After the first line, each line starts exactly
+                    // where the previous one on this channel finished.
+                    let free = self.bus_step(ci, e_fp.max(fp(self.banks[bi].ready_at)), k);
+                    finish = finish.max(ceil_fp(free) + self.cfg.cas_latency);
+                }
+                if seg >= nch {
+                    self.recheck(bank_idx);
+                }
             }
             i += seg;
         }
@@ -459,9 +520,9 @@ impl DramModel {
     }
 
     /// Row-run step: prices `rows` full rows from `row0` on, each giving
-    /// every channel `kf` lines starting at channel 0, channel by
-    /// channel with one update per bank instead of one per (row,
-    /// channel). Returns the last line's completion cycle.
+    /// every channel `kf` lines starting at channel 0, with one update
+    /// per bank instead of one per (row, channel). Returns the last
+    /// line's completion cycle.
     ///
     /// A channel walks its first `banks` rows exactly, one step per row
     /// (the per-line recurrence telescoped over the row's `kf` lines).
@@ -476,10 +537,23 @@ impl DramModel {
     /// misses, ends at `max(earliest, ready) + m × penalty`, open on its
     /// last row. A channel that misses the bound (a penalty longer than
     /// a lap of rows on its bus) walks every row.
+    ///
+    /// A bank's update involves neither the channel nor its bus, so when
+    /// every channel holds the same state of each bank the lap visits,
+    /// and every channel takes the same path (no rows past the lap, or
+    /// the bound holds at the fastest channel's burst and so at all),
+    /// the lap updates each bank once for all channels. Each horizon is
+    /// then the max-plus fold of the lap's steps `F ← max(F, e, R_j) +
+    /// kf × burst` over its `n` rows: `max(max(F, e) + n × kf × burst,
+    /// max_j(R_j + (n − j) × kf × burst))`, where `R_j` is row `j`'s
+    /// bank ready time after its own miss. `max` and `+` distribute
+    /// over `u64` and no term passes the walk's own final horizon, so
+    /// the fold is exact. Otherwise each channel walks its own banks.
     fn row_run(&mut self, earliest: Cycle, row0: u64, rows: u64) -> Cycle {
         let kf = self.row_run_kf;
         let nb = u64::from(self.cfg.banks_per_channel);
         let nbanks = nb as usize;
+        let nch = self.free_at.len();
         let pen = self.cfg.row_miss_penalty;
         let e_fp = fp(earliest);
         let b0 = self.bank_div.rem(row0) as usize;
@@ -487,17 +561,83 @@ impl DramModel {
         // them, one more when `j < extra`.
         let later = rows.saturating_sub(nb);
         let (laps, extra) = (self.bank_div.div(later), self.bank_div.rem(later));
+        let n = rows.min(nb);
         let mut misses = 0u64;
+        if (later == 0 || nb * kf * self.min_burst >= fp(pen)) && self.span_agrees(b0, n) {
+            // The shared lap. `lap` is the max-plus term at the nominal
+            // burst; until the rows past the lap update them, the lap's
+            // `n ≤ banks` distinct banks hold its `R_j`.
+            let kfb_nom = kf * self.burst_fp;
+            let mut lap = 0;
+            let mut b = b0;
+            for j in 0..n {
+                let bi = self.shared_at(b);
+                let mut bank = self.banks[bi];
+                if bank.open_row != row0 + j {
+                    misses += 1;
+                    bank.open_row = row0 + j;
+                    bank.ready_at = earliest.max(bank.ready_at) + pen;
+                    self.banks[bi] = bank;
+                }
+                lap = lap.max(fp(bank.ready_at) + (n - j) * kfb_nom);
+                b += 1;
+                if b == nbanks {
+                    b = 0;
+                }
+            }
+            let mut last = 0;
+            for c in 0..nch {
+                let kfb = kf * self.burst_fp_ch[c];
+                // A degraded channel folds the lap at its own burst.
+                let lap = if kfb == kfb_nom {
+                    lap
+                } else {
+                    (0..n)
+                        .map(|j| {
+                            let bi = self.shared_at((b0 + j as usize) % nbanks);
+                            fp(self.banks[bi].ready_at) + (n - j) * kfb
+                        })
+                        .fold(0, u64::max)
+                };
+                let free = (self.free_at[c].max(e_fp) + n * kfb).max(lap) + later * kfb;
+                self.free_at[c] = free;
+                last = last.max(free);
+            }
+            // The rows past the lap, all misses (`n` is `banks` here).
+            for j in 0..if later > 0 { n } else { 0 } {
+                let m = laps + u64::from(j < extra);
+                if m > 0 {
+                    misses += m;
+                    let bi = self.shared_at(b);
+                    let mut bank = self.banks[bi];
+                    bank.open_row = row0 + j + m * nb;
+                    bank.ready_at = earliest.max(bank.ready_at) + m * pen;
+                    self.banks[bi] = bank;
+                }
+                b += 1;
+                if b == nbanks {
+                    b = 0;
+                }
+            }
+            let misses = misses * nch as u64;
+            self.stats.row_misses.add(misses);
+            self.stats.row_hits.add(rows * kf * nch as u64 - misses);
+            return ceil_fp(last) + self.cfg.cas_latency;
+        }
+        // Every channel walks the lap's banks: give each its own copy,
+        // and recheck them after.
+        for j in 0..n as usize {
+            self.unshare((b0 + j) % nbanks);
+        }
         let mut finish = earliest;
-        for c in 0..self.free_at.len() {
+        for c in 0..nch {
             let kfb = kf * self.burst_fp_ch[c];
             let tail = later > 0 && nb * kfb >= fp(pen);
-            let banks = &mut self.banks[c * nbanks..(c + 1) * nbanks];
             let mut free = self.free_at[c];
             let mut b = b0;
             for j in 0..if tail { nb } else { rows } {
                 let row = row0 + j;
-                let bank = &mut banks[b];
+                let bank = &mut self.banks[b * nch + c];
                 if bank.open_row != row {
                     misses += 1;
                     bank.open_row = row;
@@ -523,11 +663,90 @@ impl DramModel {
             self.free_at[c] = free;
             finish = finish.max(ceil_fp(free) + self.cfg.cas_latency);
         }
+        for j in 0..n as usize {
+            self.recheck((b0 + j) % nbanks);
+        }
         self.stats.row_misses.add(misses);
-        self.stats
-            .row_hits
-            .add(rows * kf * self.free_at.len() as u64 - misses);
+        self.stats.row_hits.add(rows * kf * nch as u64 - misses);
         finish
+    }
+
+    /// Moves channel `c`'s horizon past `k` lines, the first starting
+    /// no earlier than `floor`; returns the new horizon.
+    #[inline]
+    fn bus_step(&mut self, c: usize, floor: u64, k: u64) -> u64 {
+        let free = self.free_at[c].max(floor) + k * self.burst_fp_ch[c];
+        self.free_at[c] = free;
+        free
+    }
+
+    /// Whether every channel agrees on the `n` banks from `b0` on,
+    /// wrapping past the last.
+    #[inline]
+    fn span_agrees(&self, b0: usize, n: u64) -> bool {
+        if self.agree_all == 0 {
+            return false;
+        }
+        let span = if n >= u64::from(self.cfg.banks_per_channel) {
+            self.agree_all
+        } else {
+            // `n < banks ≤ 64`, and the bits past the last bank wrap.
+            let m = (1u64 << n) - 1;
+            let wrap = m
+                .checked_shr(self.cfg.banks_per_channel - b0 as u32)
+                .unwrap_or(0);
+            ((m << b0) | wrap) & self.agree_all
+        };
+        self.agree & span == span
+    }
+
+    /// Where channel `c`'s state of bank `b` is read from: the bank's
+    /// one copy while every channel agrees on it.
+    #[inline]
+    fn bank_at(&self, b: usize, c: usize) -> usize {
+        let own = if self.agree & bank_bit(b) != 0 { 0 } else { c };
+        b * self.free_at.len() + own
+    }
+
+    /// Gives every channel its own copy of bank `b` and clears its
+    /// agreement bit, if set.
+    #[inline]
+    fn unshare(&mut self, b: usize) {
+        if self.agree & bank_bit(b) != 0 {
+            self.copy_shared(b);
+        }
+    }
+
+    /// [`DramModel::unshare`]'s copy, kept out of line so that the
+    /// per-line walk that checks the bit stays small enough to inline.
+    #[cold]
+    fn copy_shared(&mut self, b: usize) {
+        self.agree &= !bank_bit(b);
+        let i = b * self.free_at.len();
+        let bank = self.banks[i];
+        self.banks[i..i + self.free_at.len()].fill(bank);
+    }
+
+    /// The slot of agreed bank `b`'s one copy, which a shared step reads
+    /// and writes once for every channel.
+    #[inline]
+    fn shared_at(&self, b: usize) -> usize {
+        debug_assert!(
+            self.agree & bank_bit(b) != 0,
+            "a shared step reads bank {b}, which the channels do not agree on"
+        );
+        b * self.free_at.len()
+    }
+
+    /// Sets bank `b`'s agreement bit when every channel holds the same
+    /// state of it. Each channel must hold its own copy (bit clear).
+    fn recheck(&mut self, b: usize) {
+        debug_assert!(self.agree & bank_bit(b) == 0, "bank {b} is stored once");
+        let nch = self.free_at.len();
+        let bank = &self.banks[b * nch..(b + 1) * nch];
+        if bank.iter().all(|s| *s == bank[0]) {
+            self.agree |= bank_bit(b) & self.agree_all;
+        }
     }
 
     /// Issues a burst of `lines` consecutive cache lines starting at `addr`.
@@ -585,12 +804,7 @@ impl DramModel {
         // completion-time descriptors.)
         // Degraded channels only *lengthen* bursts, so the bound must
         // hold for the fastest (minimum-burst) channel to hold for all.
-        let min_burst = self
-            .burst_fp_ch
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(self.burst_fp);
+        let min_burst = self.min_burst;
         let inert_gates = window.is_multiple_of(nch as usize)
             && per_ch >= 1
             && fp(self.cfg.cas_latency) + FP_ONE <= (per_ch - 1) * min_burst;
@@ -671,7 +885,7 @@ impl DramModel {
         } else {
             (self.burst_fp as f64 / scale).round() as u64
         };
-        self.set_op_reach();
+        self.set_burst_bounds();
     }
 
     /// Current bandwidth scale of `channel` (1.0 = nominal).
@@ -727,14 +941,15 @@ impl DramModel {
             h ^= v;
             h = h.wrapping_mul(0x100000001b3);
         };
-        let nbanks = self.cfg.banks_per_channel as usize;
+        let nch = self.free_at.len();
         for (c, &free) in self.free_at.iter().enumerate() {
             mix(free);
             // `NO_ROW` is the same u64::MAX the pre-flattening digest
             // mapped `None` to, so fingerprints stay comparable.
-            for b in &self.banks[c * nbanks..(c + 1) * nbanks] {
-                mix(b.open_row);
-                mix(b.ready_at);
+            for b in 0..self.banks.len() / nch {
+                let bank = self.banks[self.bank_at(b, c)];
+                mix(bank.open_row);
+                mix(bank.ready_at);
             }
         }
         h
@@ -962,6 +1177,7 @@ impl LineBatch<'_> {
                 .min(end - j);
             let bank_idx = self.dram.bank_div.rem(row) as usize;
             let c0 = self.dram.ch_div.rem(l0 + j);
+            self.dram.unshare(bank_idx);
             for t in 0..nch.min(seg) {
                 let k = self.dram.ch_div.div_ceil(seg - t);
                 let mut ci = c0 + t;
@@ -969,7 +1185,7 @@ impl LineBatch<'_> {
                     ci -= nch;
                 }
                 let c = ci as usize;
-                let bi = c * nbanks + bank_idx;
+                let bi = bank_idx * nch as usize + c;
                 if self.dram.banks[bi].open_row == row {
                     self.dram.stats.row_hits.add(k);
                 } else {
@@ -1048,12 +1264,13 @@ impl LineBatch<'_> {
         let kf = self.dram.row_run_kf;
         let nb = u64::from(self.dram.cfg.banks_per_channel);
         let nbanks = nb as usize;
+        let nch = self.dram.free_at.len();
         let pen = self.dram.cfg.row_miss_penalty;
         let cas = self.dram.cfg.cas_latency;
         let b0 = self.dram.bank_div.rem(row0) as usize;
         // Each bank's last visit is among the last `banks` rows.
         let first_last = rows.saturating_sub(nb);
-        for c in 0..self.dram.free_at.len() {
+        for c in 0..nch {
             let n0 = self.scratch.nproc[c];
             self.scratch.nproc[c] = n0 + rows * kf;
             let free = self.dram.free_at[c] + rows * kf * self.dram.burst_fp_ch[c];
@@ -1062,7 +1279,9 @@ impl LineBatch<'_> {
             let mut b = (b0 + self.dram.bank_div.rem(first_last) as usize) % nbanks;
             for r in first_last..rows {
                 let gate = self.hist_done(c, n0 + r * kf - self.per_ch);
-                let bank = &mut self.dram.banks[c * nbanks + b];
+                // The walk's lap before the tail unshared every bank.
+                debug_assert!(self.dram.agree & bank_bit(b) == 0);
+                let bank = &mut self.dram.banks[b * nch + c];
                 let m = r / nb + 1;
                 bank.ready_at = (gate + pen).max(bank.ready_at + m * pen);
                 bank.open_row = row0 + r;
@@ -1072,7 +1291,7 @@ impl LineBatch<'_> {
                 }
             }
         }
-        let ops = rows * self.dram.free_at.len() as u64;
+        let ops = rows * nch as u64;
         self.dram.stats.row_misses.add(ops);
         self.dram.stats.row_hits.add(ops * (kf - 1));
     }
@@ -1287,7 +1506,10 @@ impl LineBatch<'_> {
         }
         // Both operations of a later pair lie past `now`: the bank was
         // last readied at a gate plus the penalty.
-        let bi = c * self.dram.cfg.banks_per_channel as usize + bank;
+        // The first pair's two rows differ, so one of them missed and
+        // gave each channel its own copy of the bank.
+        debug_assert!(self.dram.agree & bank_bit(bank) == 0);
+        let bi = bank * nch + c;
         let mut free = self.dram.free_at[c];
         let mut ready = self.dram.banks[bi].ready_at;
         let (mut slot, mut miss) = (slot, miss);
@@ -2009,5 +2231,157 @@ mod tests {
         let b = emulate_gated(&mut refm, 0, 16, &events);
         assert_eq!(a, b);
         assert_same(&fast, &refm, "binding gates");
+    }
+
+    /// Runs one [`LineBatch`] tape on the batched twin and the gated
+    /// per-line emulation on the reference twin, asserting they agree.
+    fn batch_pair(pair: &mut (DramModel, DramModel), now: Cycle, events: &[Ev], ctx: &str) {
+        let a = run_batch(&mut pair.0, now, 144, events);
+        let b = emulate_gated(&mut pair.1, now, 144, events);
+        assert_eq!(a, b, "finish diverged: {ctx}");
+        assert_same(&pair.0, &pair.1, ctx);
+    }
+
+    #[test]
+    fn shared_bank_steps_match_reference_exactly() {
+        // Bursts that update banks once for all channels, on one model
+        // pair with `LineBatch` tapes between them that leave the
+        // channels' banks apart: short runs of 1-16 whole rows, bursts
+        // starting or ending within three lines of a row boundary (their
+        // edge segments reach fewer channels than exist), delayed and
+        // idle re-reads, fill runs, eviction runs and lone writebacks.
+        // Rows come from a small pool, so bursts reopen or re-read rows
+        // the tapes left open.
+        const MIB: u64 = 1 << 20;
+        let paper = DramConfig::paper_default();
+        let with = |channels, banks| DramConfig {
+            channels,
+            banks_per_channel: banks,
+            ..paper
+        };
+        let mut rng = SimRng::new(0x5A4E);
+        // Three channels split no row evenly (no row runs, only edge
+        // segments); 64 banks fill the mask; 80 leave it empty.
+        for cfg in [paper, with(3, 16), with(4, 64), with(4, 80), with(2, 4)] {
+            let row_lines = cfg.row_bytes / 64;
+            for scales in [&[][..], &[(1, 0.5)][..]] {
+                let mut pair = twins(cfg, 64);
+                for &(c, s) in scales {
+                    pair.0.set_channel_bandwidth_scale(c, s);
+                    pair.1.set_channel_bandwidth_scale(c, s);
+                }
+                // A fill run that re-reads a lap of rows a burst left
+                // open (all hits, so its walk writes none of their
+                // banks) and prices the rows after them in closed form
+                // on the same banks; then one single-row burst per bank.
+                let (nb, r0) = (u64::from(cfg.banks_per_channel), 4096);
+                let lap = PhysAddr(r0 * cfg.row_bytes);
+                burst_both(&mut pair, 0, lap, nb * row_lines, 0, "open a lap");
+                let fill = [Ev::Fill(lap, (nb + 24) * row_lines + 144)];
+                batch_pair(&mut pair, 100, &fill, "fill over open rows");
+                let mut now = pair.0.earliest_free();
+                for b in 0..nb {
+                    let at = PhysAddr((r0 + 8 * nb + b) * cfg.row_bytes);
+                    burst_both(&mut pair, now, at, row_lines, 0, "one row per bank");
+                }
+                for step in 0..120u64 {
+                    now += rng.next_below(4_000);
+                    let row = 1024 + rng.next_below(48);
+                    let at = |line: u64| PhysAddr(row * cfg.row_bytes + line * 64);
+                    let ctx = format!("{cfg:?} {scales:?} step {step}");
+                    match step % 6 {
+                        0 | 1 => {
+                            let rows = 1 + rng.next_below(16);
+                            burst_both(&mut pair, now, at(0), rows * row_lines, 0, &ctx);
+                        }
+                        2 => {
+                            let edge = rng.next_below(4);
+                            let (head, tail) = if rng.next_below(2) == 0 {
+                                (edge, rng.next_below(row_lines))
+                            } else {
+                                (row_lines - edge, rng.next_below(4))
+                            };
+                            let lines = rng.next_below(12) * row_lines + tail;
+                            burst_both(&mut pair, now, at(head), lines, 0, &ctx);
+                        }
+                        3 => {
+                            // Bank-side waits: a delayed burst, then one
+                            // trailing it; or an idle re-read of open rows.
+                            let lines = (1 + rng.next_below(20)) * row_lines;
+                            if rng.next_below(2) == 0 {
+                                burst_both(&mut pair, now, at(0), lines, 30_000, &ctx);
+                                burst_both(&mut pair, now + 10, at(3), lines, 0, &ctx);
+                            } else {
+                                now = pair.0.earliest_free() + 10_000;
+                                burst_both(&mut pair, now, at(0), lines, 0, &ctx);
+                            }
+                        }
+                        _ => {
+                            let base = row * cfg.row_bytes + rng.next_below(row_lines) * 64;
+                            let fill = [1, 90, 400, 1_400][rng.next_below(4) as usize];
+                            let pairs = 1 + rng.next_below(300);
+                            // Victims one MiB below share their fill's
+                            // channel and bank; others land anywhere.
+                            let victim = if step % 2 == 0 {
+                                base - MIB
+                            } else {
+                                rng.next_below(1 << 18) * 64
+                            };
+                            let events = [
+                                Ev::Wb(PhysAddr(row * cfg.row_bytes + 64 * 5)),
+                                Ev::Fill(PhysAddr(base), fill),
+                                Ev::Evict(
+                                    PhysAddr(base + (fill + 3) * 64),
+                                    PhysAddr(victim + (fill + 3) * 64),
+                                    pairs,
+                                ),
+                                Ev::Wb(PhysAddr(victim)),
+                            ];
+                            batch_pair(&mut pair, now, &events, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_laps_keep_each_channels_own_burst() {
+        // A lap of banks updated once still prices each channel's
+        // horizon at its own burst. Paper geometry: a lap of rows is
+        // 16 × 8 × 2.5 = 320 cycles on a nominal channel.
+        let paper = DramConfig::paper_default();
+        let row_lines = paper.row_bytes / 64;
+        // Penalty 330: channel 2 at half bandwidth covers it (640
+        // cycles a lap), the nominal ones do not, so every channel must
+        // walk past the lap. Penalty 40: all three shapes share.
+        for pen in [330, 40] {
+            let cfg = DramConfig {
+                row_miss_penalty: pen,
+                ..paper
+            };
+            let mut pair = twins(cfg, 64);
+            let mut now = 0;
+            for (scale, rows) in [(0.5, 40), (0.5, 9), (1.0, 40), (0.5, 3), (1.0, 16)] {
+                pair.0.set_channel_bandwidth_scale(2, scale);
+                pair.1.set_channel_bandwidth_scale(2, scale);
+                let ctx = format!("penalty {pen}, scale {scale}, {rows} rows");
+                // From idle, then behind banks left busy far ahead (the
+                // lap's bank terms bind), then an idle re-read.
+                let a = PhysAddr(300 * paper.row_bytes);
+                burst_both(&mut pair, now, a, rows * row_lines, 0, &ctx);
+                burst_both(
+                    &mut pair,
+                    now,
+                    a.offset(rows * paper.row_bytes),
+                    rows * row_lines,
+                    200_000,
+                    &ctx,
+                );
+                burst_both(&mut pair, now + 1, a, 2 * rows * row_lines, 0, &ctx);
+                now = pair.0.earliest_free() + 5_000;
+                burst_both(&mut pair, now, a, rows * row_lines, 0, &ctx);
+            }
+        }
     }
 }

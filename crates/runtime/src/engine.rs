@@ -141,8 +141,12 @@ pub(crate) struct SimParams {
 /// `group`-wide NPU gang at clock `rate` relative to the master clock
 /// (multi-NPU gangs pay a 10% gang-scaling tax). The rate is held in
 /// f64 so the full rate 1.0 stays IEEE-exact: a fault-free run divides
-/// by the group throughput alone.
+/// by the group throughput alone, and one NPU at full rate is charged
+/// `compute` itself: below 2^53 the `f64` quotient by 1.0 is exact.
 fn compute_master_cycles(compute: Cycle, group: u32, rate: f64) -> Cycle {
+    if group == 1 && rate == 1.0 && compute < 1 << 53 {
+        return compute;
+    }
     let eff = if group > 1 { 0.9 } else { 1.0 };
     ceil_u64(compute as f64 / (f64::from(group) * eff * rate))
 }
@@ -1515,9 +1519,25 @@ mod tests {
 
     #[test]
     fn npu_clock_full_rate_is_exact_and_throttle_stretches() {
-        // Single NPU at full rate: identity, even past 32-bit counts.
-        for c in [0, 1, 12_345, 1 << 40, (1 << 52) + 1] {
+        // Single NPU at full rate: identity, even past 32-bit counts,
+        // and the f64 quotient's ceiling at every count.
+        for c in [0, 1, 12_345, 1 << 40, (1 << 52) + 1, (1 << 53) - 1] {
             assert_eq!(compute_master_cycles(c, 1, 1.0), c);
+        }
+        for c in [
+            0,
+            1,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(
+                compute_master_cycles(c, 1, 1.0),
+                ceil_u64(c as f64),
+                "c = {c}"
+            );
         }
         // A gang of 2 pays the 0.9 efficiency: ceil(1000 / 1.8) = 556.
         assert_eq!(compute_master_cycles(1000, 2, 1.0), 556);
