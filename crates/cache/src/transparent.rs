@@ -42,12 +42,22 @@
 //!   occupancy bits instead of a sentinel tag value.
 //! * `heads` — one **run-head bit** per set (2 KiB at the paper
 //!   geometry). Sets are stored run-length: a set whose bit is clear
-//!   has the raw state (meta word, order word, tag lane) of the nearest
-//!   head below it, and its own entries in the three planes above are
-//!   ignored. Bit 0 is always set. A fresh cache starts with every bit
-//!   set, and only the batched tag pass clears bits; the per-line paths
-//!   split a set off its run before touching it, so the reference model
-//!   runs on exactly the per-set planes.
+//!   shares the state of the nearest head below it, and its own entries
+//!   in the three planes above are ignored. Bit 0 is always set. A
+//!   fresh cache starts with every bit set, and only the batched tag
+//!   pass clears bits; the per-line paths split a set off its run before
+//!   touching it, so the reference model runs on exactly the per-set
+//!   planes.
+//! * `place` — one **placement word** per set, allocated on the first
+//!   run join that needs it (at most 128 KiB at the paper geometry; a
+//!   cache that never joins runs this way, as in every CaMDN(Full) run,
+//!   holds none). A run head's three plane entries hold the run's state
+//!   in *slot space*, and nibble `s` of a set's placement word names the
+//!   physical way that holds slot `s`: the set's physical state is its
+//!   head's state mapped through its own placement. Identity placement
+//!   is the plain per-set meaning. Only a live, full set with distinct
+//!   tags is ever placed otherwise, so a set that is not full, and every
+//!   set the reference model touches, reads its planes as they are.
 //!
 //! Tag lanes of invalid ways hold stale garbage by design: `occ` is the
 //! source of truth (invalid ways do keep a slot in the order word — the
@@ -105,26 +115,52 @@
 //!    to two short recurrences on one bank and one bus.
 //!
 //! The tag pass costs O(runs), not O(sets). Every access is a range
-//! over consecutive sets, so sets that saw the same range history hold
-//! the same raw state, and the `heads` plane stores each such run once.
-//! A range splits the runs at its two ends, resolves each run head it
-//! covers, and folds the run's other sets into the counters and the
-//! open tape event in O(1) without touching them; a head whose new
-//! state equals the run before it joins that run. On perfbench's
-//! `contention` workload (16 tenants under the transparent Baseline)
-//! runs average ~9 sets, so 89.2% of tag-pass lines are never touched
-//! (448.6M of 503.0M over the first 98k ranges of one `--seconds 0`
-//! run), and the cache holds ~2,100 runs of 16,384 sets;
-//! `camdn_closed` and `serve_replay` run CaMDN(Full) and make no
-//! tag-pass touches at all. On `contention` the tag pass takes ~55% of
-//! `access_range` time, fill runs ~20% and eviction runs ~23%.
+//! over consecutive sets, so neighbouring sets that saw the same range
+//! history hold the same state, and the `heads` plane stores each such
+//! run once. A range splits the runs at its two ends, resolves each run
+//! head it covers, and folds the run's other sets into the counters and
+//! the open tape event in O(1) without touching them.
+//!
+//! After its touch, a head joins the run before it (and the set after
+//! the range joins the last run) when the two hold the same state *up
+//! to a relabeling of ways*: equal raw planes, or — both live and full
+//! with distinct tags — the same (tag, dirty) pairs in recency order.
+//! Under LRU a set behaves as its recency-ordered stack (Mattson et
+//! al.'s stack view): with the full way mask, a touch of a full set
+//! with distinct tags hits its one matching line or evicts its LRU line,
+//! and never consults which way holds what. A miss refills the victim's
+//! own way, so two sets whose range histories once differed keep
+//! different placements long after their stacks agree again; joining on
+//! raw planes alone never rejoins them. On a join the smaller run's
+//! placement words are rebased onto the other's slots (slots at the
+//! same rank match), and when that is the left run its head takes the
+//! right run's state. Readers that see physical ways give the sets they
+//! read identity placement first: a per-line touch, a range under a
+//! partial way mask (only tests issue these; the engine always passes
+//! the full mask) and the flush of [`SharedCache::partition_ways`].
+//! [`SharedCache::probe`] and [`SharedCache::state_fingerprint`] read
+//! through the placement word, and [`SharedCache::invalidate_all`]
+//! drops the placements with the states.
+//!
+//! On perfbench's `contention` workload (16 tenants under the
+//! transparent Baseline; one `--seconds 0` run: 98,488 ranges, 513.7M
+//! lines) the tag pass resolves 1.84M run heads, ~280 lines each, where
+//! joining on raw planes alone resolved 55.8M (~9 lines each): 8.2
+//! instead of 244 per full-mask range shorter than the set array, and
+//! the planes hold 4–143 runs of 16,384 sets (median 67 over snapshots
+//! at every 997th range; ~2,100 before). The run makes 47.6k
+//! placement-free joins, which rebase 7.9M placement words. In SIGPROF samples the tag pass, joins included, is now ~15%
+//! of `contention`'s samples and the memory pass ~68% (eviction runs
+//! ~35%, fill runs ~22%). `camdn_closed` and `serve_replay` run
+//! CaMDN(Full) and make no tag-pass touches at all.
 //!
 //! The original fused per-line walk is retained as a reference model
 //! ([`SharedCache::set_reference_model`]); differential tests here and
 //! in `camdn` assert the two paths are bit-identical.
 
 use crate::geometry::{
-    eq_mask, lru_identity, lru_promote, lru_rank_of, lru_touch, lru_victim, CacheGeometry,
+    eq_mask, eq_mask_n, lru_identity, lru_promote, lru_rank_of, lru_touch, lru_victim,
+    CacheGeometry, TAG_LANE_WIDTH,
 };
 use camdn_common::config::CacheConfig;
 use camdn_common::stats::Counter;
@@ -267,6 +303,107 @@ fn same_state<const N: usize>(
     b: usize,
 ) -> bool {
     metas[a] == metas[b] && orders[a] == orders[b] && tags[a] == tags[b]
+}
+
+/// Nibble `i` of a packed order or placement word.
+#[inline]
+fn nib(word: u64, i: u32) -> u32 {
+    (word >> (4 * i)) as u32 & 0xF
+}
+
+/// Maps the slot bitset `bits` through placement word `place`: bit
+/// `nib(place, s)` of the result is set for every bit `s` of `bits`.
+#[inline]
+fn place_bits(bits: u32, place: u64) -> u32 {
+    let (mut b, mut out) = (bits, 0);
+    while b != 0 {
+        out |= 1 << nib(place, b.trailing_zeros());
+        b &= b - 1;
+    }
+    out
+}
+
+/// Relabels the nibbles of `word`: nibble `i` of the result is nibble
+/// `nib(from, i)` of `word`.
+#[inline]
+fn gather_nibbles(word: u64, from: u64, n: u32) -> u64 {
+    (0..n).fold(0, |out, i| {
+        out | u64::from(nib(word, nib(from, i))) << (4 * i)
+    })
+}
+
+/// Tries to join run `[s, e)` to the run `[p, s)` just before it. True
+/// if the two now form one run headed by `p`: the caller clears `s`'s
+/// head bit.
+///
+/// Runs join when their slot states are equal, or — the placement-free
+/// rule — when both are live and full with distinct tags, and list the
+/// same (tag, dirty) pairs in recency order. Such a set's touches under
+/// the full way mask never consult a physical way, so the two runs
+/// behave alike line for line; the smaller run's placement words are
+/// rebased onto the other's slots, and when that is the left run, `p`
+/// takes `s`'s state. `place` is allocated (all identity) on the first
+/// such join.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn join_runs<const N: usize>(
+    metas: &mut [u64],
+    orders: &mut [u64],
+    tags: &mut [[u16; N]],
+    place: &mut Vec<u64>,
+    p: usize,
+    s: usize,
+    e: usize,
+    cur_gen: u32,
+) -> bool {
+    if same_state(metas, orders, tags, p, s) {
+        return true;
+    }
+    let (mp, ms) = (metas[p], metas[s]);
+    let full = (1u32 << N) - 1;
+    let live_full = |m: u64| meta_gen(m) == cur_gen && meta_occ(m) == full;
+    if !live_full(mp) || !live_full(ms) {
+        return false;
+    }
+    let (op, os) = (orders[p], orders[s]);
+    let (dp, ds) = (meta_dirty(mp), meta_dirty(ms));
+    for r in 0..N as u32 {
+        let (a, b) = (nib(op, r), nib(os, r));
+        if tags[p][a as usize] != tags[s][b as usize] || ((dp >> a) ^ (ds >> b)) & 1 != 0 {
+            return false;
+        }
+    }
+    let ts = &tags[s];
+    if (0..N).any(|w| eq_mask_n(ts, ts[w]) != 1 << w) {
+        return false;
+    }
+    if place.is_empty() {
+        place.resize(metas.len(), lru_identity(N as u32));
+    }
+    // The smaller run moves onto the other's slots; the left one also
+    // hands its head the right one's state.
+    let (range, kept, moved) = if e - s <= s - p {
+        (s..e, op, os)
+    } else {
+        metas[p] = ms;
+        orders[p] = os;
+        tags[p] = tags[s];
+        (p..s, os, op)
+    };
+    // Slots at the same rank hold the same line: `from` names, for each
+    // slot of the kept state, the slot of the moved one that matches it.
+    let from = (0..N as u32).fold(0, |f, r| f | u64::from(nib(moved, r)) << (4 * nib(kept, r)));
+    // Neighbouring sets mostly share a placement: rebase each distinct
+    // word once.
+    let (mut old, mut new) = (u64::MAX, 0);
+    for w in &mut place[range] {
+        if *w != old {
+            old = *w;
+            new = gather_nibbles(old, from, N as u32);
+        }
+        *w = new;
+    }
+    true
 }
 
 /// One line's lookup as [`touch_set`] sees it: everything a touch reads
@@ -490,6 +627,13 @@ pub struct SharedCache {
     /// set. Only the tag pass clears bits; [`SharedCache::touch`] splits
     /// the sets it reads and writes off their runs first.
     heads: Vec<u64>,
+    /// Placement words, one per set group, or empty while every set has
+    /// identity placement (a cache that never joins runs up to a
+    /// relabeling of ways allocates none). Nibble `s` of `place[g]` is
+    /// the physical way of slot `s`: set `g`'s physical state is its run
+    /// head's slot state with slot `s` in way `nib(place[g], s)`. Only a
+    /// live, full set with distinct tags has a non-identity placement.
+    place: Vec<u64>,
     cur_gen: u32,
     /// `ways` (stride from one set group to the next).
     set_stride: usize,
@@ -502,6 +646,9 @@ pub struct SharedCache {
     /// Reused tag-pass event tape (no per-call allocation).
     scratch: Vec<RangeEvent>,
     reference: bool,
+    /// Run heads the tag pass has resolved (work-count guard).
+    #[cfg(test)]
+    heads_resolved: u64,
 }
 
 impl SharedCache {
@@ -525,6 +672,7 @@ impl SharedCache {
             meta: vec![0; groups],
             // Every set starts as its own run.
             heads: vec![u64::MAX; groups.div_ceil(64)],
+            place: Vec::new(),
             cur_gen: 1,
             set_stride: ways,
             group_mask: groups as u64 - 1,
@@ -533,6 +681,8 @@ impl SharedCache {
             stats: CacheStats::default(),
             scratch: Vec::new(),
             reference: false,
+            #[cfg(test)]
+            heads_resolved: 0,
         }
     }
 
@@ -595,6 +745,8 @@ impl SharedCache {
         }
         let clear = u32::from(mask);
         let groups = self.group_mask as usize + 1;
+        // The flush clears physical ways.
+        self.normalize(0, groups);
         let mut s = 0;
         while s < groups {
             let e = next_head(&self.heads, s + 1, groups);
@@ -661,38 +813,74 @@ impl SharedCache {
     /// Sweeps every live run head's plane invariants: `dirty ⊆ occ`,
     /// both within the real ways, and the LRU order word a permutation
     /// of `0..ways` with zero upper nibbles. Set 0 must head a run.
+    /// Every placement word must be a permutation of `0..ways` too, and
+    /// a set placed other than by identity must sit in a live, full run
+    /// with distinct tags — so a run mixing placements is one, and a set
+    /// that is not full keeps identity placement.
     #[cfg(debug_assertions)]
     fn debug_check_planes(&self) {
         let ways = self.set_stride as u32;
         let full = u32::from(self.full_way_mask());
         let groups = self.group_mask as usize + 1;
+        let is_perm = |mut o: u64| {
+            let mut seen = 0u32;
+            for _ in 0..ways {
+                seen |= 1 << (o & 0xF);
+                o >>= 4;
+            }
+            o == 0 && seen == full
+        };
         debug_assert!(is_head(&self.heads, 0), "set 0 must head a run");
+        debug_assert!(
+            self.place.is_empty() || self.place.len() == groups,
+            "placement plane size"
+        );
+        let ident = lru_identity(ways);
         let mut next = 0;
         while next < groups {
             let g = next;
             next = next_head(&self.heads, g + 1, groups);
             let m = self.meta[g];
-            if meta_gen(m) != self.cur_gen {
+            let live = meta_gen(m) == self.cur_gen;
+            let mut placed = false;
+            for s in g..next {
+                let pl = self.placement(s);
+                debug_assert!(is_perm(pl), "placement not a permutation: set {s}");
+                placed |= pl != ident;
+            }
+            if placed {
+                debug_assert!(live, "stale set placed off identity: run {g}");
+                debug_assert_eq!(
+                    meta_occ(m),
+                    full,
+                    "non-full set placed off identity: run {g}"
+                );
+                let lanes = &self.tags[g * self.set_stride..(g + 1) * self.set_stride];
+                debug_assert!(
+                    lanes
+                        .iter()
+                        .enumerate()
+                        .all(|(w, &t)| eq_mask(lanes, t) == 1 << w),
+                    "duplicate tags in a set placed off identity: run {g}"
+                );
+            }
+            if !live {
                 continue;
             }
             debug_assert_eq!(meta_occ(m) & !full, 0, "occ outside real ways: set {g}");
             debug_assert_eq!(meta_dirty(m) & !meta_occ(m), 0, "dirty ⊄ occ: set {g}");
-            let mut seen = 0u32;
-            let mut o = self.lru[g];
-            for _ in 0..ways {
-                seen |= 1 << (o & 0xF);
-                o >>= 4;
-            }
-            debug_assert_eq!(o, 0, "upper order nibbles not zero: set {g}");
-            debug_assert_eq!(seen, full, "order word not a permutation: set {g}");
+            debug_assert!(
+                is_perm(self.lru[g]),
+                "order word not a permutation: set {g}"
+            );
         }
     }
 
     /// Tag lookup and update for one line, on the set's own planes:
     /// the per-line reference walk's and [`SharedCache::access_line`]'s
-    /// primitive. `g` and `g + 1` are split off their runs first, so
-    /// [`touch_set`] reads and writes `g`'s own planes and leaves its
-    /// neighbours' state as it was.
+    /// primitive. `g` and `g + 1` are split off their runs and `g` given
+    /// identity placement first, so [`touch_set`] reads and writes `g`'s
+    /// own physical planes and leaves its neighbours' state as it was.
     #[inline]
     fn touch(&mut self, line: u64, is_write: bool, mask: u32) -> Touch {
         let g = (line & self.group_mask) as usize;
@@ -700,6 +888,7 @@ impl SharedCache {
         if g < self.group_mask as usize {
             self.split(g + 1);
         }
+        self.normalize(g, g + 1);
         let lookup = self.lookup(line, is_write, mask);
         let lanes = &mut self.tags[g * self.set_stride..(g + 1) * self.set_stride];
         touch_set(lanes, &mut self.lru[g], &mut self.meta[g], g, lookup)
@@ -740,6 +929,63 @@ impl SharedCache {
         self.heads[g / 64] |= 1 << (g % 64);
     }
 
+    /// Set `g`'s placement word (identity while no plane is allocated).
+    #[inline]
+    fn placement(&self, g: usize) -> u64 {
+        match self.place.get(g) {
+            Some(&w) => w,
+            None => lru_identity(self.set_stride as u32),
+        }
+    }
+
+    /// Gives every set of `[from, to)` identity placement, keeping its
+    /// physical state: each stretch of a run whose sets share a
+    /// placement becomes a run of its own, holding its physical state.
+    /// `from` must head a run, and `to` too unless it is the set count.
+    /// Readers that see physical ways — a partial way mask, a per-line
+    /// touch, a flush of reserved ways — call it first.
+    #[inline]
+    fn normalize(&mut self, from: usize, to: usize) {
+        if !self.place.is_empty() {
+            self.normalize_placed(from, to);
+        }
+    }
+
+    /// [`SharedCache::normalize`] once a placement plane exists. Out of
+    /// line: the per-line reference walk calls `normalize` on every line
+    /// and never allocates the plane.
+    #[cold]
+    fn normalize_placed(&mut self, from: usize, to: usize) {
+        let n = self.set_stride;
+        let ident = lru_identity(n as u32);
+        let mut h = from;
+        while h < to {
+            let e = next_head(&self.heads, h + 1, to);
+            let (meta, order) = (self.meta[h], self.lru[h]);
+            let mut slots = [0u16; TAG_LANE_WIDTH];
+            slots[..n].copy_from_slice(&self.tags[h * n..(h + 1) * n]);
+            let mut prev = ident;
+            for g in h..e {
+                let pl = self.place[g];
+                if (g == h && pl != ident) || (g > h && pl != prev) {
+                    self.meta[g] = meta_pack(
+                        place_bits(meta_occ(meta), pl),
+                        place_bits(meta_dirty(meta), pl),
+                        meta_gen(meta),
+                    );
+                    self.lru[g] = gather_nibbles(pl, order, n as u32);
+                    for (slot, &tag) in slots[..n].iter().enumerate() {
+                        self.tags[g * n + nib(pl, slot as u32) as usize] = tag;
+                    }
+                    self.heads[g / 64] |= 1 << (g % 64);
+                }
+                self.place[g] = ident;
+                prev = pl;
+            }
+            h = e;
+        }
+    }
+
     /// Number of runs the planes hold now.
     #[cfg(test)]
     fn run_count(&self) -> usize {
@@ -758,19 +1004,21 @@ impl SharedCache {
     /// constant across a segment and hoisted.
     ///
     /// **Run step.** A segment `[g0, end)` first splits `g0` and `end`
-    /// off their runs, so its runs lie inside it. It then steps from
-    /// run head to run head with a bit scan: each head is resolved with
-    /// [`touch_set`], and the `k` other sets of its run fold into `acc`
-    /// in O(1) ([`TagAcc::repeat`]) without being touched. This is
-    /// exact: a touch's outcome and post-touch state are a function of
-    /// the raw pre-touch state, the tag, the mask, `is_write` and
-    /// `cur_gen` alone, and a segment never crosses the group-index
-    /// wrap, where the tag changes. A dirty victim's tag is part of the
-    /// shared state, so the `k` repeats evict the `k` lines after the
-    /// head's victim and extend its eviction run. A head whose
-    /// post-touch state equals the previous run's state (the run before
-    /// `g0` included) loses its bit and joins that run, as does `end`
-    /// when its state equals the last run's.
+    /// off their runs, so its runs lie inside it; under a partial way
+    /// mask it also gives its sets identity placement. It then steps
+    /// from run head to run head with a bit scan: each head is resolved
+    /// with [`touch_set`] on the run's slot state, and the `k` other sets
+    /// of its run fold into `acc` in O(1) ([`TagAcc::repeat`]) without
+    /// being touched. This is exact: a touch's outcome and post-touch
+    /// state are a function of the pre-touch state, the tag, the mask,
+    /// `is_write` and `cur_gen` alone — and of no physical way when the
+    /// run mixes placements, as such a run is full with distinct tags
+    /// and the mask is full — and a segment never crosses the
+    /// group-index wrap, where the tag changes. A dirty victim's tag is
+    /// part of the shared state, so the `k` repeats evict the `k` lines
+    /// after the head's victim and extend its eviction run. A head then
+    /// joins the previous run (the run before `g0` included) when
+    /// [`join_runs`] allows, as does `end` with the last run.
     ///
     /// Precondition (checked by the caller): `N == set_stride`.
     /// Behavior is line-for-line identical to the per-line walk over
@@ -786,6 +1034,7 @@ impl SharedCache {
     ) {
         debug_assert_eq!(self.set_stride, N);
         let groups = self.group_mask as usize + 1;
+        let full_mask = mask == u32::from(self.full_way_mask());
         let mut line = first;
         while line <= last {
             let g0 = (line & self.group_mask) as usize;
@@ -795,8 +1044,12 @@ impl SharedCache {
             if end < groups {
                 self.split(end);
             }
+            if !full_mask {
+                self.normalize(g0, end);
+            }
             let (tag_sets, _) = self.tags.as_chunks_mut::<N>();
             let (orders, metas, heads) = (&mut self.lru, &mut self.meta, &mut self.heads);
+            let place = &mut self.place;
             // Head of the run before the next head to resolve (none
             // before set 0).
             let mut p = if g0 > 0 {
@@ -812,15 +1065,24 @@ impl SharedCache {
                     Touch::Miss(victim) => acc.miss(line + (s - g0) as u64, victim),
                 }
                 acc.repeat((e - s - 1) as u64);
-                if p != usize::MAX && same_state(metas, orders, tag_sets, p, s) {
+                #[cfg(test)]
+                {
+                    self.heads_resolved += 1;
+                }
+                if p != usize::MAX
+                    && join_runs(metas, orders, tag_sets, place, p, s, e, lookup.cur_gen)
+                {
                     heads[s / 64] &= !(1 << (s % 64));
                 } else {
                     p = s;
                 }
                 s = e;
             }
-            if end < groups && same_state(metas, orders, tag_sets, p, end) {
-                heads[end / 64] &= !(1 << (end % 64));
+            if end < groups {
+                let e = next_head(heads, end + 1, groups);
+                if join_runs(metas, orders, tag_sets, place, p, end, e, lookup.cur_gen) {
+                    heads[end / 64] &= !(1 << (end % 64));
+                }
             }
             line += (end - g0) as u64;
         }
@@ -1125,12 +1387,16 @@ impl SharedCache {
         }
         let base = h * self.set_stride;
         let lanes = &self.tags[base..base + self.set_stride];
-        eq_mask(lanes, wide as u16) & meta_occ(m) & u32::from(way_mask) != 0
+        let slots = eq_mask(lanes, wide as u16) & meta_occ(m);
+        place_bits(slots, self.placement(set)) & u32::from(way_mask) != 0
     }
 
     /// Invalidates the whole cache without writebacks (test aid). O(1):
     /// bumping the generation makes every set stale.
     pub fn invalidate_all(&mut self) {
+        // Every set turns stale, and a stale set materializes with
+        // identity placement.
+        self.place.clear();
         match self.cur_gen.checked_add(1) {
             Some(g) => self.cur_gen = g,
             None => {
@@ -1166,18 +1432,19 @@ impl SharedCache {
                 mix(0); // canonical empty set
                 continue;
             }
+            // The head's slot state, read through `g`'s placement.
+            let pl = self.placement(g);
             let occ = meta_occ(m);
-            mix(u64::from(occ));
-            mix(u64::from(meta_dirty(m)));
+            mix(u64::from(place_bits(occ, pl)));
+            mix(u64::from(place_bits(meta_dirty(m), pl)));
             let base = head * self.set_stride;
             // Occupied ways LRU→MRU: the logical recency order.
-            let mut order = self.lru[head];
-            for _ in 0..self.set_stride {
-                let w = (order & 0xF) as usize;
-                order >>= 4;
-                if (occ >> w) & 1 != 0 {
-                    mix(w as u64);
-                    mix(u64::from(self.tags[base + w]));
+            let order = self.lru[head];
+            for r in 0..self.set_stride as u32 {
+                let slot = nib(order, r);
+                if (occ >> slot) & 1 != 0 {
+                    mix(u64::from(nib(pl, slot)));
+                    mix(u64::from(self.tags[base + slot as usize]));
                 }
             }
         }
@@ -1475,36 +1742,26 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn property_sweep_batched_equals_reference() {
-        // Property-style sweep: random (geometry, range, way-mask)
-        // triples; the batched path must match the per-line reference on
-        // outcome, statistics, tag state and DRAM state after every op.
+    /// Random ops on a batched cache and its reference twin over every
+    /// sweep geometry, checking outcome, statistics, tag state and DRAM
+    /// state after every op. `op(rng, ccfg)` draws one range access's
+    /// `(base, bytes, way mask)`. Returns how many ops ended with some
+    /// set placed off identity.
+    fn property_sweep(
+        seed: u64,
+        op: impl Fn(&mut SimRng, &CacheConfig) -> (PhysAddr, u64, u16),
+    ) -> u32 {
+        let mut placed = 0;
         for (gi, (ccfg, dcfg)) in sweep_configs().into_iter().enumerate() {
-            let mut rng = SimRng::new(0x5EED ^ gi as u64);
+            let mut rng = SimRng::new(seed ^ gi as u64);
             let [mut fast, mut refm] = twins(ccfg, dcfg);
             let ways = ccfg.ways;
-            // Footprint chosen to alias heavily (a few times the cache).
-            let footprint = ccfg.total_bytes * 3;
             let mut now = 0;
-            for op in 0..150 {
-                let mask = loop {
-                    let m = rng.next_below(1 << ways) as u16;
-                    if m != 0 {
-                        break m;
-                    }
-                };
-                let base = PhysAddr(rng.next_below(footprint));
-                // Mostly modest transfers, occasionally far beyond the
-                // MSHR window to exercise the gated regime.
-                let bytes = if rng.next_below(5) == 0 {
-                    (200 + rng.next_below(400)) * ccfg.line_bytes
-                } else {
-                    rng.next_below(64 * ccfg.line_bytes)
-                };
+            for op_no in 0..150 {
+                let (base, bytes, mask) = op(&mut rng, &ccfg);
                 let is_write = rng.next_below(3) == 0;
                 now += rng.next_below(1000);
-                let ctx = format!("geom {gi}, op {op}");
+                let ctx = format!("geom {gi}, op {op_no}");
                 // Mostly ranges; now and then a single line, a probe, a
                 // flush or a repartition, each of which meets the runs
                 // the ranges before it left.
@@ -1527,8 +1784,69 @@ mod tests {
                         twin_access(&mut fast, &mut refm, now, base, bytes, is_write, mask, &ctx);
                     }
                 }
+                let ident = lru_identity(ways);
+                placed += u32::from(fast.0.place.iter().any(|&w| w != ident));
             }
         }
+        placed
+    }
+
+    /// A random non-empty mask over `ways` ways.
+    fn random_mask(rng: &mut SimRng, ways: u32) -> u16 {
+        loop {
+            let m = rng.next_below(1 << ways) as u16;
+            if m != 0 {
+                break m;
+            }
+        }
+    }
+
+    #[test]
+    fn property_sweep_batched_equals_reference() {
+        // Property-style sweep: random (geometry, range, way-mask)
+        // triples; the batched path must match the per-line reference on
+        // outcome, statistics, tag state and DRAM state after every op.
+        property_sweep(0x5EED, |rng, ccfg| {
+            let mask = random_mask(rng, ccfg.ways);
+            // Footprint chosen to alias heavily (a few times the cache).
+            let base = PhysAddr(rng.next_below(ccfg.total_bytes * 3));
+            // Mostly modest transfers, occasionally far beyond the
+            // MSHR window to exercise the gated regime.
+            let bytes = if rng.next_below(5) == 0 {
+                (200 + rng.next_below(400)) * ccfg.line_bytes
+            } else {
+                rng.next_below(64 * ccfg.line_bytes)
+            };
+            (base, bytes, mask)
+        });
+    }
+
+    #[test]
+    fn property_sweep_full_mask_runs_equal_reference() {
+        // The sweep biased to what the engine issues: full-mask ranges
+        // up to two laps of the set array with random ends, over four
+        // times the cache, so sets fill and sets with equal LRU stacks
+        // in different ways join mixed runs. One range in eight takes a
+        // partial mask and meets them, as do the sweep's lines, probes,
+        // flushes and repartitions.
+        let placed = property_sweep(0xF011, |rng, ccfg| {
+            let full = CacheGeometry::new(ccfg).full_way_mask();
+            let lines = ccfg.total_bytes / ccfg.line_bytes;
+            let groups = lines / u64::from(ccfg.ways);
+            let mask = if rng.next_below(8) == 0 {
+                random_mask(rng, ccfg.ways)
+            } else {
+                full
+            };
+            let first = rng.next_below(4 * lines);
+            let len = 1 + rng.next_below(2 * groups);
+            (
+                PhysAddr(first * ccfg.line_bytes),
+                len * ccfg.line_bytes,
+                mask,
+            )
+        });
+        assert!(placed > 0, "no mixed run formed");
     }
 
     #[test]
@@ -1634,7 +1952,32 @@ mod tests {
             let half = ccfg.ways / 2;
             let low = (1u16 << half) - 1; // general ways after `Partition(half)`
             let n = g / 2;
-            let cases: [(&str, Vec<Step>); 13] = [
+            let (w, m) = (u64::from(ccfg.ways), g / 4);
+            let h = w / 2;
+            // Full-mask streams with ends staggered at set `m`: sets
+            // `0..m` fill tags `h..w` into ways `h..w` in order, sets
+            // `m..g` in reverse, then both re-touch them in order. Every
+            // set ends with the same LRU stack but the two sides hold
+            // tags `h..w` in mirrored ways, and must join one run.
+            let joined = || {
+                let mut steps: Vec<Step> = (0..h).map(|k| Access(k * g, g, k == 1, full)).collect();
+                steps.extend((h..w).map(|k| Access(k * g, m, k % 2 == 0, full)));
+                steps.extend(
+                    (h..w)
+                        .rev()
+                        .map(|k| Access(k * g + m, g - m, k % 2 == 0, full)),
+                );
+                steps.extend((h..w).map(|k| Access(k * g, g, false, full)));
+                steps
+            };
+            let joined_len = joined().len();
+            let with_joined = |tail: Vec<Step>| {
+                let mut steps = joined();
+                steps.extend(tail);
+                steps
+            };
+            let (mid, top) = (1u16 << h, 1u16 << (w - 1));
+            let cases: Vec<(&str, Vec<Step>)> = vec![
                 (
                     // Every set gets one dirty line, then the re-read
                     // hits in one run spanning the whole range.
@@ -1775,6 +2118,70 @@ mod tests {
                         Access(0, g, false, full),
                     ],
                 ),
+                (
+                    // Every reader of physical ways on the joined runs:
+                    // set `s` holds tag `h` in way `h` below `m` and in
+                    // way `w - 1` from `m` on.
+                    "joined runs, physical readers",
+                    with_joined(vec![
+                        Probe(h * g + 3, mid, true),
+                        Probe(h * g + m + 3, mid, false),
+                        Probe(h * g + m + 3, top, true),
+                        Probe(h * g + m + 3, full, true),
+                        Probe(w * g + 3, full, false),
+                        Line(h * g + m + 3, true, full),
+                        Line(w * g + 5, false, top),
+                        // Hits below `m`; misses in way `h` from `m` on,
+                        // leaving tag `h` in two ways there.
+                        Access(h * g + m - 5, 20, true, mid),
+                        Access(0, 2 * g, false, full),
+                        Access(h * g, g, true, full),
+                        Partition(half),
+                        Access(0, 2 * g, false, low),
+                        Access((w + 1) * g, g, true, full),
+                    ]),
+                ),
+                (
+                    "joined runs, invalidate",
+                    with_joined(vec![
+                        Invalidate,
+                        Access(h * g, g, false, full),
+                        Access(0, g, true, full),
+                    ]),
+                ),
+                (
+                    // Full sets with tag 0 in two ways, at ranks that
+                    // mirror each other across `m`: equal LRU stacks,
+                    // but a full-mask hit on tag 0 promotes the older
+                    // copy below `m` and the newer one from `m` on.
+                    "duplicate tags never join",
+                    [0, 1]
+                        .into_iter()
+                        .chain(2..w)
+                        .map(|k| Access(k * g, m, false, full))
+                        .chain(
+                            [1, 0]
+                                .into_iter()
+                                .chain(2..w)
+                                .map(|k| Access(k * g + m, g - m, false, full)),
+                        )
+                        .chain([Access(0, m, false, 0b10), Access(m, g - m, false, 0b01)])
+                        .chain([Access(2 * g, g, false, full), Access(0, g, false, full)])
+                        .chain([Access(w * g, g, true, full)])
+                        .collect(),
+                ),
+                (
+                    // After a flush of the high ways their lanes keep
+                    // tags `h..w` in mirrored ways at equal ranks: equal
+                    // stacks, yet a miss fills way `h` on both sides.
+                    "non-full sets never join",
+                    with_joined(vec![
+                        Partition(half),
+                        Access(0, g, false, full),
+                        Access(w * g, g, true, full),
+                        Access((w + 1) * g, g, false, full),
+                    ]),
+                ),
             ];
             for (name, steps) in cases {
                 let [mut fast, mut refm] = twins(ccfg, dcfg);
@@ -1797,6 +2204,9 @@ mod tests {
                             }
                             if name == "merge at both ends" {
                                 assert_eq!(fast.0.run_count(), [1, 2, 4, 2][k], "{ctx}");
+                            }
+                            if name.starts_with("joined runs") && k + 1 == joined_len {
+                                assert_eq!(fast.0.run_count(), 1, "{ctx}");
                             }
                             if name == "dirty chain across runs" && k == 4 {
                                 assert_eq!(out.writebacks, n, "{ctx}");
@@ -1832,6 +2242,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn offset_tenant_streams_resolve_few_heads() {
+        // Work-count guard: eight tenants of two layers each stream
+        // their tensors whole, round after round. The tensors start and
+        // end at scattered sets and span two to four laps of the set
+        // array, so sets on either side of an end soon hold the same
+        // LRU stack in different ways. Runs that join only on equal raw
+        // lanes fragment: ~240 heads per range here, against ~34 with
+        // placement-free joins (each range also splits at every lap).
+        // Every range is checked against the reference.
+        let ccfg = CacheConfig {
+            total_bytes: 1024 * 1024,
+            ways: 16,
+            npu_ways: 0,
+            slices: 1,
+            line_bytes: 64,
+            page_bytes: 8 * 1024,
+            ..CacheConfig::paper_default()
+        };
+        let [mut fast, mut refm] = twins(ccfg, DramConfig::paper_default());
+        let full = fast.0.full_way_mask();
+        let g = fast.0.group_mask + 1;
+        let (rounds, warm) = (6, 2);
+        let (mut ranges, mut now) = (0u32, 0);
+        for round in 0..rounds {
+            if round == warm {
+                fast.0.heads_resolved = 0;
+                ranges = 0;
+            }
+            for l in 0..2u64 {
+                for t in 0..8u64 {
+                    // Weights, input and output.
+                    for k in 0..3u64 {
+                        let first = (t * 8 + l * 3 + k) * 4 * g + (t * 131 + l * 37 + k * 71) % g;
+                        let lines = 2000 + (t * 211 + l * 97 + k * 53) % 2000;
+                        let ctx = format!("round {round}, layer {l}, tenant {t}, tensor {k}");
+                        let (base, bytes) = (PhysAddr(first * 64), lines * 64);
+                        twin_access(&mut fast, &mut refm, now, base, bytes, k == 2, full, &ctx);
+                        now += 20_000;
+                        ranges += 1;
+                    }
+                }
+            }
+        }
+        let per_range = fast.0.heads_resolved as f64 / f64::from(ranges);
+        assert!(per_range <= 48.0, "{per_range:.1} heads per range");
     }
 
     // --- SoA lanes vs scalar packed-meta oracle ----------------------

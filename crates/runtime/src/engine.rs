@@ -30,7 +30,7 @@ use crate::task::{InferenceRecord, Task, TaskState};
 use camdn_cache::{Nec, SharedCache};
 use camdn_common::config::SocConfig;
 use camdn_common::stats::Histogram;
-use camdn_common::types::{ceil_u64, cycles_to_ms, ms_to_cycles, Cycle};
+use camdn_common::types::{ceil_u64, cycles_to_ms, ms_to_cycles, Cycle, PhysAddr};
 use camdn_common::SimRng;
 use camdn_core::{
     install_region, resolve_candidate, teardown_region, CandidateRef, Decision, PageAllocator,
@@ -1115,18 +1115,9 @@ impl Engine {
         }
         .unwrap_or(&[]);
 
-        let cache_err = |op: &'static str| {
-            move |e: camdn_cache::NecError| EngineError::Cache {
-                task: tid,
-                op,
-                detail: e.to_string(),
-            }
-        };
-
         let mut mem_finish = now;
         for tr in transfers.iter() {
             let lines = tr.bytes.div_ceil(line);
-            let addr = layout.addr_of(cur_layer, tr.tensor, weight_is_act, input_bytes, tr.offset);
             // Bandwidth regulation: DRAM-touching transfers may not start
             // before the task's bandwidth gate.
             let start = if throttled && tr.route.touches_dram() {
@@ -1134,55 +1125,28 @@ impl Engine {
             } else {
                 now
             };
-            // A line costs at most a fill and a dirty victim's writeback.
-            if tr.route.touches_dram() && !dram.fits(start, 2 * lines) {
+            // A multi-NPU group fetches its static weights once for all
+            // its NPUs.
+            let multicast = group > 1 && tr.tensor == TensorKind::Weight && weight_is_static;
+            let issue = Issue {
+                tid,
+                route: tr.route,
+                start,
+                addr: layout.addr_of(cur_layer, tr.tensor, weight_is_act, input_bytes, tr.offset),
+                bytes: tr.bytes,
+                lines,
+                write: tr.write,
+                reps: if multicast { group } else { 1 },
+                region_pages,
+                way_mask: full_mask,
+            };
+            if tr.route.touches_dram() && !dram.fits(start, issue.dram_ops()) {
                 return Err(EngineError::DramRange {
                     task: tid,
                     at_cycle: start,
                 });
             }
-            let multicast = group > 1 && tr.tensor == TensorKind::Weight && weight_is_static;
-            let done = match tr.route {
-                Route::Transparent => {
-                    // A multi-NPU group fetches its weights once; the
-                    // replicas hit the lines the first walk brought in
-                    // and are charged in closed form (no re-walk).
-                    let reps = if multicast { group } else { 1 };
-                    cache
-                        .access_range_multicast(
-                            start, addr, tr.bytes, tr.write, full_mask, dram, reps,
-                        )
-                        .finish
-                        .max(start)
-                }
-                Route::BypassRead => {
-                    if multicast {
-                        nec.multicast_bypass_read(start, addr, lines, group, dram, 0)
-                            .map_err(cache_err("multicast bypass read"))?
-                    } else {
-                        nec.bypass_read(start, addr, lines, dram, 0)
-                    }
-                }
-                Route::BypassWrite => nec.bypass_write(start, addr, lines, dram, 0),
-                Route::Fill => nec
-                    .fill(start, tid, region_pages, addr, lines, dram, 0)
-                    .map_err(cache_err("fill"))?,
-                Route::CacheRead => {
-                    if multicast {
-                        nec.multicast_read(start, tid, region_pages, lines, group)
-                            .map_err(cache_err("multicast read"))?
-                    } else {
-                        nec.read(start, tid, region_pages, lines)
-                            .map_err(cache_err("read"))?
-                    }
-                }
-                Route::CacheWrite => nec
-                    .write(start, tid, region_pages, lines)
-                    .map_err(cache_err("write"))?,
-                Route::Writeback => nec
-                    .writeback(start, tid, region_pages, addr, lines, dram, 0)
-                    .map_err(cache_err("writeback"))?,
-            };
+            let done = issue.run(cache, nec, dram)?;
             mem_finish = mem_finish.max(done);
             if throttled && tr.route.touches_dram() {
                 // Saturates on a starved bandwidth, so the next transfer
@@ -1480,6 +1444,108 @@ impl Engine {
     }
 }
 
+/// One transfer of a phase, ready to issue on its route.
+struct Issue<'a> {
+    tid: u32,
+    route: Route,
+    start: Cycle,
+    addr: PhysAddr,
+    bytes: u64,
+    lines: u64,
+    write: bool,
+    /// NPUs the transfer serves at once: the group size when a multi-NPU
+    /// group fetches its static weights, 1 otherwise.
+    reps: u32,
+    /// Pages backing the layer's cached regions.
+    region_pages: &'a [u32],
+    /// Ways a transparent access may use.
+    way_mask: u16,
+}
+
+impl Issue<'_> {
+    /// The most DRAM line operations the transfer can issue, the bound
+    /// [`DramModel::fits`] checks before it starts. A line costs at most
+    /// a fill and a dirty victim's writeback; a transparent multicast
+    /// also re-fetches, for each of its `reps − 1` replicas, up to every
+    /// line the first walk evicted again.
+    #[inline]
+    fn dram_ops(&self) -> u64 {
+        let per_line = match self.route {
+            Route::Transparent if self.reps > 1 => u64::from(self.reps) + 1,
+            _ => 2,
+        };
+        per_line.saturating_mul(self.lines)
+    }
+
+    /// Issues the transfer; returns the cycle its data lands.
+    #[inline]
+    fn run(
+        &self,
+        cache: &mut SharedCache,
+        nec: &mut Nec,
+        dram: &mut DramModel,
+    ) -> Result<Cycle, EngineError> {
+        let (tid, start, addr, lines, pages) = (
+            self.tid,
+            self.start,
+            self.addr,
+            self.lines,
+            self.region_pages,
+        );
+        let cache_err = |op: &'static str| {
+            move |e: camdn_cache::NecError| EngineError::Cache {
+                task: tid,
+                op,
+                detail: e.to_string(),
+            }
+        };
+        let multicast = self.reps > 1;
+        Ok(match self.route {
+            // The replicas of a multicast hit the lines the first walk
+            // brought in and are charged in closed form (no re-walk).
+            Route::Transparent => cache
+                .access_range_multicast(
+                    start,
+                    addr,
+                    self.bytes,
+                    self.write,
+                    self.way_mask,
+                    dram,
+                    self.reps,
+                )
+                .finish
+                .max(start),
+            Route::BypassRead => {
+                if multicast {
+                    nec.multicast_bypass_read(start, addr, lines, self.reps, dram, 0)
+                        .map_err(cache_err("multicast bypass read"))?
+                } else {
+                    nec.bypass_read(start, addr, lines, dram, 0)
+                }
+            }
+            Route::BypassWrite => nec.bypass_write(start, addr, lines, dram, 0),
+            Route::Fill => nec
+                .fill(start, tid, pages, addr, lines, dram, 0)
+                .map_err(cache_err("fill"))?,
+            Route::CacheRead => {
+                if multicast {
+                    nec.multicast_read(start, tid, pages, lines, self.reps)
+                        .map_err(cache_err("multicast read"))?
+                } else {
+                    nec.read(start, tid, pages, lines)
+                        .map_err(cache_err("read"))?
+                }
+            }
+            Route::CacheWrite => nec
+                .write(start, tid, pages, lines)
+                .map_err(cache_err("write"))?,
+            Route::Writeback => nec
+                .writeback(start, tid, pages, addr, lines, dram, 0)
+                .map_err(cache_err("writeback"))?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1515,6 +1581,69 @@ mod tests {
         let workload = Workload::closed(vec![zoo::mobilenet_v2()], 2);
         let policy = builtin_policy(PolicyKind::SharedBaseline);
         Engine::with_policy(params, policy, &workload, None).unwrap()
+    }
+
+    #[test]
+    fn transfers_issue_no_more_dram_ops_than_fits_checks() {
+        // Every route, multicast on and off, within and past the allowed
+        // ways' capacity, over dirty lines for the walk to evict: the
+        // DRAM line operations a transfer issues never exceed the bound
+        // `exec_phase` passes to `DramModel::fits`. A transparent
+        // multicast past capacity re-fetches the evicted lines once per
+        // replica, more than a fill and a writeback per line.
+        let soc = SocConfig::paper_default();
+        let lb = soc.cache.line_bytes;
+        let full = SharedCache::new(&soc.cache).full_way_mask();
+        let capacity = 16_384; // lines in one way of the paper cache
+        let routes = [
+            Route::Transparent,
+            Route::Fill,
+            Route::CacheRead,
+            Route::CacheWrite,
+            Route::Writeback,
+            Route::BypassRead,
+            Route::BypassWrite,
+        ];
+        for route in routes {
+            for reps in [1, 4] {
+                for (way_mask, lines, write) in [(full, 256, true), (1, 3 * capacity, false)] {
+                    let mut cache = SharedCache::new(&soc.cache);
+                    let mut nec = Nec::new(&soc.cache);
+                    let mut dram = DramModel::new(soc.dram, lb);
+                    let pcpn = nec.first_pcpn();
+                    nec.claim_page(0, pcpn).unwrap();
+                    let dirty = PhysAddr(1 << 32);
+                    cache.access_range(0, dirty, capacity * lb, true, way_mask, &mut dram);
+                    let moved = |d: &DramModel| {
+                        (d.stats().read_bytes.get() + d.stats().write_bytes.get()) / lb
+                    };
+                    let before = moved(&dram);
+                    let issue = Issue {
+                        tid: 0,
+                        route,
+                        start: 0,
+                        addr: PhysAddr(0),
+                        bytes: lines * lb,
+                        lines,
+                        write,
+                        reps,
+                        region_pages: &[pcpn],
+                        way_mask,
+                    };
+                    issue.run(&mut cache, &mut nec, &mut dram).unwrap();
+                    let ops = moved(&dram) - before;
+                    let ctx = format!("{route:?}, reps {reps}, {lines} lines");
+                    assert!(
+                        ops <= issue.dram_ops(),
+                        "{ctx}: {ops} > {}",
+                        issue.dram_ops()
+                    );
+                    if route == Route::Transparent && reps > 1 && lines > capacity {
+                        assert!(ops > 2 * lines, "{ctx}: {ops} line operations");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
