@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | `throughput` | engine throughput, batched vs the per-line reference model | `BENCH_engine.json` |
 //! | `sweep` | the fig8 grid through `Sweep::grid()`, with and without the shared plan cache | `BENCH_sweep.json` |
-//! | `scaling` | rate ramp, bursty ramp, co-located tenants and SoC design space | `BENCH_scaling.json` + `BENCH_scaling_cells.jsonl` |
+//! | `scaling` | rate ramp, bursty ramp, co-located tenants and SoC design space | `BENCH_scaling.json` |
 //! | `serve` | trace-driven rate ramp → per-policy SLO knee | `BENCH_serve.json` |
 //! | `chaos` | the `serve` trace under seeded fault schedules | `BENCH_chaos.json` |
 //! | `ablation` | look-ahead, page-size and LBM ablations | stdout only |
@@ -412,8 +412,7 @@ fn sweep() -> Result<(), Box<dyn Error>> {
 //    two seeds per cell, folded into mean ± 95% CI by `SeedAggregate`,
 //    which also pools the per-seed latency histograms so p99s come from
 //    the pooled samples; reports each policy's knee on both the mean
-//    and the p99. The ramp streams to a `camdn-sweep-cells/3` log, so a
-//    killed run can resume through `Sweep::grid()...resume(path)`.
+//    and the p99. The ramp sets no deadlines, so it reports no SLA.
 // 2. **Bursty ramp to the knee** — `bursty_ramp` workloads of rising
 //    burst length under QoS deadlines; reports each policy's p99 knee
 //    and SLA knee — mean latency hides exactly these spikes.
@@ -432,9 +431,6 @@ const KNEE_FACTOR: f64 = 2.0;
 /// SLA satisfaction rate below which the bursty ramp calls the knee.
 const SLA_KNEE_RATE: f64 = 0.9;
 
-/// The rate ramp's resumable cell log.
-const SCALING_CELLS: &str = "BENCH_scaling_cells.jsonl";
-
 /// Poisson ramp rates, requests/ms/task.
 const RAMP_RATES: [f64; 2] = [0.02, 0.08];
 
@@ -450,7 +446,7 @@ struct RampPoint {
 }
 
 /// Per-policy knee intensities of one ramp (`None` = no knee inside
-/// the swept range).
+/// the swept range; `sla` is `None` too on a ramp without deadlines).
 struct Knees {
     policy: String,
     mean: Option<f64>,
@@ -474,9 +470,20 @@ fn knee(base: f64, series: impl IntoIterator<Item = (f64, f64)>) -> Option<f64> 
         .map(|(intensity, _)| intensity)
 }
 
+/// A seed-folded ramp: its points, each policy's knees, and whether it
+/// ran under deadlines. Only a ramp with deadlines reports an SLA
+/// column and knee: without them every request meets its SLA.
+struct Ramp {
+    points: Vec<RampPoint>,
+    knees: Vec<Knees>,
+    deadlines: bool,
+}
+
 /// Extracts per-policy ramp points (seed-folded) and knees from a
-/// ramp-shaped grid whose workload axis carries the intensities.
-fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Knees>) {
+/// ramp-shaped grid whose workload axis carries the intensities. The
+/// ramp has deadlines when its grid sets a QoS scale.
+fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> Ramp {
+    let deadlines = grid.axes.qos.iter().any(|q| q != "closed");
     let points: Vec<RampPoint> = grid
         .seed_stats()
         .iter()
@@ -502,11 +509,15 @@ fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Kn
             p99: knee_of(|s| s.latency_tail.p99_ms()),
             sla: series
                 .iter()
-                .find(|p| p.stats.sla_rate.mean < SLA_KNEE_RATE)
+                .find(|p| deadlines && p.stats.sla_rate.mean < SLA_KNEE_RATE)
                 .map(|p| p.intensity),
         });
     }
-    (points, knees)
+    Ramp {
+        points,
+        knees,
+        deadlines,
+    }
 }
 
 /// Fails when any cell of `grid` errored.
@@ -527,7 +538,7 @@ fn rate_ramp() -> Result<SweepResult, Box<dyn Error>> {
             )
         }))
         .seeds([1, 2])
-        .resume(SCALING_CELLS)?;
+        .run()?;
     Ok(all_ok(grid, "rate ramp")?)
 }
 
@@ -555,12 +566,25 @@ fn soc_grid() -> Result<SweepResult, EngineError> {
         .run()
 }
 
-/// Ramp points table: intensity, mean ± CI, pooled p95/p99, SLA.
-fn ramp_rows(points: &[RampPoint]) -> Vec<Vec<String>> {
-    points
+/// Prints a ramp's points table (intensity, mean ± CI, pooled
+/// p95/p99, SLA when the ramp has deadlines) and its knees.
+fn print_ramp(title: &str, kind: &str, unit: &str, ramp: &Ramp) {
+    let mut headers = vec![
+        "policy",
+        "intensity",
+        "mean latency (ms)",
+        "p95 (ms)",
+        "p99 (ms)",
+    ];
+    if ramp.deadlines {
+        headers.push("SLA");
+    }
+    headers.push("seeds");
+    let rows: Vec<Vec<String>> = ramp
+        .points
         .iter()
         .map(|p| {
-            vec![
+            let mut row = vec![
                 p.policy.clone(),
                 format!("{}", p.intensity),
                 format!(
@@ -569,48 +593,48 @@ fn ramp_rows(points: &[RampPoint]) -> Vec<Vec<String>> {
                 ),
                 format!("{:.2}", p.stats.latency_tail.p95_ms()),
                 format!("{:.2}", p.stats.latency_tail.p99_ms()),
-                format!("{:.3}", p.stats.sla_rate.mean),
-                format!("{}", p.stats.n),
-            ]
+            ];
+            if ramp.deadlines {
+                row.push(format!("{:.3}", p.stats.sla_rate.mean));
+            }
+            row.push(format!("{}", p.stats.n));
+            row
         })
-        .collect()
-}
-
-const RAMP_HEADERS: [&str; 7] = [
-    "policy",
-    "intensity",
-    "mean latency (ms)",
-    "p95 (ms)",
-    "p99 (ms)",
-    "SLA",
-    "seeds",
-];
-
-fn print_knees(kind: &str, unit: &str, knees: &[Knees]) {
-    for k in knees {
+        .collect();
+    print_table(title, &headers, &rows);
+    for k in &ramp.knees {
         let show = |v: Option<f64>| v.map_or("none in range".into(), |v| format!("{v} {unit}"));
+        let sla = if ramp.deadlines {
+            format!(", SLA<{SLA_KNEE_RATE} {}", show(k.sla))
+        } else {
+            String::new()
+        };
         println!(
-            "{}: {kind} knees — mean {}, p99 {}, SLA<{SLA_KNEE_RATE} {}",
+            "{}: {kind} knees — mean {}, p99 {}{sla}",
             k.policy,
             show(k.mean),
             show(k.p99),
-            show(k.sla),
         );
     }
 }
 
 /// Ramp points + knees as JSON object members (`"points"`, `"knees"`).
-fn ramp_json(points: &[RampPoint], knees: &[Knees], intensity_key: &str) -> String {
+fn ramp_json(ramp: &Ramp, intensity_key: &str) -> String {
     let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
+    for (i, p) in ramp.points.iter().enumerate() {
         let m = &p.stats.avg_latency_ms;
         let t = &p.stats.latency_tail;
+        let sla = if ramp.deadlines {
+            format!("\"sla_rate\": {:.6}, ", p.stats.sla_rate.mean)
+        } else {
+            String::new()
+        };
         let _ = write!(
             body,
             "{}      {{\"policy\": \"{}\", \"{intensity_key}\": {}, \"seeds\": {}, \
              \"mean_latency_ms\": {:.6}, \"stddev_ms\": {:.6}, \"ci95_ms\": {:.6}, \
              \"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \"p99_ms\": {:.6}, \"p999_ms\": {:.6}, \
-             \"sla_rate\": {:.6}, \"mean_mem_mb\": {:.6}}}",
+             {sla}\"mean_mem_mb\": {:.6}}}",
             if i == 0 { "" } else { ",\n" },
             p.policy,
             p.intensity,
@@ -622,19 +646,23 @@ fn ramp_json(points: &[RampPoint], knees: &[Knees], intensity_key: &str) -> Stri
             t.p95_ms(),
             t.p99_ms(),
             t.p999_ms(),
-            p.stats.sla_rate.mean,
             p.stats.mem_mb_per_model.mean,
         );
     }
-    let knees_json: Vec<String> = knees
+    let knees_json: Vec<String> = ramp
+        .knees
         .iter()
         .map(|k| {
+            let sla = if ramp.deadlines {
+                format!(", \"sla_knee\": {}", jopt(k.sla))
+            } else {
+                String::new()
+            };
             format!(
-                "{{\"policy\": \"{}\", \"mean_knee\": {}, \"p99_knee\": {}, \"sla_knee\": {}}}",
+                "{{\"policy\": \"{}\", \"mean_knee\": {}, \"p99_knee\": {}{sla}}}",
                 k.policy,
                 jopt(k.mean),
                 jopt(k.p99),
-                jopt(k.sla),
             )
         })
         .collect();
@@ -646,28 +674,25 @@ fn ramp_json(points: &[RampPoint], knees: &[Knees], intensity_key: &str) -> Stri
 }
 
 fn scaling() -> Result<(), Box<dyn Error>> {
-    // Every run starts a fresh ramp log.
-    std::fs::remove_file(SCALING_CELLS).ok();
-
     // --- 1. Poisson rate ramp -------------------------------------
     let ramp = rate_ramp()?;
-    let (points, knees) = fold_ramp(&ramp, &RAMP_RATES);
-    print_table(
+    let rate = fold_ramp(&ramp, &RAMP_RATES);
+    print_ramp(
         "Scaling 1 — Poisson rate ramp (mean ± 95% CI; p95/p99 pooled over seeds)",
-        &RAMP_HEADERS,
-        &ramp_rows(&points),
+        "rate",
+        "req/ms/task",
+        &rate,
     );
-    print_knees("rate", "req/ms/task", &knees);
 
     // --- 2. Bursty ramp to the knee -------------------------------
     let bursty = bursty_knee()?;
-    let (bursty_points, bursty_knees) = fold_ramp(&bursty, &BURST_LENS.map(f64::from));
-    print_table(
+    let burst = fold_ramp(&bursty, &BURST_LENS.map(f64::from));
+    print_ramp(
         "Scaling 2 — bursty ramp under QoS-M deadlines (burst length ramps)",
-        &RAMP_HEADERS,
-        &ramp_rows(&bursty_points),
+        "burst-length",
+        "req/burst",
+        &burst,
     );
-    print_knees("burst-length", "req/burst", &bursty_knees);
 
     // --- 3. co-located tenants ------------------------------------
     let tenants = Sweep::grid()
@@ -731,15 +756,14 @@ fn scaling() -> Result<(), Box<dyn Error>> {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"camdn-bench-scaling/3\",\n  \
-         \"rate_ramp\": {{\n    \"cells_log\": \"{}\",\n    {},\n{}\n  }},\n  \
+        "{{\n  \"schema\": \"camdn-bench-scaling/4\",\n  \
+         \"rate_ramp\": {{\n    {},\n{}\n  }},\n  \
          \"bursty_ramp\": {{\n    \"qos_scale\": 1.0, \"sla_knee_rate\": {},\n    {},\n{}\n  }},\n  \
          \"tenants\": {{\n{}\n  }},\n  \"soc_grid\": {{\n{}\n  }}\n}}\n",
-        SCALING_CELLS,
-        ramp_json(&points, &knees, "rate_per_ms"),
+        ramp_json(&rate, "rate_per_ms"),
         ramp.json_body(4),
         SLA_KNEE_RATE,
-        ramp_json(&bursty_points, &bursty_knees, "burst_len"),
+        ramp_json(&burst, "burst_len"),
         bursty.json_body(4),
         tenants.json_body(4),
         soc.json_body(4),

@@ -70,6 +70,6 @@ pub use camdn_runtime::{
     Workload, LATENCY_HIST_BUCKETS, LATENCY_HIST_EDGES,
 };
 pub use camdn_sweep::{
-    bursty_ramp, CellCoord, CellOutcome, CellSink, JsonlSink, MemorySink, MetricStats,
-    SeedAggregate, SeedStats, Sweep, SweepBuilder, SweepCell, SweepInfo, SweepResult,
+    bursty_ramp, CellCoord, CellOutcome, CellSink, MemorySink, MetricStats, SeedAggregate,
+    SeedStats, Sweep, SweepBuilder, SweepCell, SweepResult,
 };

@@ -2,16 +2,15 @@
 //! traces must replay deterministically (bit-identical windowed
 //! metrics run-to-run and through the file format), the windowed
 //! streaming path must hold only one window in memory across a
-//! million-arrival trace, a killed-and-resumed replay log must equal
-//! an uninterrupted one bit for bit, and the replay sinks must turn any
+//! million-arrival trace, and the replay aggregate must turn any
 //! delivery order of the same windows into the in-order result.
 
 #![forbid(unsafe_code)]
 
 use camdn::common::SimRng;
 use camdn::trace::{
-    windows, JsonlReplaySink, ReplayAggregate, ReplayConfig, ReplayDriver, ReplaySink, SlaClass,
-    TraceGen, TraceGenConfig, TraceReader, TraceRecord, TraceWriter, WindowMetrics,
+    windows, ReplayAggregate, ReplayConfig, ReplayDriver, ReplaySink, SlaClass, TraceGen,
+    TraceGenConfig, TraceReader, TraceRecord, TraceWriter, WindowMetrics,
 };
 use camdn::PolicyKind;
 
@@ -120,58 +119,6 @@ fn windowing_streams_a_million_arrivals_one_window_at_a_time() {
 }
 
 #[test]
-fn killed_replay_log_resumes_to_an_identical_log() {
-    let cfg = replay_cfg();
-    let gen_records = || TraceGen::new(test_trace()).expect("gen config").map(Ok);
-
-    // Uninterrupted reference replay.
-    let clean_path = unique_path("clean.jsonl");
-    let mut driver = ReplayDriver::new(cfg.clone()).expect("replay config");
-    let mut sink = JsonlReplaySink::create(&clean_path, &cfg).expect("create log");
-    driver.replay(gen_records(), &mut sink).expect("replay");
-    sink.finish().expect("close log");
-
-    // "Kill" a second replay by truncating its log mid-line after the
-    // first few windows.
-    let killed_path = unique_path("killed.jsonl");
-    let mut driver = ReplayDriver::new(cfg.clone()).expect("replay config");
-    let mut sink = JsonlReplaySink::create(&killed_path, &cfg).expect("create log");
-    driver.replay(gen_records(), &mut sink).expect("replay");
-    sink.finish().expect("close log");
-    let full = std::fs::read_to_string(&killed_path).expect("read log");
-    let lines: Vec<&str> = full.lines().collect();
-    assert!(lines.len() > 3, "need enough windows to interrupt");
-    let keep = 1 + (lines.len() - 1) / 2; // header + half the windows
-    let mut truncated: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
-    let torn = &lines[keep][..lines[keep].len() / 2]; // half a line
-    truncated.push_str(torn);
-    std::fs::write(&killed_path, truncated).expect("simulate kill");
-
-    // Resume: the torn line is dropped, recorded windows are skipped,
-    // the rest re-run, and the final log equals the clean one.
-    let mut driver = ReplayDriver::new(cfg.clone()).expect("replay config");
-    let mut sink = JsonlReplaySink::resume(&killed_path, &cfg).expect("resume log");
-    let skipped = sink.recorded().len() as u64;
-    assert_eq!(skipped, keep as u64 - 1, "intact windows must be kept");
-    let totals = driver.replay(gen_records(), &mut sink).expect("replay");
-    assert_eq!(totals.windows_skipped, skipped);
-    assert!(totals.windows_run > 0, "the torn tail must re-run");
-    sink.finish().expect("close log");
-
-    let clean = camdn::trace::read_window_log(&clean_path, &cfg).expect("read clean");
-    let resumed = camdn::trace::read_window_log(&killed_path, &cfg).expect("read resumed");
-    assert_eq!(resumed, clean, "resumed log must equal the clean log");
-
-    // A log written under one config must not resume under another.
-    let mut other = cfg.clone();
-    other.policy = PolicyKind::SharedBaseline;
-    assert!(JsonlReplaySink::resume(&killed_path, &other).is_err());
-
-    std::fs::remove_file(&clean_path).ok();
-    std::fs::remove_file(&killed_path).ok();
-}
-
-#[test]
 fn aggregate_matches_the_sum_of_windows() {
     let cfg = replay_cfg();
     let windows = replay_collect(&cfg);
@@ -197,22 +144,14 @@ fn aggregate_matches_the_sum_of_windows() {
 #[test]
 fn replay_sinks_are_independent_of_delivery_order() {
     // Windows fed to a sink in any order — a parallel replay delivers
-    // them as they finish — must aggregate and log to the in-order
-    // result.
-    let cfg = replay_cfg();
-    let in_order = replay_collect(&cfg);
+    // them as they finish — must aggregate to the in-order result.
+    let in_order = replay_collect(&replay_cfg());
     assert!(in_order.len() >= 4, "need enough windows to permute");
     let mut agg = ReplayAggregate::new();
-    let in_order_path = unique_path("in-order.jsonl");
-    let mut log = JsonlReplaySink::create(&in_order_path, &cfg).expect("create log");
     for w in &in_order {
         agg.on_window(w);
-        log.on_window(w);
     }
-    log.finish().expect("close log");
     let expected_agg = format!("{agg:?}");
-    let expected_log = std::fs::read_to_string(&in_order_path).expect("read log");
-    std::fs::remove_file(&in_order_path).ok();
 
     for seed in [1, 2, 3, 4] {
         let mut order: Vec<usize> = (0..in_order.len()).collect();
@@ -222,32 +161,13 @@ fn replay_sinks_are_independent_of_delivery_order() {
             "seed {seed} must actually permute"
         );
         let mut agg = ReplayAggregate::new();
-        let path = unique_path(&format!("shuffled-{seed}.jsonl"));
-        let mut log = JsonlReplaySink::create(&path, &cfg).expect("create log");
         for &i in &order {
             agg.on_window(&in_order[i]);
-            log.on_window(&in_order[i]);
         }
-        log.finish().expect("close log");
         assert_eq!(
             format!("{agg:?}"),
             expected_agg,
             "aggregate, order {order:?}"
         );
-
-        let read = camdn::trace::read_window_log(&path, &cfg).expect("read shuffled log");
-        assert_eq!(read, in_order, "read_window_log, order {order:?}");
-        // Resume rewrites the log in window order: byte for byte the
-        // log an in-order delivery writes, with every window recorded.
-        let resumed = JsonlReplaySink::resume(&path, &cfg).expect("resume shuffled log");
-        assert_eq!(resumed.recorded().len(), in_order.len());
-        resumed.finish().expect("close log");
-        let rewritten = std::fs::read_to_string(&path).expect("read rewritten log");
-        assert_eq!(rewritten, expected_log, "resumed log, order {order:?}");
-        assert_eq!(
-            camdn::trace::read_window_log(&path, &cfg).expect("read resumed log"),
-            in_order
-        );
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -211,8 +211,8 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Order-independent fingerprint of the schedule, for resume-log
-    /// headers: two runs agree on their faults iff the fingerprints
+    /// Order-independent fingerprint of the schedule, for reports that
+    /// name a plan: two runs agree on their faults iff the fingerprints
     /// match (up to hash collision).
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over a canonical encoding of every event.

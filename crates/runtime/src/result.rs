@@ -112,22 +112,6 @@ impl LatencyTail {
         }
     }
 
-    /// Reassembles a tail from its serialized parts (the JSONL cell
-    /// log stores counts + min + max; the total is the counts' sum).
-    pub fn from_parts(
-        counts: [u64; LATENCY_HIST_BUCKETS],
-        min_cycles: u64,
-        max_cycles: u64,
-    ) -> Self {
-        let total = counts.iter().sum();
-        LatencyTail {
-            counts,
-            total,
-            min_cycles: if total == 0 { u64::MAX } else { min_cycles },
-            max_cycles: if total == 0 { 0 } else { max_cycles },
-        }
-    }
-
     /// Records one inference latency in cycles.
     pub fn record(&mut self, latency_cycles: Cycle) {
         let idx = LATENCY_HIST_EDGES.partition_point(|&e| e <= latency_cycles);
@@ -422,21 +406,5 @@ mod tests {
         let before = a;
         a.merge(&LatencyTail::new());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn latency_tail_roundtrips_through_parts() {
-        let mut t = LatencyTail::new();
-        t.record(1 << 18);
-        t.record((1 << 26) + 123);
-        let rebuilt = LatencyTail::from_parts(
-            *t.counts(),
-            t.min_cycles().unwrap(),
-            t.max_cycles().unwrap(),
-        );
-        assert_eq!(rebuilt, t);
-        // Empty parts normalize to the canonical empty tail.
-        let empty = LatencyTail::from_parts([0; LATENCY_HIST_BUCKETS], 7, 9);
-        assert_eq!(empty, LatencyTail::new());
     }
 }

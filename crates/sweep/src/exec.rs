@@ -13,9 +13,8 @@
 //! Completed cells are *streamed*: [`run_cells_into`] hands each
 //! `(index, CellRun)` to a delivery callback the moment its worker
 //! finishes, which is what drives the sweep layer's
-//! [`CellSink`](crate::CellSink)s — a JSONL line hits disk while
-//! neighboring cells are still running, instead of after the whole
-//! grid. [`run_cells`] is the buffered convenience wrapper.
+//! [`CellSink`](crate::CellSink)s. [`run_cells`] is the buffered
+//! convenience wrapper.
 
 use camdn_runtime::{EngineError, RunOutput, SimulationBuilder};
 use std::panic::{catch_unwind, AssertUnwindSafe};

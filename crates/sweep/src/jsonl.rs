@@ -1,16 +1,12 @@
-//! Minimal flat-JSON building blocks shared by every JSONL log in the
-//! workspace.
+//! Minimal flat-JSON building blocks: string escaping for the
+//! workspace's hand-rolled JSON writers (the sweep report and the
+//! `camdn-trace/1` writer), and the flat-object parser behind the
+//! `camdn-trace/1` reader.
 //!
-//! The sweep cell log, the trace replay log and the serving bench all
-//! write the same dialect: one self-contained JSON object per line,
-//! holding only strings, numbers, booleans and flat arrays of number
-//! tokens. Writers produce it with [`esc`] (string escaping) and
-//! [`jnum`] (shortest-roundtrip floats, `null` for non-finite);
-//! readers take lines apart with [`parse_flat_object`]. Nothing here
-//! is a general JSON parser — it only accepts what the writers emit,
-//! which is exactly the property the kill/resume paths rely on: a torn
-//! line parses as `None` and the producer simply re-runs that unit of
-//! work.
+//! Nothing here is a general JSON parser. [`parse_flat_object`] accepts
+//! one object of strings, numbers, booleans and flat arrays, and
+//! returns `None` for anything else, including a torn line; the trace
+//! reader reports that `None` as `TraceError::Malformed`.
 
 /// One parsed value of a flat JSONL object.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,31 +24,6 @@ pub enum JsonVal {
 }
 
 impl JsonVal {
-    /// The value as an `f64`, when it is a number token.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonVal::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64` (no float rounding above 2^53),
-    /// when it is a number token.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonVal::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean, when it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonVal::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, when it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -81,25 +52,14 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// A float as a JSON token: shortest-roundtrip `Display` for finite
-/// values, `null` otherwise — `NaN`/`inf` are not JSON, and a `null`ed
-/// record simply re-runs on resume instead of corrupting the log.
-pub fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
 /// Looks a key up in a parsed line.
 pub fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// Parses a one-level JSON object of string/number/boolean values and
-/// flat arrays of numbers. `None` for anything else — including a torn
-/// line from a kill mid-write.
+/// flat arrays of numbers or strings. `None` for anything else —
+/// including a torn line.
 pub fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonVal)>> {
     let s = line.trim();
     let mut chars = s.char_indices().peekable();
@@ -192,7 +152,7 @@ pub fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonVal)>> {
 
 /// Parses a double-quoted JSON string (cursor on the opening quote),
 /// un-escaping what [`esc`] produced.
-pub fn parse_string(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> Option<String> {
+fn parse_string(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) -> Option<String> {
     if !matches!(chars.next(), Some((_, '"'))) {
         return None;
     }
@@ -245,8 +205,11 @@ mod tests {
         let fields =
             parse_flat_object("{\"a\": 18446744073709551615, \"b\": true, \"c\": [1, 2, 3]}")
                 .unwrap();
-        assert_eq!(field(&fields, "a").unwrap().as_u64(), Some(u64::MAX));
-        assert_eq!(field(&fields, "b").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            field(&fields, "a"),
+            Some(&JsonVal::Num("18446744073709551615".into()))
+        );
+        assert_eq!(field(&fields, "b"), Some(&JsonVal::Bool(true)));
         assert_eq!(
             field(&fields, "c"),
             Some(&JsonVal::Arr(vec!["1".into(), "2".into(), "3".into()]))
@@ -260,12 +223,5 @@ mod tests {
             field(&fields, "t"),
             Some(&JsonVal::Arr(vec!["a\"x".into(), "b".into(), "3".into()]))
         );
-    }
-
-    #[test]
-    fn jnum_guards_non_finite() {
-        assert_eq!(jnum(1.5), "1.5");
-        assert_eq!(jnum(f64::NAN), "null");
-        assert_eq!(jnum(f64::INFINITY), "null");
     }
 }

@@ -27,16 +27,10 @@
 //! * **streaming collection** — finished cells are pushed into a
 //!   [`CellSink`] the moment they complete. The in-memory sink backs
 //!   [`SweepBuilder::run`] (summary-only cells by default);
-//!   [`SweepBuilder::run_streamed`] additionally writes a
-//!   `camdn-sweep-cells/3` JSONL log (summary scalars *and* the
-//!   compact latency-tail histogram), one flushed line per cell, which
-//!   [`SweepBuilder::resume`] uses to skip already-recorded
-//!   coordinates after a kill; [`SeedAggregate`] folds the seeds
-//!   axis into mean / stddev / 95% confidence intervals and pools the
-//!   per-seed latency tails by histogram merge, so per-coordinate
-//!   percentiles come from the pooled samples. Custom sinks plug in
-//!   through [`SweepBuilder::run_with_sink`] for grids too large to
-//!   buffer at all.
+//!   [`SeedAggregate`] folds the seeds axis into mean / stddev / 95%
+//!   confidence intervals and pools the per-seed latency tails by
+//!   histogram merge, so per-coordinate percentiles come from the
+//!   pooled samples.
 //! * **structured results** — a [`SweepResult`] with axis labels,
 //!   per-cell `Result<RunOutput, EngineError>` + wall time, cache
 //!   statistics, and a serde-style JSON export
@@ -80,10 +74,7 @@ mod report;
 mod sink;
 
 pub use exec::{run_cells, run_cells_into, CellRun};
-pub use sink::{
-    CellOutcome, CellSink, JsonlSink, MemorySink, MetricStats, SeedAggregate, SeedStats,
-    CELLS_SCHEMA,
-};
+pub use sink::{CellOutcome, CellSink, MemorySink, MetricStats, SeedAggregate, SeedStats};
 
 use camdn_common::config::SocConfig;
 use camdn_common::types::{Cycle, MIB};
@@ -92,8 +83,6 @@ use camdn_runtime::{
     DetailLevel, EngineError, FaultPlan, PolicyKind, RunOutput, Simulation, SimulationBuilder,
     Workload,
 };
-use std::collections::BTreeSet;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -356,98 +345,23 @@ impl SweepBuilder {
     /// when the grid itself is malformed (no workload axis); per-cell
     /// failures land in their cell's [`SweepCell::outcome`].
     pub fn run(self) -> Result<SweepResult, EngineError> {
-        let prepared = self.prepare()?;
-        let mut memory = MemorySink::new(prepared.axes.clone());
-        let info = prepared.execute(&mut memory, &BTreeSet::new())?;
-        Ok(assemble(info, memory))
-    }
-
-    /// Like [`SweepBuilder::run`], additionally streaming every cell to
-    /// a `camdn-sweep-cells/3` JSONL log at `path` (truncated first).
-    ///
-    /// Each line is written and flushed the moment its cell completes,
-    /// so a killed grid leaves every finished cell on disk and
-    /// [`SweepBuilder::resume`] can pick up where it stopped. The
-    /// returned [`SweepResult`] is identical cell-for-cell to what
-    /// [`SweepBuilder::run`] returns.
-    pub fn run_streamed(self, path: impl AsRef<Path>) -> Result<SweepResult, EngineError> {
-        let prepared = self.prepare()?;
-        let jsonl = JsonlSink::create(path, &prepared.axes).map_err(|e| EngineError::Io {
-            detail: e.to_string(),
-        })?;
-        let mut memory = MemorySink::new(prepared.axes.clone());
-        let mut tee = Tee {
-            jsonl,
-            inner: &mut memory,
-        };
-        let info = prepared.execute(&mut tee, &BTreeSet::new())?;
-        tee.jsonl.finish()?;
-        Ok(assemble(info, memory))
-    }
-
-    /// Resumes a streamed grid from its JSONL cell log: coordinates
-    /// recorded as successful in `path` are *not* re-run (their
-    /// summaries are parsed back, bit-for-bit); everything else —
-    /// missing cells, error cells, a torn final line — runs now and is
-    /// appended to the same log. If the log does not exist yet this is
-    /// exactly [`SweepBuilder::run_streamed`].
-    ///
-    /// The log's axis header must match this grid; a log from a
-    /// different grid is a structured error, not a silent merge.
-    pub fn resume(self, path: impl AsRef<Path>) -> Result<SweepResult, EngineError> {
-        let path = path.as_ref();
-        if !path.exists() {
-            return self.run_streamed(path);
-        }
-        let prepared = self.prepare()?;
-        let recorded = sink::read_recorded(path, &prepared.axes)?;
-        let mut memory = MemorySink::new(prepared.axes.clone());
-        // Rewrite the log before continuing: header + the valid
-        // recorded lines. This compacts away error cells (about to
-        // re-run) and a torn final line a kill may have left behind —
-        // appending after a torn line would corrupt the next cell. The
-        // rewrite goes to a scratch file that atomically renames over
-        // the original, so a kill *during resume* can never lose cells
-        // that already survived the first kill; fresh cells then append
-        // to the renamed log.
-        let mut skip = BTreeSet::new();
-        let mut replay = Vec::new();
-        for (coord, run, wall_s) in recorded {
-            if skip.insert(coord) {
-                replay.push((
-                    coord,
-                    CellRun {
-                        outcome: Ok(run),
-                        wall_s,
-                    },
-                ));
-            }
-        }
-        let jsonl =
-            JsonlSink::rewrite(path, &prepared.axes, &replay).map_err(|e| EngineError::Io {
-                detail: e.to_string(),
-            })?;
-        for (coord, cell) in replay {
-            memory.on_cell(coord, cell);
-        }
-        let mut tee = Tee {
-            jsonl,
-            inner: &mut memory,
-        };
-        let info = prepared.execute(&mut tee, &skip)?;
-        tee.jsonl.finish()?;
-        Ok(assemble(info, memory))
-    }
-
-    /// Expands the cross-product and drives every cell into a caller
-    /// sink as cells finish, buffering nothing — the path for grids too
-    /// large (or too long-lived) for an in-memory [`SweepResult`].
-    ///
-    /// Returns the grid-level information (axes, thread count, wall
-    /// time, plan-cache statistics); everything per-cell went through
-    /// the sink.
-    pub fn run_with_sink(self, cell_sink: &mut dyn CellSink) -> Result<SweepInfo, EngineError> {
-        self.prepare()?.execute(cell_sink, &BTreeSet::new())
+        let grid = self.prepare()?;
+        let threads = exec::resolve_threads(grid.threads, grid.builders.len());
+        let mut memory = MemorySink::new(grid.axes.clone());
+        let coords = grid.coords;
+        // camdn-lint: allow(wall-clock-in-sim, reason = "reported wall_s bookkeeping only; simulated results never read it and bit-for-bit comparisons exclude it")
+        let t0 = Instant::now();
+        run_cells_into(grid.builders, Some(threads), &mut |i, run| {
+            memory.on_cell(coords[i], run);
+        });
+        let wall_s = t0.elapsed().as_secs_f64();
+        Ok(SweepResult {
+            axes: grid.axes,
+            cells: memory.into_cells(),
+            threads,
+            wall_s,
+            plan_cache: grid.plan_cache.map(|c| c.stats()),
+        })
     }
 
     /// Validates the grid and expands the cross-product into cell
@@ -619,85 +533,6 @@ struct PreparedGrid {
     coords: Vec<CellCoord>,
     threads: Option<usize>,
     plan_cache: Option<Arc<PlanCache>>,
-}
-
-impl PreparedGrid {
-    /// Runs every cell not in `skip`, delivering each to `sink` as it
-    /// finishes.
-    fn execute(
-        self,
-        cell_sink: &mut dyn CellSink,
-        skip: &BTreeSet<CellCoord>,
-    ) -> Result<SweepInfo, EngineError> {
-        let mut run_coords = Vec::with_capacity(self.builders.len());
-        let mut run_builders = Vec::with_capacity(self.builders.len());
-        for (builder, coord) in self.builders.into_iter().zip(&self.coords) {
-            if !skip.contains(coord) {
-                run_builders.push(builder);
-                run_coords.push(*coord);
-            }
-        }
-        let threads = exec::resolve_threads(self.threads, run_builders.len());
-        let cells_run = run_builders.len();
-        // camdn-lint: allow(wall-clock-in-sim, reason = "reported wall_s bookkeeping only; simulated results never read it and bit-for-bit comparisons exclude it")
-        let t0 = Instant::now();
-        run_cells_into(run_builders, Some(threads), &mut |i, run| {
-            cell_sink.on_cell(run_coords[i], run);
-        });
-        let wall_s = t0.elapsed().as_secs_f64();
-        Ok(SweepInfo {
-            axes: self.axes,
-            threads,
-            wall_s,
-            plan_cache: self.plan_cache.map(|c| c.stats()),
-            cells_total: self.coords.len(),
-            cells_run,
-        })
-    }
-}
-
-/// Streams each cell to the JSONL log, then hands it to the inner sink.
-struct Tee<'a> {
-    jsonl: JsonlSink,
-    inner: &'a mut MemorySink,
-}
-
-impl CellSink for Tee<'_> {
-    fn on_cell(&mut self, coord: CellCoord, outcome: CellOutcome) {
-        self.jsonl.write_cell(coord, &outcome);
-        self.inner.on_cell(coord, outcome);
-    }
-}
-
-/// Grid-level information of a sink-driven sweep (what
-/// [`SweepBuilder::run_with_sink`] returns in place of the buffered
-/// [`SweepResult`]).
-#[derive(Debug)]
-pub struct SweepInfo {
-    /// Axis labels (cell coordinates index into these).
-    pub axes: SweepAxes,
-    /// Worker threads the executor actually used.
-    pub threads: usize,
-    /// Wall-clock seconds for the executed cells.
-    pub wall_s: f64,
-    /// Hit/miss statistics of the shared mapping-plan cache (`None`
-    /// when it was disabled).
-    pub plan_cache: Option<PlanCacheStats>,
-    /// Total cells of the cross-product.
-    pub cells_total: usize,
-    /// Cells actually executed (fewer than `cells_total` on resume).
-    pub cells_run: usize,
-}
-
-fn assemble(info: SweepInfo, memory: MemorySink) -> SweepResult {
-    SweepResult {
-        axes: info.axes,
-        cells: memory.into_cells(),
-        threads: info.threads,
-        wall_s: info.wall_s,
-        plan_cache: info.plan_cache,
-        cells_resumed: info.cells_total - info.cells_run,
-    }
 }
 
 fn cache_label(bytes: Option<u64>) -> String {
@@ -899,14 +734,11 @@ pub struct SweepResult {
     pub cells: Vec<SweepCell>,
     /// Worker threads the executor actually used.
     pub threads: usize,
-    /// Wall-clock seconds for the whole grid (executed cells only —
-    /// resumed cells cost nothing).
+    /// Wall-clock seconds for the whole grid.
     pub wall_s: f64,
     /// Hit/miss statistics of the shared mapping-plan cache (`None`
     /// when it was disabled).
     pub plan_cache: Option<PlanCacheStats>,
-    /// Cells served from a resumed JSONL log instead of re-running.
-    pub cells_resumed: usize,
 }
 
 impl SweepResult {

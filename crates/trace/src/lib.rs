@@ -15,7 +15,7 @@
 //!   trace through the engine one analysis window at a time, emitting
 //!   per-window SLO analytics ([`WindowMetrics`]: latency tails,
 //!   per-tenant SLO burn rates, queue-depth timelines) into pluggable
-//!   [`ReplaySink`]s, including a kill/resume JSONL log.
+//!   [`ReplaySink`]s.
 //!
 //! Everything is deterministic: the same seed produces the same trace,
 //! and replaying the same trace twice produces bit-identical windowed
@@ -57,8 +57,8 @@ pub mod schema;
 
 pub use gen::{generate_into, TraceGen, TraceGenConfig};
 pub use replay::{
-    read_window_log, windows, JsonlReplaySink, ReplayAggregate, ReplayConfig, ReplayDriver,
-    ReplaySink, ReplayTotals, TenantBurn, TraceWindow, WindowMetrics, Windows, REPLAY_SCHEMA,
+    windows, ReplayAggregate, ReplayConfig, ReplayDriver, ReplaySink, ReplayTotals, TenantBurn,
+    TraceWindow, WindowMetrics, Windows,
 };
 pub use schema::{
     header_line, record_line, SlaClass, TraceError, TraceReader, TraceRecord, TraceWriter,

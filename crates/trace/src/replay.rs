@@ -14,8 +14,9 @@
 //! before the next window starts.
 //!
 //! Window runs are independent and seeded `seed ^ window_index`, so
-//! replaying the same trace twice — or resuming after a kill via
-//! [`JsonlReplaySink`] — produces bit-identical metrics.
+//! replaying the same trace twice produces bit-identical metrics, and
+//! [`ReplayDriver::run_window`] on one window reproduces that window of
+//! a full replay.
 
 use crate::schema::{SlaClass, TraceError, TraceRecord};
 use camdn_common::config::SocConfig;
@@ -23,15 +24,10 @@ use camdn_common::types::Cycle;
 use camdn_mapper::{MapperConfig, PlanCache};
 use camdn_models::{zoo, Model};
 use camdn_runtime::{
-    DetailLevel, EngineError, FaultPlan, LatencyTail, PolicyKind, QueueSample, Simulation,
-    LATENCY_HIST_BUCKETS,
+    DetailLevel, EngineError, FaultPlan, LatencyTail, PolicyKind, QueueSample, RunOutput,
+    Simulation, Workload,
 };
-use camdn_runtime::{RunOutput, Workload};
-use camdn_sweep::jsonl::{esc, field, jnum, parse_flat_object, JsonVal};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Cycles per trace microsecond (the engine clock runs at 1 GHz).
@@ -211,7 +207,14 @@ impl ReplayConfig {
                 "max_cycles_per_window must be positive (use None for unbounded)".into(),
             ));
         }
-        if self.queue_samples_per_window as u64 > self.window_us * CYCLES_PER_US {
+        let window_cycles = self.window_us.checked_mul(CYCLES_PER_US).ok_or_else(|| {
+            TraceError::InvalidConfig(format!(
+                "a {} µs window is past the cycle clock's range ({} µs at most)",
+                self.window_us,
+                u64::MAX / CYCLES_PER_US
+            ))
+        })?;
+        if u64::from(self.queue_samples_per_window) > window_cycles {
             return Err(TraceError::InvalidConfig(format!(
                 "{} queue samples do not fit a {} µs window",
                 self.queue_samples_per_window, self.window_us
@@ -220,11 +223,25 @@ impl ReplayConfig {
         Ok(())
     }
 
-    /// The queue sampling interval in cycles, when sampling is on.
+    /// The queue sampling interval in cycles, when sampling is on
+    /// ([`ReplayConfig::validate`] has checked that the window fits the
+    /// cycle clock).
     fn queue_interval_cycles(&self) -> Option<Cycle> {
-        (self.queue_samples_per_window > 0)
-            .then(|| (self.window_us * CYCLES_PER_US) / self.queue_samples_per_window as u64)
+        (self.queue_samples_per_window > 0).then(|| {
+            self.window_us.saturating_mul(CYCLES_PER_US) / u64::from(self.queue_samples_per_window)
+        })
     }
+}
+
+/// `us` trace microseconds in engine cycles, or a typed error naming
+/// `window` when that is past the cycle clock's range.
+fn window_cycles(window: u64, us: u64) -> Result<Cycle, TraceError> {
+    us.checked_mul(CYCLES_PER_US).ok_or_else(|| {
+        TraceError::InvalidConfig(format!(
+            "window {window}: {us} µs is past the cycle clock's range ({} µs at most)",
+            u64::MAX / CYCLES_PER_US
+        ))
+    })
 }
 
 // ------------------------------------------------------------------
@@ -232,7 +249,7 @@ impl ReplayConfig {
 // ------------------------------------------------------------------
 
 /// Per-tenant SLO accounting of one window, in exact integer counts so
-/// metrics survive a write→read→resume cycle bit-for-bit.
+/// windows pool into a [`ReplayAggregate`] without rounding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantBurn {
     /// Tenant identifier from the trace.
@@ -301,13 +318,6 @@ impl WindowMetrics {
 /// Receives each window's metrics the moment its run finishes — the
 /// replay-side mirror of the sweep crate's `CellSink`.
 pub trait ReplaySink {
-    /// True when this window is already recorded (resume support): the
-    /// driver skips its engine run entirely.
-    fn is_recorded(&self, index: u64) -> bool {
-        let _ = index;
-        false
-    }
-
     /// Called once per replayed window, in window order.
     fn on_window(&mut self, w: &WindowMetrics);
 }
@@ -387,9 +397,7 @@ impl ReplaySink for ReplayAggregate {
 pub struct ReplayTotals {
     /// Windows whose engine runs executed in this call.
     pub windows_run: u64,
-    /// Windows skipped because the sink already had them (resume).
-    pub windows_skipped: u64,
-    /// Arrivals consumed from the stream (including skipped windows).
+    /// Arrivals consumed from the stream.
     pub arrivals: u64,
 }
 
@@ -459,7 +467,13 @@ impl ReplayDriver {
         // a deterministic task order.
         let mut groups: BTreeMap<(String, String, SlaClass), Vec<Cycle>> = BTreeMap::new();
         for rec in &window.records {
-            let rel_cycles = (rec.ts_us - window.start_us) * CYCLES_PER_US;
+            let rel_us = rec.ts_us.checked_sub(window.start_us).ok_or_else(|| {
+                TraceError::InvalidConfig(format!(
+                    "window {}: a record at {} µs precedes the window start {} µs",
+                    window.index, rec.ts_us, window.start_us
+                ))
+            })?;
+            let rel_cycles = window_cycles(window.index, rel_us)?;
             groups
                 .entry((rec.tenant.clone(), rec.model.clone(), rec.class))
                 .or_default()
@@ -489,8 +503,9 @@ impl ReplayDriver {
             // The plan speaks absolute trace cycles; each window gets
             // the slice overlapping its span, rebased to window-local
             // cycle 0 with boundary-active faults materialized.
-            let start = window.start_us * CYCLES_PER_US;
-            let end = (window.start_us + self.cfg.window_us) * CYCLES_PER_US;
+            let start = window_cycles(window.index, window.start_us)?;
+            let end_us = window.start_us.saturating_add(self.cfg.window_us);
+            let end = window_cycles(window.index, end_us)?;
             builder = builder.fault_plan(plan.slice(start, end));
         }
         if let Some(max) = self.cfg.max_cycles_per_window {
@@ -514,9 +529,6 @@ impl ReplayDriver {
     }
 
     /// Streams records through windowing, engine runs and the sink.
-    ///
-    /// Windows the sink reports as already recorded are skipped
-    /// without running (kill/resume: see [`JsonlReplaySink::resume`]).
     pub fn replay<I>(
         &mut self,
         records: I,
@@ -527,16 +539,11 @@ impl ReplayDriver {
     {
         let mut totals = ReplayTotals {
             windows_run: 0,
-            windows_skipped: 0,
             arrivals: 0,
         };
         for window in windows(records, self.cfg.window_us) {
             let window = window?;
             totals.arrivals += window.records.len() as u64;
-            if sink.is_recorded(window.index) {
-                totals.windows_skipped += 1;
-                continue;
-            }
             let metrics = self.run_window(&window)?;
             sink.on_window(&metrics);
             totals.windows_run += 1;
@@ -593,291 +600,6 @@ fn distill(
         shed: run.summary.shed_requests,
         truncated,
     })
-}
-
-// ------------------------------------------------------------------
-// JSONL window log (kill/resume)
-// ------------------------------------------------------------------
-
-/// Schema identifier of the replay window log.
-pub const REPLAY_SCHEMA: &str = "camdn-replay-windows/1";
-
-/// Streamed window log with kill/resume semantics, mirroring the sweep
-/// crate's `JsonlSink`: a header line fingerprinting the replay
-/// config, then one flushed line per window. A killed replay leaves
-/// every finished window on disk; [`JsonlReplaySink::resume`] drops a
-/// torn trailing line via an atomic rewrite and reports the recorded
-/// windows so the driver re-runs only what is missing.
-#[derive(Debug)]
-pub struct JsonlReplaySink {
-    file: std::fs::File,
-    path: PathBuf,
-    recorded: BTreeSet<u64>,
-    error: Option<String>,
-}
-
-/// The header line fingerprinting `cfg` (no trailing newline).
-///
-/// The fault-plan fingerprint and per-window cycle budget are appended
-/// *only when set*, so a fault-free, unbudgeted replay writes headers
-/// byte-identical to logs from before those knobs existed — old logs
-/// keep resuming.
-fn replay_header(cfg: &ReplayConfig) -> String {
-    let mut extras = String::new();
-    if let Some(plan) = &cfg.fault_plan {
-        let _ = write!(extras, ", \"fault_fp\": {}", plan.fingerprint());
-    }
-    if let Some(max) = cfg.max_cycles_per_window {
-        let _ = write!(extras, ", \"max_cycles\": {max}");
-    }
-    if cfg.admission_control {
-        extras.push_str(", \"admission\": true");
-    }
-    format!(
-        "{{\"schema\": \"{}\", \"policy\": \"{}\", \"window_us\": {}, \"seed\": {}, \
-         \"qsamples\": {}{extras}}}",
-        REPLAY_SCHEMA,
-        esc(cfg.policy.name()),
-        cfg.window_us,
-        cfg.seed,
-        cfg.queue_samples_per_window,
-    )
-}
-
-/// One window as its log line (no trailing newline).
-fn window_line(w: &WindowMetrics) -> String {
-    let counts: Vec<String> = w.tail.counts().iter().map(u64::to_string).collect();
-    let ids: Vec<String> = w
-        .tenants
-        .iter()
-        .map(|t| format!("\"{}\"", esc(&t.tenant)))
-        .collect();
-    let met: Vec<String> = w.tenants.iter().map(|t| t.met.to_string()).collect();
-    let total: Vec<String> = w.tenants.iter().map(|t| t.total.to_string()).collect();
-    let queue: Vec<String> = w
-        .queue_depth
-        .iter()
-        .map(|s| s.outstanding.to_string())
-        .collect();
-    format!(
-        "{{\"window\": {}, \"start_us\": {}, \"arrivals\": {}, \"sla_met\": {}, \
-         \"sla_total\": {}, \"makespan_ms\": {}, \"lat_counts\": [{}], \
-         \"lat_min_cycles\": {}, \"lat_max_cycles\": {}, \"tenant_ids\": [{}], \
-         \"tenant_met\": [{}], \"tenant_total\": [{}], \"queue\": [{}], \
-         \"shed\": {}, \"truncated\": {}}}",
-        w.index,
-        w.start_us,
-        w.arrivals,
-        w.sla_met,
-        w.sla_total,
-        jnum(w.makespan_ms),
-        counts.join(", "),
-        w.tail.min_cycles().unwrap_or(0),
-        w.tail.max_cycles().unwrap_or(0),
-        ids.join(", "),
-        met.join(", "),
-        total.join(", "),
-        queue.join(", "),
-        w.shed,
-        w.truncated,
-    )
-}
-
-/// Parses one window line back. `None` for torn/malformed lines.
-/// `shed` and `truncated` default to 0/false when absent, so window
-/// lines written before the fault layer still resume.
-fn parse_window_line(line: &str, queue_interval: Option<Cycle>) -> Option<WindowMetrics> {
-    let fields = parse_flat_object(line)?;
-    let int = |key: &str| field(&fields, key)?.as_u64();
-    let arr = |key: &str| match field(&fields, key)? {
-        JsonVal::Arr(items) => Some(items.clone()),
-        _ => None,
-    };
-    let raw_counts = arr("lat_counts")?;
-    if raw_counts.len() != LATENCY_HIST_BUCKETS {
-        return None;
-    }
-    let mut counts = [0u64; LATENCY_HIST_BUCKETS];
-    for (slot, item) in counts.iter_mut().zip(&raw_counts) {
-        *slot = item.parse().ok()?;
-    }
-    let tail = LatencyTail::from_parts(counts, int("lat_min_cycles")?, int("lat_max_cycles")?);
-    let ids = arr("tenant_ids")?;
-    let met = arr("tenant_met")?;
-    let total = arr("tenant_total")?;
-    if ids.len() != met.len() || ids.len() != total.len() {
-        return None;
-    }
-    let tenants = ids
-        .into_iter()
-        .zip(met)
-        .zip(total)
-        .map(|((tenant, m), t)| {
-            Some(TenantBurn {
-                tenant,
-                met: m.parse().ok()?,
-                total: t.parse().ok()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let interval = queue_interval.unwrap_or(0);
-    let queue_depth = arr("queue")?
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Some(QueueSample {
-                cycle: (i as Cycle + 1) * interval,
-                outstanding: d.parse().ok()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let makespan_ms = field(&fields, "makespan_ms")?.as_f64()?;
-    Some(WindowMetrics {
-        index: int("window")?,
-        start_us: int("start_us")?,
-        arrivals: int("arrivals")?,
-        sla_met: int("sla_met")?,
-        sla_total: int("sla_total")?,
-        makespan_ms,
-        tail,
-        tenants,
-        queue_depth,
-        shed: int("shed").unwrap_or(0),
-        truncated: field(&fields, "truncated")
-            .and_then(JsonVal::as_bool)
-            .unwrap_or(false),
-    })
-}
-
-impl JsonlReplaySink {
-    /// Creates (truncates) the log at `path` and writes the config
-    /// header.
-    pub fn create(path: impl AsRef<Path>, cfg: &ReplayConfig) -> Result<Self, TraceError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = std::fs::File::create(&path).map_err(|e| TraceError::Io {
-            detail: format!("creating {}: {e}", path.display()),
-        })?;
-        writeln!(file, "{}", replay_header(cfg)).map_err(|e| TraceError::Io {
-            detail: format!("writing {}: {e}", path.display()),
-        })?;
-        Ok(JsonlReplaySink {
-            file,
-            path,
-            recorded: BTreeSet::new(),
-            error: None,
-        })
-    }
-
-    /// Reopens an interrupted log for `cfg`: validates the header
-    /// fingerprint, drops torn lines via an atomic rewrite (scratch
-    /// file + rename, so a kill mid-resume loses nothing), and
-    /// remembers the recorded windows so
-    /// [`ReplaySink::is_recorded`] can skip them.
-    pub fn resume(path: impl AsRef<Path>, cfg: &ReplayConfig) -> Result<Self, TraceError> {
-        let path = path.as_ref().to_path_buf();
-        let recorded = read_window_log(&path, cfg)?;
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".rewrite");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut sink = JsonlReplaySink::create(&tmp, cfg)?;
-            for w in &recorded {
-                sink.on_window(w);
-            }
-            if let Some(detail) = sink.error {
-                return Err(TraceError::Io { detail });
-            }
-            sink.file.sync_all().map_err(|e| TraceError::Io {
-                detail: format!("syncing {}: {e}", tmp.display()),
-            })?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| TraceError::Io {
-            detail: format!("renaming {} over {}: {e}", tmp.display(), path.display()),
-        })?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| TraceError::Io {
-                detail: format!("reopening {}: {e}", path.display()),
-            })?;
-        Ok(JsonlReplaySink {
-            file,
-            path,
-            recorded: recorded.iter().map(|w| w.index).collect(),
-            error: None,
-        })
-    }
-
-    /// Window indices already present in the log.
-    pub fn recorded(&self) -> &BTreeSet<u64> {
-        &self.recorded
-    }
-
-    /// Flushes and closes the log, surfacing any write error deferred
-    /// during the replay.
-    pub fn finish(mut self) -> Result<(), TraceError> {
-        if self.error.is_none() {
-            if let Err(e) = self.file.flush() {
-                self.error = Some(format!("flushing {}: {e}", self.path.display()));
-            }
-        }
-        match self.error {
-            None => Ok(()),
-            Some(detail) => Err(TraceError::Io { detail }),
-        }
-    }
-}
-
-impl ReplaySink for JsonlReplaySink {
-    fn is_recorded(&self, index: u64) -> bool {
-        self.recorded.contains(&index)
-    }
-
-    fn on_window(&mut self, w: &WindowMetrics) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = window_line(w);
-        line.push('\n');
-        // Unbuffered: a kill after this write loses at most the line
-        // in flight, which resume drops as torn.
-        if let Err(e) = self.file.write_all(line.as_bytes()) {
-            self.error = Some(format!("writing {}: {e}", self.path.display()));
-        }
-        self.recorded.insert(w.index);
-    }
-}
-
-/// Reads every intact window of a replay log written for `cfg`,
-/// validating the header fingerprint (a log from a different replay
-/// must not be silently merged), in window order. Torn trailing lines
-/// are skipped — resume re-runs them.
-pub fn read_window_log(
-    path: impl AsRef<Path>,
-    cfg: &ReplayConfig,
-) -> Result<Vec<WindowMetrics>, TraceError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| TraceError::Io {
-        detail: format!("reading {}: {e}", path.display()),
-    })?;
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("").trim();
-    if header != replay_header(cfg) {
-        return Err(TraceError::InvalidConfig(format!(
-            "{} belongs to a different replay (config fingerprint mismatch); \
-             delete it or point the replay elsewhere",
-            path.display()
-        )));
-    }
-    let mut out: Vec<WindowMetrics> = Vec::new();
-    for line in lines {
-        if let Some(w) = parse_window_line(line, cfg.queue_interval_cycles()) {
-            out.push(w);
-        }
-    }
-    out.sort_by_key(|w| w.index);
-    out.dedup_by_key(|w| w.index);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -961,85 +683,50 @@ mod tests {
     }
 
     #[test]
-    fn window_lines_roundtrip_bit_for_bit() {
-        let cfg = ReplayConfig::new(PolicyKind::CamdnFull, 2_000);
-        let mut tail = LatencyTail::new();
-        tail.record(1 << 20);
-        tail.record(1 << 22);
-        let w = WindowMetrics {
-            index: 7,
-            start_us: 14_000,
-            arrivals: 2,
-            sla_met: 1,
-            sla_total: 2,
-            makespan_ms: 1.9375,
-            tail,
-            tenants: vec![
-                TenantBurn {
-                    tenant: "t000".into(),
-                    met: 1,
-                    total: 1,
-                },
-                TenantBurn {
-                    tenant: "t0\"01".into(),
-                    met: 0,
-                    total: 1,
-                },
-            ],
-            queue_depth: vec![
-                QueueSample {
-                    cycle: cfg.queue_interval_cycles().unwrap(),
-                    outstanding: 2,
-                },
-                QueueSample {
-                    cycle: 2 * cfg.queue_interval_cycles().unwrap(),
-                    outstanding: 0,
-                },
-            ],
-            shed: 3,
-            truncated: true,
-        };
-        let line = window_line(&w);
-        let back = parse_window_line(&line, cfg.queue_interval_cycles()).unwrap();
-        assert_eq!(back, w);
-        // Torn prefixes of the line never parse.
-        for cut in [1, line.len() / 2, line.len() - 1] {
-            assert!(parse_window_line(&line[..cut], cfg.queue_interval_cycles()).is_none());
+    fn windows_past_the_cycle_clock_are_typed_errors() {
+        // u64::MAX / 100 µs is 1000 / 100 = 10x past the 1 GHz cycle
+        // range: a typed error, not a wrapped or panicking multiply.
+        let cfg = ReplayConfig::new(PolicyKind::CamdnFull, u64::MAX / 100);
+        assert!(matches!(cfg.validate(), Err(TraceError::InvalidConfig(_))));
+        assert!(ReplayDriver::new(cfg).is_err());
+        // The largest window that fits still validates.
+        let widest = ReplayConfig::new(PolicyKind::CamdnFull, u64::MAX / CYCLES_PER_US);
+        assert_eq!(widest.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_faulted_window_past_the_cycle_clock_is_a_typed_error() {
+        // A valid record 2e16 µs into the trace: its window starts past
+        // the cycle clock, so the fault plan cannot be sliced to it.
+        let mut cfg = ReplayConfig::new(PolicyKind::CamdnFull, 20_000);
+        cfg.fault_plan = Some(FaultPlan::default());
+        let records = vec![Ok(rec(
+            20_000_000_000_000_000,
+            "t0",
+            "MB",
+            SlaClass::Medium,
+        ))];
+        match ReplayDriver::new(cfg)
+            .unwrap()
+            .replay(records, &mut ReplayAggregate::new())
+        {
+            Err(TraceError::InvalidConfig(msg)) => {
+                assert!(msg.contains("window 1000000000000"), "{msg}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn pre_fault_window_lines_parse_with_zeroed_chaos_fields() {
-        // A line in the exact format the writer produced before the
-        // fault layer (no shed/truncated keys) must still resume.
-        let line = "{\"window\": 3, \"start_us\": 6000, \"arrivals\": 1, \"sla_met\": 1, \
-                    \"sla_total\": 1, \"makespan_ms\": 1.5, \"lat_counts\": ["
-            .to_string()
-            + &vec!["0"; LATENCY_HIST_BUCKETS].join(", ")
-            + "], \"lat_min_cycles\": 0, \"lat_max_cycles\": 0, \"tenant_ids\": [\"t0\"], \
-               \"tenant_met\": [1], \"tenant_total\": [1], \"queue\": []}";
-        let w = parse_window_line(&line, None).expect("pre-fault line parses");
-        assert_eq!(w.index, 3);
-        assert_eq!(w.shed, 0);
-        assert!(!w.truncated);
-    }
-
-    #[test]
-    fn fault_free_headers_predate_the_chaos_knobs_byte_for_byte() {
-        // With both knobs unset the header must not mention them, so
-        // logs written before the fault layer still pass the
-        // fingerprint check on resume.
-        let cfg = ReplayConfig::new(PolicyKind::CamdnFull, 2_000);
-        let h = replay_header(&cfg);
-        assert!(!h.contains("fault_fp") && !h.contains("max_cycles"), "{h}");
-        // Setting either knob changes the fingerprint, so a faulted
-        // log can never silently resume a fault-free replay.
-        let mut faulted = cfg.clone();
-        faulted.fault_plan = Some(FaultPlan::default());
-        assert_ne!(replay_header(&faulted), h);
-        let mut budgeted = cfg;
-        budgeted.max_cycles_per_window = Some(1_000_000);
-        assert_ne!(replay_header(&budgeted), h);
+        // A hand-built window whose record precedes its start too.
+        let mut driver =
+            ReplayDriver::new(ReplayConfig::new(PolicyKind::CamdnFull, 1_000)).unwrap();
+        let window = TraceWindow {
+            index: 5,
+            start_us: 5_000,
+            records: vec![rec(10, "t0", "MB", SlaClass::Medium)],
+        };
+        assert!(matches!(
+            driver.run_window(&window),
+            Err(TraceError::InvalidConfig(_))
+        ));
     }
 
     #[test]
