@@ -103,16 +103,16 @@
 //!    never with the number of lines;
 //! 2. a **memory pass** replays that tape through
 //!    [`DramModel::line_batch`], which reproduces the MSHR-gated
-//!    per-miss DRAM sequence in closed form wherever the gates provably
-//!    cannot bind, up to whole rows past a run's first lap of banks,
-//!    and prices an eviction run
+//!    per-miss DRAM sequence one (row, channel) segment at a time, in
+//!    closed form wherever the gates cannot change the result, up to
+//!    whole rows past a run's head, and prices an eviction run
 //!    ([`LineBatch::evict_run`](camdn_dram::LineBatch::evict_run)):
 //!    each victim's posted writeback, then its line's gated fill. A
 //!    victim sits in its line's set, so when `cache_bytes / ways` is a
 //!    multiple of `row_bytes × banks` (every geometry the paper and the
 //!    sweeps use) it also shares the line's DRAM channel, bank and
-//!    in-row offset, and each (row, channel) segment of pairs reduces
-//!    to two short recurrences on one bank and one bus.
+//!    in-row offset, and each (row, channel) segment of pairs is one
+//!    closed-form step on one bank and one bus.
 //!
 //! The tag pass costs O(runs), not O(sets). Every access is a range
 //! over consecutive sets, so neighbouring sets that saw the same range

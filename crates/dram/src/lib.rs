@@ -35,9 +35,17 @@
 //! × burst` covers the row-miss penalty, no bank and no `earliest` can
 //! delay the bus again, so the remaining rows are priced in closed
 //! form: one update per bank and one horizon step per channel. A channel
-//! that misses the bound walks every row. A [`LineBatch`] fill run
-//! prices its rows past the first lap the same way, under one more
-//! bound that keeps its MSHR gates off the bus (see there).
+//! that misses the bound walks every row.
+//!
+//! A [`LineBatch`] prices the cache's MSHR-gated misses the same way,
+//! one (row, channel) segment per step, for fill runs and for eviction
+//! runs (a writeback and a fill per line). A segment's gates come from
+//! the MSHR ring for a run's first window of misses and from the run's
+//! own per-channel segment descriptors after that, and a segment whose
+//! gates could change its closed form walks line by line. Whole rows
+//! past a fill run's head are one step per channel and one update per
+//! bank, under one more bound that keeps the gates off the bus (see
+//! there).
 //!
 //! A bank's update never involves its channel's bus, so while every
 //! channel holds the same state of a bank, the model stores that bank
@@ -274,8 +282,9 @@ pub struct DramModel {
 struct BatchScratch {
     ring: Vec<Cycle>,
     hist: Vec<SegDesc>,
-    hist_pos: Vec<(u32, u32)>,
-    nproc: Vec<u64>,
+    hist_pos: Vec<HistPos>,
+    #[cfg(test)]
+    work: Work,
 }
 
 impl DramModel {
@@ -787,7 +796,8 @@ impl DramModel {
     /// `window` is the caller's MSHR window; `expected_misses` is the
     /// total number of fills the batch will see, which decides up front
     /// whether the window can ever fill (and hence whether completion
-    /// times must be ring-buffered at all).
+    /// times must be ring-buffered at all), and which completions a
+    /// later miss reads.
     pub fn line_batch(&mut self, now: Cycle, window: usize, expected_misses: u64) -> LineBatch<'_> {
         let use_ring = expected_misses > window as u64;
         let nch = self.cfg.channels.max(1);
@@ -809,7 +819,7 @@ impl DramModel {
             && per_ch >= 1
             && fp(self.cfg.cas_latency) + FP_ONE <= (per_ch - 1) * min_burst;
         let track_hist = use_ring && inert_gates && !self.reference;
-        // Full rows past a fill run's first lap of banks telescope (see
+        // Full rows past a fill run's head telescope (see
         // `LineBatch::row_tail`) when a lap of rows covers the penalty,
         // as in `row_run`, and a row-opening line's gate plus the
         // penalty never reaches the bus. Both bounds grow with the
@@ -833,28 +843,30 @@ impl DramModel {
         if use_ring {
             scratch.ring.resize(window, 0);
         }
-        // History contents are gated by per-run resets of `hist_pos` and
-        // `nproc` (in `fill_run`), so stale values never leak.
+        // History contents are gated by per-run resets of `hist_pos` (in
+        // `LineBatch::start_run`), so stale values never leak.
         if scratch.hist.len() < cap * nch as usize {
             scratch.hist.resize(cap * nch as usize, SegDesc::default());
         }
         let hist_len = if track_hist { nch as usize } else { 0 };
         scratch.hist_pos.clear();
-        scratch.hist_pos.resize(hist_len, (0, 0));
-        scratch.nproc.clear();
-        scratch.nproc.resize(hist_len, 0);
+        scratch.hist_pos.resize(hist_len, HistPos::default());
         LineBatch {
             scratch,
             hist_cap: cap,
             run_hist: false,
+            expected: expected_misses,
+            run_miss: 0,
+            ring_lo: 0,
+            ring_from: 0,
+            ring_to: 0,
+            ch_step: nch as usize % window.max(1),
             row_tails,
             per_ch,
-            run_start_miss: 0,
             dram: self,
             now,
             window,
             use_ring,
-            miss_no: 0,
             slot: 0,
             fill_lines: 0,
             wb_lines: 0,
@@ -956,13 +968,69 @@ impl DramModel {
     }
 }
 
-/// Completion times of one channel's lines within one closed-form
-/// segment: line `n` (per-channel count) finished at
-/// `ceil(d0 + (n − start_n + 1) × burst) + cas`.
+/// Completion times of one channel's fills within one closed-form
+/// segment: the segment's `i`-th fill (per-channel count `start_n + i`)
+/// finished at `ceil(max(d0 + (i + 1) × step, r0 + (i + 1) × bank_step
+/// + burst)) + cas`, all terms fixed-point ticks.
+///
+/// A fill segment's lines follow each other on the bus: `step` is the
+/// burst and the bank term is zero. An eviction segment alternates a
+/// writeback and a fill on one bank: `step` is two bursts, `r0` the
+/// bank's readiness before it and `bank_step` two penalties (see
+/// [`LineBatch::evict_seg`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct SegDesc {
     start_n: u64,
     d0: u64,
+    step: u64,
+    r0: u64,
+    bank_step: u64,
+}
+
+impl SegDesc {
+    /// A run of fills whose first transfer starts at `d0`.
+    fn fills(start_n: u64, d0: u64, burst: u64) -> Self {
+        SegDesc {
+            start_n,
+            d0,
+            step: burst,
+            r0: 0,
+            bank_step: 0,
+        }
+    }
+
+    /// Completion cycle of per-channel fill `n` (`n ≥ start_n`).
+    #[inline]
+    fn done(&self, n: u64, burst: u64, cas: Cycle) -> Cycle {
+        let i = n - self.start_n + 1;
+        ceil_fp((self.d0 + i * self.step).max(self.r0 + i * self.bank_step + burst)) + cas
+    }
+}
+
+/// Where a channel's descriptor history stands within the current run.
+#[derive(Debug, Clone, Copy, Default)]
+struct HistPos {
+    /// The channel's fills of this run priced so far.
+    fills: u64,
+    /// Descriptors pushed this run; the newest `hist_cap` are retained.
+    pushed: u64,
+    /// The descriptor that covered the last look-up. Look-ups only move
+    /// forward within a run, so a search starts here.
+    cursor: u64,
+}
+
+/// Work done by the memory pass, by kind of step (test builds only).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Work {
+    /// Fills priced one line at a time.
+    lines: u64,
+    /// Eviction pairs priced one pair at a time.
+    pairs: u64,
+    /// (row, channel) segments priced in closed form.
+    closed: u64,
+    /// Segments whose closed form did not apply, walked one by one.
+    fallback: u64,
 }
 
 /// A batched sequence of MSHR-gated demand fills and posted writebacks.
@@ -976,43 +1044,54 @@ struct SegDesc {
 /// order, and read [`LineBatch::finish`]. There are three kinds:
 ///
 /// * [`LineBatch::fill_run`] — a gap-free run of missing lines that
-///   evict nothing dirty (the closed-form walk below);
+///   evict nothing dirty;
 /// * [`LineBatch::evict_run`] — a run of missing lines whose dirty
 ///   victims are consecutive lines too, the shape a tenant streaming
-///   over another's written tensor produces. When each victim shares
-///   its line's channel, bank and in-row offset (as every victim of a
-///   set-associative cache does when a cache way spans whole laps of
-///   banks), each (row, channel) segment walks its first pair exactly;
-///   every later operation is then a row miss on one bank, and a pair
-///   is one step of the bank-readiness and bus recurrences, with no
-///   row check or bank look-up. Other runs take one fused loop that
-///   prices each (writeback, gated fill) pair with a single bank/bus
-///   update per operation;
+///   over another's written tensor produces;
 /// * [`LineBatch::writeback`] — one posted writeback on its own.
 ///
-/// Within a gap-free run the gate of miss `k` is the completion time of
-/// miss `k − window`, which lands on the *same channel* and (when the
-/// CAS latency cannot bridge `(window/channels − 1)` bursts) can never
-/// delay the transfer — but it still feeds the bank-ready update of
-/// row-opening lines, so the closed-form walk keeps per-channel
-/// segment-descriptor (`SegDesc`) history to evaluate those gates
-/// exactly.
+/// Both kinds of run are priced one (row, channel) segment at a time:
+/// a row's lines on one channel share its bank and bus, and channels
+/// share no state. A segment is one closed-form step when its gates
+/// cannot change the result, and is walked one line (or pair) at a
+/// time otherwise; the walk is exact for any gate.
 ///
-/// A run longer than the window is therefore walked per line only for
-/// its head (the misses that gate on completions from before the run,
-/// read from the real MSHR ring); everything after the head, tail
-/// included, is one closed-form walk. Later runs gate on the run's last
-/// `window` completions, so that walk writes their ring slots from each
-/// segment's closed form (`ceil(d0 + (i + 1) × burst) + cas` for the
-/// segment's `i`-th line on its channel) as it goes. The per-line walk
-/// only ever reads the real ring.
+/// **Gates.** Within a gap-free run, miss `k`'s gate is the completion
+/// of miss `k − window`. For the run's first `window` misses (its
+/// head) that completion predates the run and is read from the MSHR
+/// ring. Later misses gate on a completion inside the run, on the
+/// *same channel* when channels divide the window, which each channel's
+/// segment-descriptor (`SegDesc`) history answers in O(1): look-ups
+/// move forward only, so a cursor finds the covering descriptor. Later
+/// runs gate on the run's last `window` completions, so only those
+/// misses write their ring slots, and only when a later miss of the
+/// batch reads them. Without history (the gate bound in
+/// [`DramModel::line_batch`] fails, or the run fits the window) every
+/// miss reads and writes the ring, and a row longer than the window is
+/// walked in line order.
 ///
-/// Whole rows go further, as in [`DramModel::access_burst`]: once the
-/// walk has visited every bank, the full rows before the run's last
-/// `window` lines are one step per channel and one update per bank
-/// (`row_tail`) when `banks × kf × burst ≥ fp(penalty)`
-/// and `fp(cas + penalty) + 1 cycle ≤ (window/channels − 1) × burst`
-/// (61 ≤ 87.5 cycles on the paper SoC). Otherwise every row is walked.
+/// **Fill segments.** A segment of `k` lines from `d0 = max(now,
+/// horizon, bank ready)` ends at `d0 + k × burst`; only its
+/// row-opening line's gate enters, through the bank's ready time. It is
+/// exact when no ring-read gate passes its line's start,
+/// `fp(g_i) ≤ d0 + i × burst`. In-run gates never do: a gate is the
+/// completion of the line `window/channels` lines back on the same
+/// channel, and CAS plus a cycle of rounding cannot bridge
+/// `(window/channels − 1)` bursts. Whole rows past the head and before
+/// the run's last `window` lines are one step per channel and one
+/// update per bank (`row_tail`) once no bank can delay them
+/// (`tail_banks_ready`), when `banks × kf × burst ≥ fp(penalty)` and
+/// `fp(cas + penalty) + 1 cycle ≤ (window/channels − 1) × burst` (61 ≤
+/// 87.5 cycles on the paper SoC).
+///
+/// **Eviction segments.** When each victim shares its line's channel,
+/// bank and in-row offset (as every victim of a set-associative cache
+/// does when a cache way spans whole laps of banks), a segment's pairs
+/// all alternate one bank between the victim's row and the fill's row:
+/// every operation is a row miss, and the segment is one closed-form
+/// step (`evict_seg`) unless a gate binds the bank, the bank holds the
+/// victim's row open, or the penalty is shorter than a burst. Other
+/// eviction runs walk pair by pair.
 pub struct LineBatch<'a> {
     dram: &'a mut DramModel,
     now: Cycle,
@@ -1028,17 +1107,30 @@ pub struct LineBatch<'a> {
     /// True while the current run is long enough (`> window`) for
     /// in-run gate look-ups — only then is history recorded.
     run_hist: bool,
-    /// True when fill runs may price full rows past their first lap
-    /// of banks in closed form ([`LineBatch::row_tail`]).
+    /// The fills the batch will see ([`DramModel::line_batch`]).
+    expected: u64,
+    /// The batch's misses before the current run.
+    run_miss: u64,
+    /// The first miss of the current run that reads its gate from the
+    /// ring: the batch's misses before `window` gate on `now`.
+    ring_lo: u64,
+    /// The current run's misses `ring_from..ring_to` write their ring
+    /// slots: from its last `window` misses on with history (every
+    /// miss without), up to the last one a later miss of the batch
+    /// reads.
+    ring_from: u64,
+    ring_to: u64,
+    /// `channels % window`: the MSHR slots between two misses on one
+    /// channel.
+    ch_step: usize,
+    /// True when fill runs may price full rows past their head in
+    /// closed form ([`LineBatch::row_tail`]).
     row_tails: bool,
     /// `window / channels`: per-channel gate look-back in lines.
     per_ch: u64,
-    /// `miss_no` at the start of the current run.
-    run_start_miss: u64,
-    miss_no: u64,
-    /// `miss_no % window`, maintained incrementally — the window (144)
-    /// is not a power of two, so recomputing it per fill would put a
-    /// real division on the single-line-miss hot path.
+    /// MSHR slot of the current run's first miss — the window (144) is
+    /// not a power of two, so slots advance incrementally rather than
+    /// by a division per miss.
     slot: usize,
     /// Fill lines seen so far; request/byte/busy statistics are
     /// accumulated here and flushed once on drop instead of as three
@@ -1050,202 +1142,372 @@ pub struct LineBatch<'a> {
 }
 
 impl LineBatch<'_> {
-    /// True when in-run gate history is being tracked.
-    #[inline]
-    fn hist_on(&self) -> bool {
-        self.hist_cap != 0
+    /// Opens a run of `n` misses: decides whether it keeps gate history
+    /// and which of its misses read and write ring slots, and resets
+    /// the per-run history (in-run look-ups never reach across a gap).
+    fn start_run(&mut self, n: u64) {
+        let w = self.window as u64;
+        self.run_hist = self.hist_cap != 0 && n > w;
+        self.ring_lo = w.saturating_sub(self.run_miss);
+        self.ring_from = if self.run_hist { n - w } else { 0 };
+        self.ring_to = self.expected.saturating_sub(w + self.run_miss).min(n);
+        if self.run_hist {
+            self.scratch.hist_pos.fill(HistPos::default());
+        }
     }
 
-    /// Records that channel `c`'s lines from per-channel count `start_n`
-    /// onward start their bus transfers at `d0 + i × burst`.
+    /// The MSHR slot `d` misses after `slot`.
     #[inline]
-    fn hist_push(&mut self, c: usize, start_n: u64, d0: u64) {
-        let (head, len) = &mut self.scratch.hist_pos[c];
-        self.scratch.hist[c * self.hist_cap + *head as usize] = SegDesc { start_n, d0 };
-        *head = (*head + 1) & (self.hist_cap as u32 - 1);
-        *len = (*len + 1).min(self.hist_cap as u32);
+    fn slot_after(&self, slot: usize, d: u64) -> usize {
+        let (s, w) = (slot as u64 + d, self.window as u64);
+        (if s < w {
+            s
+        } else if s < 2 * w {
+            s - w
+        } else {
+            s % w
+        }) as usize
     }
 
-    /// Completion time of channel `c`'s line number `n` (per-channel
-    /// count within the current run): the gate of a row-opening line in
-    /// [`LineBatch::run_closed_form`]. `n` is guaranteed to be within the
-    /// retained history (at most `per_ch` lines back).
-    fn hist_done(&self, c: usize, n: u64) -> Cycle {
-        let (head, len) = self.scratch.hist_pos[c];
-        let base = c * self.hist_cap;
-        let mask = self.hist_cap as u32 - 1;
-        for i in 1..=len {
-            let slot = head.wrapping_sub(i) & mask;
-            let d = self.scratch.hist[base + slot as usize];
-            if d.start_n <= n {
-                return ceil_fp(d.d0 + (n - d.start_n + 1) * self.dram.burst_fp_ch[c])
-                    + self.dram.cfg.cas_latency;
+    /// Records channel `c`'s next `k` fills, the first being the run's
+    /// miss `j0`. Look-ups only reach fills before the run's last
+    /// `window` misses (`ring_from`), so a segment past them is counted
+    /// but not stored.
+    #[inline]
+    fn hist_push(&mut self, c: usize, j0: u64, desc: SegDesc, k: u64) {
+        if j0 < self.ring_from {
+            let pos = &mut self.scratch.hist_pos[c];
+            let slot = pos.pushed as usize & (self.hist_cap - 1);
+            self.scratch.hist[c * self.hist_cap + slot] = desc;
+            pos.pushed += 1;
+        }
+        self.scratch.hist_pos[c].fills += k;
+    }
+
+    /// The descriptor covering channel `c`'s fill `n` of this run, and
+    /// the first fill the next descriptor covers (`u64::MAX` if none).
+    /// `n` is at most `per_ch` fills back, so its descriptor is among
+    /// the `per_ch + 1` newest, which the history retains; and no
+    /// look-up goes below the one before it in the same run, so the
+    /// search moves a cursor forward.
+    #[inline]
+    fn hist_seek(&mut self, c: usize, n: u64) -> (SegDesc, u64) {
+        let cap = self.hist_cap as u64;
+        let hist = &self.scratch.hist[c * self.hist_cap..][..self.hist_cap];
+        let pos = &mut self.scratch.hist_pos[c];
+        let mut cur = pos.cursor.max(pos.pushed.saturating_sub(cap));
+        let mut next = u64::MAX;
+        while cur + 1 < pos.pushed {
+            let start = hist[((cur + 1) & (cap - 1)) as usize].start_n;
+            if start > n {
+                next = start;
+                break;
+            }
+            cur += 1;
+        }
+        pos.cursor = cur;
+        let d = hist[(cur & (cap - 1)) as usize];
+        debug_assert!(
+            cur < pos.pushed && d.start_n <= n,
+            "gate history pruned below the MSHR look-back"
+        );
+        (d, next)
+    }
+
+    /// Completion time of channel `c`'s fill `n` of this run.
+    #[inline]
+    fn hist_done(&mut self, c: usize, n: u64) -> Cycle {
+        let (d, _) = self.hist_seek(c, n);
+        d.done(n, self.dram.burst_fp_ch[c], self.dram.cfg.cas_latency)
+    }
+
+    /// The gate of the run's miss `j`, channel `c`'s next fill, in MSHR
+    /// slot `slot`.
+    #[inline]
+    fn gate_at(&mut self, j: u64, slot: usize, c: usize) -> Cycle {
+        if self.run_hist && j >= self.window as u64 {
+            let n = self.scratch.hist_pos[c].fills - self.per_ch;
+            self.hist_done(c, n)
+        } else if self.use_ring && j >= self.ring_lo {
+            self.scratch.ring[slot].max(self.now)
+        } else {
+            self.now
+        }
+    }
+
+    /// Of a segment's `k` misses, the first being the run's miss `j0`
+    /// and each next one `channels` misses on, the first `lo` gate on
+    /// `now`, the misses `lo..hi` read their gates from the ring and the
+    /// rest from the run's history.
+    #[inline]
+    fn ring_gated(&self, j0: u64, k: u64) -> (u64, u64) {
+        let hi = if !self.use_ring {
+            0
+        } else if !self.run_hist {
+            k
+        } else {
+            self.misses_before(j0, k, self.window as u64)
+        };
+        (self.misses_before(j0, hi, self.ring_lo), hi)
+    }
+
+    /// The number of a segment's `k` misses from the run's miss `j0`
+    /// on, `channels` apart, that come before the run's miss `j`.
+    #[inline]
+    fn misses_before(&self, j0: u64, k: u64, j: u64) -> u64 {
+        if j0 >= j {
+            0
+        } else {
+            self.dram.ch_div.div_ceil(j - j0).min(k)
+        }
+    }
+
+    /// Whether `ok(i, ring value)` holds for the misses `lo..hi` of a
+    /// segment whose first miss is in MSHR slot `slot0`. Reads every
+    /// slot (they do not depend on each other).
+    #[inline]
+    fn ring_ok(&self, slot0: usize, lo: u64, hi: u64, ok: impl Fn(u64, Cycle) -> bool) -> bool {
+        let mut slot = if lo == 0 {
+            slot0
+        } else {
+            self.slot_after(slot0, lo * u64::from(self.dram.cfg.channels))
+        };
+        let mut all = true;
+        for i in lo..hi {
+            all &= ok(i, self.scratch.ring[slot]);
+            slot += self.ch_step;
+            if slot >= self.window {
+                slot -= self.window;
             }
         }
-        // camdn-lint: allow(panic-in-lib, reason = "scratch history is sized to the MSHR look-back, so a slot always matches; reaching this is a sizing bug")
-        unreachable!("gate history pruned below the MSHR look-back");
+        all
     }
 
-    /// Per-line walk: advances `n` missing lines starting `start` lines
-    /// after `base`, reading gates from the MSHR ring and recording
-    /// ring/history state. Exact for arbitrary (even binding) gates.
-    fn per_line(&mut self, base: PhysAddr, start: u64, n: u64) {
+    /// Writes the ring slots of a segment's misses among the run's
+    /// misses `ring_from..ring_to`: `done(i)` is the completion of its
+    /// `i`-th miss, the run's miss `j0 + i × channels`, in slot `slot0 +
+    /// i × channels`.
+    #[inline]
+    fn ring_fill(&mut self, j0: u64, slot0: usize, k: u64, done: impl Fn(u64) -> Cycle) {
+        let nch = u64::from(self.dram.cfg.channels);
+        if j0 >= self.ring_to || j0 + (k - 1) * nch < self.ring_from {
+            return;
+        }
+        let i1 = self.misses_before(j0, k, self.ring_to);
+        let i0 = self.misses_before(j0, k, self.ring_from);
+        if i0 >= i1 {
+            return;
+        }
+        let mut slot = self.slot_after(slot0, i0 * nch);
+        for i in i0..i1 {
+            self.scratch.ring[slot] = done(i);
+            slot += self.ch_step;
+            if slot >= self.window {
+                slot -= self.window;
+            }
+        }
+    }
+
+    /// Prices the run's miss `j`, in MSHR slot `slot`, as one exact
+    /// per-line step: a fill of `row` on bank `bank` of channel `c`.
+    fn fill_line(&mut self, j: u64, slot: usize, c: usize, bank: usize, row: u64) {
+        #[cfg(test)]
+        {
+            self.scratch.work.lines += 1;
+        }
+        let gate = self.gate_at(j, slot, c);
+        let done = self.dram.line_timing_at(gate, c, bank, row);
+        if j >= self.ring_from && j < self.ring_to {
+            self.scratch.ring[slot] = done;
+        }
+        if self.run_hist {
+            // The transfer started one burst before `free_at`.
+            let burst = self.dram.burst_fp_ch[c];
+            let d0 = self.dram.free_at[c] - burst;
+            let n = self.scratch.hist_pos[c].fills;
+            self.hist_push(c, j, SegDesc::fills(n, d0, burst), 1);
+        }
+        self.finish = self.finish.max(done);
+    }
+
+    /// Per-line walk of the run's misses `j..j + n`, lines of `base`,
+    /// the first in MSHR slot `slot`.
+    fn walk_lines(&mut self, base: PhysAddr, j: u64, n: u64, slot: usize) {
         let lb = self.dram.line_bytes;
-        let nch = u64::from(self.dram.cfg.channels) as usize;
-        // Consecutive lines advance the MSHR slot and the channel by
-        // exactly one each: track both incrementally — no per-line (or
-        // even per-call) division.
-        let mut slot = self.slot;
-        let mut ch = self.dram.ch_div.rem(self.dram.line_div.div(base.0) + start) as usize;
-        for i in start..start + n {
-            let byte = base.0 + i * lb;
-            let gate = self.gate(slot, self.miss_no);
-            let row = self.dram.row_div.div(byte);
-            let bank_idx = self.dram.bank_div.rem(row) as usize;
-            let done = self.dram.line_timing_at(gate, ch, bank_idx, row);
-            if self.use_ring {
-                self.scratch.ring[slot] = done;
-            }
-            if self.run_hist {
-                // The transfer started one burst before `free_at`.
-                let d0 = self.dram.free_at[ch] - self.dram.burst_fp_ch[ch];
-                let n_c = self.scratch.nproc[ch];
-                self.hist_push(ch, n_c, d0);
-                self.scratch.nproc[ch] += 1;
-            }
-            self.miss_no += 1;
-            self.finish = self.finish.max(done);
-            slot += 1;
-            if slot == self.window {
-                slot = 0;
-            }
-            ch += 1;
-            if ch == nch {
-                ch = 0;
-            }
+        let nch = self.dram.cfg.channels as usize;
+        let mut slot = slot;
+        let mut ch = self.dram.ch_div.rem(self.dram.line_div.div(base.0) + j) as usize;
+        for i in j..j + n {
+            let row = self.dram.row_div.div(base.0 + i * lb);
+            let bank = self.dram.bank_div.rem(row) as usize;
+            self.fill_line(i, slot, ch, bank, row);
+            slot = if slot + 1 == self.window { 0 } else { slot + 1 };
+            ch = if ch + 1 == nch { 0 } else { ch + 1 };
         }
-        self.slot = slot;
     }
 
-    /// Closed-form walk of the run's last `n` lines, starting `offset`
-    /// lines after `base` (everything after the head): per (row,
-    /// channel) segment, evaluate the row-opening gate from history,
-    /// fold the bank-ready update, and advance the channel horizon by
-    /// `k × burst` in one step.
-    ///
-    /// The last `window` of these lines also re-record their MSHR
-    /// completion times, which runs after this one gate on: the `i`-th
-    /// line of a segment on its channel completes at
-    /// `ceil(d0 + (i + 1) × burst) + cas`, and consecutive lines of one
-    /// channel are `channels` MSHR slots apart.
-    fn run_closed_form(&mut self, base: PhysAddr, offset: u64, n: u64) {
+    /// Prices a fill run's `n` lines from `base`, (row, channel)
+    /// segment by segment, handing whole rows past the head to
+    /// [`LineBatch::row_tail`] once their banks allow it.
+    fn fill_rows(&mut self, base: PhysAddr, n: u64) {
         let lb = self.dram.line_bytes;
         let nch = u64::from(self.dram.cfg.channels);
         let row_bytes = self.dram.cfg.row_bytes;
-        let nbanks = self.dram.cfg.banks_per_channel as usize;
-        let pen = self.dram.cfg.row_miss_penalty;
-        let cas = self.dram.cfg.cas_latency;
         let w = self.window as u64;
-        let now_fp = fp(self.now);
         let l0 = self.dram.line_div.div(base.0);
-        // `self.slot` is line `offset`'s MSHR slot.
-        let slot0 = self.slot as u64;
         let row_lines = self.dram.row_run_kf * nch;
-        let mut j = offset;
-        let end = offset + n;
-        let ring_from = offset.max(end.saturating_sub(w));
-        // Full rows walked so far: once every bank has seen one, whole
-        // rows before `ring_from` whose row-opening lines gate within
-        // the run go to `row_tail`.
-        let mut lap = 0u64;
-        while j < end {
+        let mut j = 0;
+        let mut slot = self.slot;
+        while j < n {
             let byte = base.0 + j * lb;
             let row = self.dram.row_div.div(byte);
-            if self.row_tails && self.dram.row_div.rem(byte) < lb {
-                let rows = ring_from.saturating_sub(j) / row_lines;
-                if lap >= nbanks as u64 && self.run_start_miss + j >= w && rows > 0 {
+            // Whole rows past the head and before `ring_from`.
+            if self.row_tails && j >= w && self.dram.row_div.rem(byte) < lb {
+                let rows = self.ring_from.saturating_sub(j) / row_lines;
+                if rows > 0 && self.tail_banks_ready(row, rows) {
                     self.row_tail(row, rows);
                     j += rows * row_lines;
+                    slot = self.slot_after(slot, rows * row_lines);
                     continue;
                 }
-                lap += 1;
             }
             let seg = self
                 .dram
                 .line_div
                 .div_ceil((row + 1) * row_bytes - byte)
-                .min(end - j);
-            let bank_idx = self.dram.bank_div.rem(row) as usize;
-            let c0 = self.dram.ch_div.rem(l0 + j);
-            self.dram.unshare(bank_idx);
-            for t in 0..nch.min(seg) {
-                let k = self.dram.ch_div.div_ceil(seg - t);
-                let mut ci = c0 + t;
-                if ci >= nch {
-                    ci -= nch;
+                .min(n - j);
+            if !self.run_hist && seg > w {
+                // Without history a row longer than the window gates on
+                // its own lines: walk it in line order.
+                self.walk_lines(base, j, seg, slot);
+            } else {
+                let bank = self.dram.bank_div.rem(row) as usize;
+                let mut c = self.dram.ch_div.rem(l0 + j) as usize;
+                self.dram.unshare(bank);
+                let mut s = slot;
+                for t in 0..nch.min(seg) {
+                    let k = self.dram.ch_div.div_ceil(seg - t);
+                    self.fill_seg(c, bank, row, j + t, s, k);
+                    c = if c + 1 == nch as usize { 0 } else { c + 1 };
+                    s = if s + 1 == self.window { 0 } else { s + 1 };
                 }
-                let c = ci as usize;
-                let bi = bank_idx * nch as usize + c;
-                if self.dram.banks[bi].open_row == row {
-                    self.dram.stats.row_hits.add(k);
-                } else {
-                    self.dram.stats.row_misses.incr();
-                    self.dram.stats.row_hits.add(k - 1);
-                    // The row-opening line's gate feeds the bank-ready
-                    // update even though it never delays the data bus.
-                    let m = self.run_start_miss + j + t;
-                    let gate = if m < w {
-                        self.now
-                    } else {
-                        self.hist_done(c, self.scratch.nproc[c] - self.per_ch)
-                    };
-                    let bank = &mut self.dram.banks[bi];
-                    bank.open_row = row;
-                    bank.ready_at = gate.max(bank.ready_at) + pen;
-                }
-                let burst = self.dram.burst_fp_ch[c];
-                let d0 = now_fp
-                    .max(self.dram.free_at[c])
-                    .max(fp(self.dram.banks[bi].ready_at));
-                self.dram.free_at[c] = d0 + k * burst;
-                let done = ceil_fp(self.dram.free_at[c]) + cas;
-                self.finish = self.finish.max(done);
-                // This channel's lines are `j + t + i × channels`.
-                let first = j + t;
-                if first + (k - 1) * nch >= ring_from {
-                    let skip = if first >= ring_from {
-                        0
-                    } else {
-                        self.dram.ch_div.div_ceil(ring_from - first)
-                    };
-                    let mut slot = ((slot0 + first + skip * nch - offset) % w) as usize;
-                    for i in skip..k {
-                        self.scratch.ring[slot] = ceil_fp(d0 + (i + 1) * burst) + cas;
-                        slot += nch as usize;
-                        if slot >= self.window {
-                            slot -= self.window;
-                        }
-                    }
-                }
-                let n_c = self.scratch.nproc[c];
-                self.hist_push(c, n_c, d0);
-                self.scratch.nproc[c] += k;
             }
             j += seg;
+            slot = self.slot_after(slot, seg);
         }
-        self.miss_no += n;
-        self.slot = ((self.slot as u64 + n) % w) as usize;
+    }
+
+    /// The `k` fills of one (row, channel) segment of a fill run: row
+    /// `row` of bank `bank` on channel `c`, the first being the run's
+    /// miss `j0` in MSHR slot `slot0`, each next one `channels` misses
+    /// on. The caller has given each channel its own copy of the bank.
+    ///
+    /// Only the row-opening line's gate enters the closed form, through
+    /// the bank's ready time; every line then starts where the one
+    /// before it on the channel ended, from `d0`. That holds unless a
+    /// ring-read gate passes its line's start, in which case the
+    /// segment walks per line. (In-run gates never do; see
+    /// [`LineBatch`].)
+    fn fill_seg(&mut self, c: usize, bank: usize, row: u64, j0: u64, slot0: usize, k: u64) {
+        let nch = self.dram.free_at.len();
+        let pen = self.dram.cfg.row_miss_penalty;
+        let cas = self.dram.cfg.cas_latency;
+        let bi = bank * nch + c;
+        let burst = self.dram.burst_fp_ch[c];
+        let b = self.dram.banks[bi];
+        let open = b.open_row == row;
+        let ready = if open {
+            b.ready_at
+        } else {
+            self.gate_at(j0, slot0, c).max(b.ready_at) + pen
+        };
+        let d0 = fp(self.now).max(self.dram.free_at[c]).max(fp(ready));
+        let (lo, hi) = self.ring_gated(j0, k);
+        if !self.ring_ok(slot0, lo, hi, |i, g| fp(g) <= d0 + i * burst) {
+            self.fill_seg_walk(c, bank, row, j0, slot0, k);
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.scratch.work.closed += 1;
+        }
+        if open {
+            self.dram.stats.row_hits.add(k);
+        } else {
+            self.dram.stats.row_misses.incr();
+            self.dram.stats.row_hits.add(k - 1);
+            self.dram.banks[bi] = Bank {
+                open_row: row,
+                ready_at: ready,
+            };
+        }
+        let free = d0 + k * burst;
+        self.dram.free_at[c] = free;
+        self.finish = self.finish.max(ceil_fp(free) + cas);
+        self.ring_fill(j0, slot0, k, |i| ceil_fp(d0 + (i + 1) * burst) + cas);
+        if self.run_hist {
+            let n = self.scratch.hist_pos[c].fills;
+            self.hist_push(c, j0, SegDesc::fills(n, d0, burst), k);
+        }
+    }
+
+    /// [`LineBatch::fill_seg`]'s lines walked one by one.
+    #[cold]
+    #[inline(never)]
+    fn fill_seg_walk(&mut self, c: usize, bank: usize, row: u64, j0: u64, slot0: usize, k: u64) {
+        #[cfg(test)]
+        {
+            self.scratch.work.fallback += 1;
+        }
+        let nch = self.dram.cfg.channels as u64;
+        let mut slot = slot0;
+        for i in 0..k {
+            self.fill_line(j0 + i * nch, slot, c, bank, row);
+            slot = self.slot_after(slot, nch);
+        }
+    }
+
+    /// Whether `row_tail` may price `rows` full rows from `row0` on:
+    /// no bank of their first lap holds its row open, and each is ready
+    /// a penalty before the bus reaches its row, `r` rows on:
+    /// `fp(ready + penalty) ≤ horizon + r × kf × burst`, which a lap of
+    /// walked rows also guarantees, since a walked row leaves its bank
+    /// ready no later than its own start. Gives each channel its own
+    /// copy of those banks.
+    fn tail_banks_ready(&mut self, row0: u64, rows: u64) -> bool {
+        let kf = self.dram.row_run_kf;
+        let nbanks = self.dram.cfg.banks_per_channel as usize;
+        let nch = self.dram.free_at.len();
+        let pen = self.dram.cfg.row_miss_penalty;
+        let mut b = self.dram.bank_div.rem(row0) as usize;
+        for r in 0..rows.min(nbanks as u64) {
+            self.dram.unshare(b);
+            for c in 0..nch {
+                let bank = self.dram.banks[b * nch + c];
+                let start = self.dram.free_at[c] + r * kf * self.dram.burst_fp_ch[c];
+                if bank.open_row == row0 + r || fp(bank.ready_at + pen) > start {
+                    return false;
+                }
+            }
+            b += 1;
+            if b == nbanks {
+                b = 0;
+            }
+        }
+        true
     }
 
     /// Prices `rows` full rows from `row0` on in closed form, inside
-    /// [`LineBatch::run_closed_form`]: the walk has just finished a
-    /// full lap of `banks` rows, every row-opening line from here on
-    /// gates on a line of this run, and the rows end before the run's
-    /// last `window` lines, whose MSHR slots the walk still rewrites.
+    /// [`LineBatch::fill_rows`]: the rows start past the run's head, so
+    /// every row-opening line gates on a line of this run, and end
+    /// before the run's last `window` lines, whose MSHR slots the walk
+    /// still writes.
     ///
-    /// No bank or gate delays the bus in these rows. A bank's ready
-    /// time is at most the start of its last visit, `banks` rows and at
-    /// least `banks × kf × burst ≥ fp(penalty)` earlier. A gate is the
+    /// No bank or gate delays the bus in these rows. A bank's first
+    /// visit finds it ready a penalty before the bus reaches it
+    /// (`tail_banks_ready`), and a later visit finds it ready at most at
+    /// the start of its visit before, `banks` rows and at least `banks
+    /// × kf × burst ≥ fp(penalty)` earlier. A gate is the
     /// completion of the line `window/channels` lines back on the same
     /// channel, so the gate plus the penalty lands before the bus frees
     /// when `fp(cas + penalty) + 1 cycle ≤ (window/channels − 1) ×
@@ -1271,18 +1533,18 @@ impl LineBatch<'_> {
         // Each bank's last visit is among the last `banks` rows.
         let first_last = rows.saturating_sub(nb);
         for c in 0..nch {
-            let n0 = self.scratch.nproc[c];
-            self.scratch.nproc[c] = n0 + rows * kf;
+            let n0 = self.scratch.hist_pos[c].fills;
+            self.scratch.hist_pos[c].fills = n0 + rows * kf;
             let free = self.dram.free_at[c] + rows * kf * self.dram.burst_fp_ch[c];
             self.dram.free_at[c] = free;
             self.finish = self.finish.max(ceil_fp(free) + cas);
             let mut b = (b0 + self.dram.bank_div.rem(first_last) as usize) % nbanks;
             for r in first_last..rows {
                 let gate = self.hist_done(c, n0 + r * kf - self.per_ch);
-                // The walk's lap before the tail unshared every bank.
+                // `tail_banks_ready` unshared every bank.
                 debug_assert!(self.dram.agree & bank_bit(b) == 0);
                 let bank = &mut self.dram.banks[b * nch + c];
-                let m = r / nb + 1;
+                let m = self.dram.bank_div.div(r) + 1;
                 bank.ready_at = (gate + pen).max(bank.ready_at + m * pen);
                 bank.open_row = row0 + r;
                 b += 1;
@@ -1304,50 +1566,17 @@ impl LineBatch<'_> {
             return;
         }
         self.fill_lines += lines;
-        let w = self.window as u64;
         if !self.use_ring {
             // The window never fills: every gate is `now`, the whole run
             // is one closed-form segment walk.
             let done = self.dram.burst_lines_batched(self.now, base, lines);
             self.finish = self.finish.max(done);
-            self.miss_no += lines;
-            self.slot = ((self.slot as u64 + lines) % w) as usize;
             return;
         }
-        // In-run gate look-ups only exist when the run outlives the
-        // window; shorter runs walk per line against the real ring, with
-        // no history bookkeeping at all.
-        self.run_hist = self.hist_on() && lines > w;
-        if !self.run_hist {
-            self.per_line(base, 0, lines);
-            return;
-        }
-        // Gates are per-run state: in-run gate look-ups only reach back
-        // `window` consecutive-miss lines, never across a gap.
-        self.run_start_miss = self.miss_no;
-        for p in self.scratch.nproc.iter_mut() {
-            *p = 0;
-        }
-        for p in self.scratch.hist_pos.iter_mut() {
-            *p = (0, 0);
-        }
-        // Head: misses whose gate predates this run (arbitrary, possibly
-        // binding ring values — walk them per line against the real
-        // ring). Later misses gate within the run, where gates are
-        // provably inert on the data path, so the rest of the run is
-        // one closed-form walk that also rebuilds the ring slots of
-        // its last `window` lines for the runs after this one.
-        let head = if self.miss_no + lines.min(w) > w {
-            lines.min(w)
-        } else {
-            0
-        };
-        if head > 0 {
-            self.per_line(base, 0, head);
-        }
-        if lines > head {
-            self.run_closed_form(base, head, lines - head);
-        }
+        self.start_run(lines);
+        self.fill_rows(base, lines);
+        self.slot = self.slot_after(self.slot, lines);
+        self.run_miss += lines;
     }
 
     /// Issues one posted single-line writeback at `now` (dirty victim;
@@ -1366,11 +1595,12 @@ impl LineBatch<'_> {
     /// A victim that shares its line's channel, bank and in-row offset
     /// from a different row keeps sharing them, so every pair stays on
     /// one channel and one bank, and such a run is priced per (row,
-    /// channel) segment (`evict_rows`). Any other run is one fused
-    /// walk that steps both channels and the MSHR slot incrementally.
+    /// channel) segment (`evict_rows`). Any other run walks pair by
+    /// pair, stepping both channels and the MSHR slot incrementally.
     pub fn evict_run(&mut self, base: PhysAddr, victim: PhysAddr, n: u64) {
         self.fill_lines += n;
         self.wb_lines += n;
+        self.start_run(n);
         let d = &*self.dram;
         let (brow, vrow) = (d.row_div.div(base.0), d.row_div.div(victim.0));
         if brow != vrow
@@ -1380,68 +1610,50 @@ impl LineBatch<'_> {
         {
             self.evict_rows(base, victim, n);
         } else {
-            self.evict_pairs(base, victim, 0, n);
+            self.evict_pairs(base, victim, 0, n, self.slot);
         }
+        self.slot = self.slot_after(self.slot, n);
+        self.run_miss += n;
     }
 
-    /// The gate of the fill that is miss `miss` in MSHR slot `slot`.
-    #[inline]
-    fn gate(&self, slot: usize, miss: u64) -> Cycle {
-        if self.use_ring && miss >= self.window as u64 {
-            self.scratch.ring[slot].max(self.now)
-        } else {
-            self.now
+    /// The per-pair walk of pairs `from..from + n` of an eviction run,
+    /// the first in MSHR slot `slot`.
+    fn evict_pairs(&mut self, base: PhysAddr, victim: PhysAddr, from: u64, n: u64, slot: usize) {
+        #[cfg(test)]
+        {
+            self.scratch.work.pairs += n;
         }
-    }
-
-    /// The fused per-pair walk of pairs `from..from + n` of an eviction
-    /// run.
-    fn evict_pairs(&mut self, base: PhysAddr, victim: PhysAddr, from: u64, n: u64) {
         let d = &*self.dram;
         let lb = d.line_bytes;
         let nch = d.cfg.channels as usize;
         let mut fill_ch = d.ch_div.rem(d.line_div.div(base.0) + from) as usize;
         let mut wb_ch = d.ch_div.rem(d.line_div.div(victim.0) + from) as usize;
-        let mut slot = self.slot;
+        let mut slot = slot;
         for i in from..from + n {
-            let gate = self.gate(slot, self.miss_no);
             let d = &mut *self.dram;
             let wb = victim.0 + i * lb;
             let row = d.row_div.div(wb);
             d.line_timing_at(self.now, wb_ch, d.bank_div.rem(row) as usize, row);
             let row = d.row_div.div(base.0 + i * lb);
-            let done = d.line_timing_at(gate, fill_ch, d.bank_div.rem(row) as usize, row);
-            if self.use_ring {
-                self.scratch.ring[slot] = done;
-            }
-            self.miss_no += 1;
-            self.finish = self.finish.max(done);
-            slot += 1;
-            if slot == self.window {
-                slot = 0;
-            }
-            fill_ch += 1;
-            if fill_ch == nch {
-                fill_ch = 0;
-            }
-            wb_ch += 1;
-            if wb_ch == nch {
-                wb_ch = 0;
-            }
+            let bank = d.bank_div.rem(row) as usize;
+            self.fill_line(i, slot, fill_ch, bank, row);
+            slot = if slot + 1 == self.window { 0 } else { slot + 1 };
+            fill_ch = if fill_ch + 1 == nch { 0 } else { fill_ch + 1 };
+            wb_ch = if wb_ch + 1 == nch { 0 } else { wb_ch + 1 };
         }
-        self.slot = slot;
     }
 
     /// An eviction run whose victims share their lines' channel, bank
     /// and in-row offset, priced per (row, channel) segment: channels
     /// share no state, and a row holding at most `window` lines reads
-    /// only ring slots written before it, so the row's pairs may go
-    /// channel by channel. A row longer than the window walks per pair.
+    /// only gates from before it, so the row's pairs may go channel by
+    /// channel. A row longer than the window walks per pair.
     fn evict_rows(&mut self, base: PhysAddr, victim: PhysAddr, n: u64) {
         let lb = self.dram.line_bytes;
         let nch = self.dram.cfg.channels as usize;
         let w = self.window;
         let mut c0 = self.dram.channel_of(base);
+        let mut slot = self.slot;
         let mut i = 0;
         while i < n {
             let byte = base.0 + i * lb;
@@ -1452,21 +1664,21 @@ impl LineBatch<'_> {
                 .div_ceil((row + 1) * self.dram.cfg.row_bytes - byte)
                 .min(n - i);
             if self.use_ring && seg > w as u64 {
-                self.evict_pairs(base, victim, i, seg);
+                self.evict_pairs(base, victim, i, seg, slot);
             } else {
                 let vrow = self.dram.row_div.div(victim.0 + i * lb);
                 let bank = self.dram.bank_div.rem(row) as usize;
-                let (mut c, mut slot) = (c0, self.slot);
+                self.dram.unshare(bank);
+                let (mut c, mut s) = (c0, slot);
                 for t in 0..nch.min(seg as usize) {
                     let k = self.dram.ch_div.div_ceil(seg - t as u64);
-                    self.evict_segment(c, bank, [vrow, row], k, slot, self.miss_no + t as u64);
+                    self.evict_seg(c, bank, [vrow, row], i + t as u64, s, k);
                     c = if c + 1 == nch { 0 } else { c + 1 };
-                    slot = if slot + 1 == w { 0 } else { slot + 1 };
+                    s = if s + 1 == w { 0 } else { s + 1 };
                 }
-                self.miss_no += seg;
-                self.slot = ((self.slot as u64 + seg) % w as u64) as usize;
             }
             c0 = self.dram.ch_div.rem(c0 as u64 + seg) as usize;
+            slot = self.slot_after(slot, seg);
             i += seg;
         }
     }
@@ -1474,63 +1686,161 @@ impl LineBatch<'_> {
     /// The `k` pairs of one (row, channel) segment of
     /// [`LineBatch::evict_rows`]: each writes back to row `rows[0]` and
     /// fills from row `rows[1]` of bank `bank` on channel `c`. The
-    /// first pair is miss `miss` in MSHR slot `slot`; each later pair
-    /// is `channels` misses on.
+    /// first pair is the run's miss `j0` in MSHR slot `slot0`; each
+    /// later pair is `channels` misses on. The caller has given each
+    /// channel its own copy of the bank.
     ///
-    /// The first pair walks exactly and leaves the bank open on the
-    /// fill's row. Every later operation is then a row miss on the same
-    /// bank and bus, so a pair is one step of two recurrences: the
-    /// bank's readiness `R ← max(g, R + penalty) + penalty` over the
-    /// fills' gates `g`, and the horizon, which each operation moves to
-    /// `max(F, R_op) + burst`. While the bus binds, that is `F + 2 ×
-    /// burst` per pair and the fill completes at `ceil(F) + cas`.
-    fn evict_segment(
+    /// Operation `q = 1..2k` alternates a writeback (odd) and a fill
+    /// (even). Let `F` be the channel's horizon, `R = max(now, ready)`
+    /// the bank's readiness, `β` the burst and `P` the penalty. When
+    /// the bank is not open on the victim's row, every operation is a
+    /// row miss, so the bank's readiness steps `R ← max(g, R) + P`
+    /// (`g` is `now` for a writeback, the fill's gate for a fill), and
+    /// the bus `F ← max(F, fp(R)) + β` (no gate passes the bank it
+    /// readies). If every fill gate satisfies `g_i ≤ R + (2i + 1) × P`,
+    /// the bank never waits on a gate, and after operation `q` it is
+    /// ready at `R + q × P`. The bus recurrence then telescopes to the
+    /// max-plus sum `F_q = max(F + q × β, max_{p ≤ q} fp(R + p × P) + (q
+    /// − p + 1) × β)`, and when `fp(P) ≥ β` its `p = q` term is the
+    /// largest of the bank terms: `F_q = max(F + q × β, fp(R + q × P) +
+    /// β)`. This one formula covers a bus-bound prefix and the
+    /// bank-bound suffix that may follow. Pair `i`'s fill completes at
+    /// `ceil(F_{2i+2}) + cas`, a descriptor `(d0, step, r0, bank_step)
+    /// = (F, 2β, fp(R), fp(2P))`.
+    ///
+    /// The gate checks need no serial chain. Ring-read gates are each
+    /// checked. Within one descriptor of this run's history, the
+    /// completions of consecutive fills rise by at most `fp(2P)` ticks
+    /// before rounding (`2β ≤ fp(2P)`), so by at most `2P` cycles,
+    /// while the bound rises by exactly `2P`: checking the first gate
+    /// each descriptor supplies is enough. When a condition fails, the
+    /// segment walks pair by pair.
+    fn evict_seg(&mut self, c: usize, bank: usize, rows: [u64; 2], j0: u64, slot0: usize, k: u64) {
+        let nch = self.dram.free_at.len();
+        let pen = self.dram.cfg.row_miss_penalty;
+        let cas = self.dram.cfg.cas_latency;
+        let bi = bank * nch + c;
+        let burst = self.dram.burst_fp_ch[c];
+        let b = self.dram.banks[bi];
+        let r = self.now.max(b.ready_at);
+        // `rt`: the bank's readiness from the first fill on, whose gate
+        // may bind (the later ones may not).
+        let (lo, hi) = self.ring_gated(j0, k);
+        let mut rt = r;
+        let closed = b.open_row != rows[0]
+            && fp(pen) >= burst
+            && if hi > 0 {
+                if lo == 0 {
+                    rt = (r + pen).max(self.scratch.ring[slot0]) - pen;
+                }
+                let bound = |i: u64, g: Cycle| g <= rt + (2 * i + 1) * pen;
+                self.ring_ok(slot0, lo, hi, bound) && self.hist_ok(c, hi, k, bound)
+            } else {
+                self.hist_ok(c, 0, k, |i, g| {
+                    if i == 0 {
+                        rt = (r + pen).max(g) - pen;
+                    }
+                    g <= rt + (2 * i + 1) * pen
+                })
+            };
+        if !closed {
+            self.evict_seg_walk(c, bank, rows, j0, slot0, k);
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.scratch.work.closed += 1;
+        }
+        let d = self.dram.free_at[c].max(fp(r + pen));
+        let (rf, pf) = (fp(rt), fp(pen));
+        let at = |q: u64| (d + q * burst).max(rf + q * pf + burst);
+        let end = at(2 * k);
+        self.dram.free_at[c] = end;
+        self.dram.banks[bi] = Bank {
+            open_row: rows[1],
+            ready_at: rt + 2 * k * pen,
+        };
+        self.dram.stats.row_misses.add(2 * k);
+        self.finish = self.finish.max(ceil_fp(end) + cas);
+        self.ring_fill(j0, slot0, k, |i| ceil_fp(at(2 * i + 2)) + cas);
+        if self.run_hist {
+            let desc = SegDesc {
+                start_n: self.scratch.hist_pos[c].fills,
+                d0: d,
+                step: 2 * burst,
+                r0: rf,
+                bank_step: 2 * pf,
+            };
+            self.hist_push(c, j0, desc, k);
+        }
+    }
+
+    /// [`LineBatch::evict_seg`]'s pairs walked one by one.
+    #[cold]
+    #[inline(never)]
+    fn evict_seg_walk(
         &mut self,
         c: usize,
         bank: usize,
         rows: [u64; 2],
+        j0: u64,
+        slot0: usize,
         k: u64,
-        slot: usize,
-        miss: u64,
     ) {
-        let nch = self.dram.cfg.channels as usize;
-        let w = self.window;
-        let pen = self.dram.cfg.row_miss_penalty;
-        let cas = self.dram.cfg.cas_latency;
+        #[cfg(test)]
+        {
+            self.scratch.work.fallback += 1;
+            self.scratch.work.pairs += k;
+        }
+        let nch = self.dram.cfg.channels as u64;
+        let mut slot = slot0;
+        for i in 0..k {
+            self.dram.line_timing_at(self.now, c, bank, rows[0]);
+            self.fill_line(j0 + i * nch, slot, c, bank, rows[1]);
+            slot = self.slot_after(slot, nch);
+        }
+    }
+
+    /// Whether `ok(i, gate)` holds for pairs `from..k` of an eviction
+    /// segment on channel `c`, whose gates come from this run's
+    /// history (all gates are `now` without it): pair `i` gates on the
+    /// channel's fill `per_ch` before its own. Checks pair `from` and
+    /// the first pair each later descriptor supplies (see
+    /// [`LineBatch::evict_seg`]).
+    #[inline]
+    fn hist_ok(
+        &mut self,
+        c: usize,
+        from: u64,
+        k: u64,
+        mut ok: impl FnMut(u64, Cycle) -> bool,
+    ) -> bool {
+        if from >= k {
+            return true;
+        }
+        if !self.run_hist {
+            return ok(from, self.now);
+        }
         let burst = self.dram.burst_fp_ch[c];
-        let gate = self.gate(slot, miss);
-        self.dram.line_timing_at(self.now, c, bank, rows[0]);
-        let done = self.dram.line_timing_at(gate, c, bank, rows[1]);
-        if self.use_ring {
-            self.scratch.ring[slot] = done;
-        }
-        // Both operations of a later pair lie past `now`: the bank was
-        // last readied at a gate plus the penalty.
-        // The first pair's two rows differ, so one of them missed and
-        // gave each channel its own copy of the bank.
-        debug_assert!(self.dram.agree & bank_bit(bank) == 0);
-        let bi = bank * nch + c;
-        let mut free = self.dram.free_at[c];
-        let mut ready = self.dram.banks[bi].ready_at;
-        let (mut slot, mut miss) = (slot, miss);
-        for _ in 1..k {
-            slot += nch;
-            if slot >= w {
-                slot -= w;
+        let cas = self.dram.cfg.cas_latency;
+        // Pair `i` gates on fill `i + base − per_ch` (`i ≥ from`).
+        let base = self.scratch.hist_pos[c].fills;
+        // A failed check hands the segment to the per-pair walk, which
+        // looks its gates up again from the first.
+        let cursor = self.scratch.hist_pos[c].cursor;
+        let mut i = from;
+        loop {
+            let n = i + base - self.per_ch;
+            let (d, next) = self.hist_seek(c, n);
+            if !ok(i, d.done(n, burst, cas)) {
+                self.scratch.hist_pos[c].cursor = cursor;
+                return false;
             }
-            miss += nch as u64;
-            let wb_ready = ready + pen;
-            free = free.max(fp(wb_ready)) + burst;
-            ready = self.gate(slot, miss).max(wb_ready) + pen;
-            free = free.max(fp(ready)) + burst;
-            if self.use_ring {
-                self.scratch.ring[slot] = ceil_fp(free) + cas;
+            if next >= k + base - self.per_ch {
+                return true;
             }
+            i = next + self.per_ch - base;
         }
-        self.dram.free_at[c] = free;
-        self.dram.banks[bi].ready_at = ready;
-        self.dram.stats.row_misses.add(2 * (k - 1));
-        self.finish = self.finish.max(ceil_fp(free) + cas);
     }
 
     /// Completion cycle of the latest fill so far (`now` if none).
@@ -2231,6 +2541,107 @@ mod tests {
         let b = emulate_gated(&mut refm, 0, 16, &events);
         assert_eq!(a, b);
         assert_same(&fast, &refm, "binding gates");
+    }
+
+    #[test]
+    fn eviction_segments_match_gated_reference_exactly() {
+        // Same-bank eviction runs across the window (145, 300 and 2,000
+        // pairs), from every channel offset, next to fill runs: a fill
+        // run ahead of each eviction run feeds its head's ring gates,
+        // and the fill run after it reads the ring slots the eviction
+        // run rebuilt. Penalties 2 (bus-bound pairs), 40 and 400
+        // (bank-bound), channels degraded to 0.25 and 0.05 (a burst
+        // longer than the penalty), and 80 banks, past the agreement
+        // mask. The warm-up burst leaves banks open on victim rows.
+        const MIB: u64 = 1 << 20;
+        let paper = DramConfig::paper_default();
+        let with = |banks, pen| DramConfig {
+            banks_per_channel: banks,
+            row_miss_penalty: pen,
+            ..paper
+        };
+        let mut rng = SimRng::new(0xE5E6);
+        for cfg in [with(16, 2), paper, with(16, 400), with(80, 40)] {
+            let row_lines = cfg.row_bytes / 64;
+            for scales in [&[][..], &[(1, 0.25), (3, 0.05)][..]] {
+                for n in [145u64, 300, 2_000] {
+                    for offset in 0..4u64 {
+                        let start = 64 * MIB + (rng.next_below(1 << 10) * row_lines + offset) * 64;
+                        let victim = start - (1 + rng.next_below(16)) * 2 * MIB;
+                        let lead = [0, 90, 700][rng.next_below(3) as usize];
+                        let mut events = vec![Ev::Fill(PhysAddr(start - lead * 64), lead)];
+                        events.push(Ev::Evict(PhysAddr(start), PhysAddr(victim), n));
+                        events.push(Ev::Fill(PhysAddr(start + n * 64), 300));
+                        let (b2, v2) = (start + (n + 300) * 64, victim + (n + 300) * 64);
+                        events.push(Ev::Evict(PhysAddr(b2), PhysAddr(v2), 150));
+                        let open = rng.next_below(2) == 0;
+                        let warm = if open {
+                            (PhysAddr(victim), 4 * row_lines)
+                        } else {
+                            (PhysAddr(rng.next_below(1 << 18) * 64), 1_000)
+                        };
+                        let ctx = format!(
+                            "{cfg:?} {scales:?} {n} pairs at {offset}, lead {lead}, open {open}"
+                        );
+                        batch_both(cfg, scales, warm, &events, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memory_pass_work_is_closed_form_at_paper_geometry() {
+        // A fill run, a same-bank eviction run and a fill run on the
+        // paper SoC: every segment is one closed-form step, with no
+        // line or pair priced on its own.
+        const MIB: u64 = 1 << 20;
+        let base = 64 * MIB;
+        let events = [
+            Ev::Fill(PhysAddr(base), 3_000),
+            Ev::Evict(
+                PhysAddr(base + 3_000 * 64),
+                PhysAddr(base + 3_000 * 64 - 8 * MIB),
+                2_000,
+            ),
+            Ev::Fill(PhysAddr(base + 5_000 * 64), 200),
+        ];
+        let (mut fast, mut refm) = (model(), model());
+        let a = run_batch(&mut fast, 100, 144, &events);
+        let b = emulate_gated(&mut refm, 100, 144, &events);
+        assert_eq!(a, b);
+        assert_same(&fast, &refm, "scripted batch");
+        let work = fast.scratch.work;
+        assert_eq!(
+            (work.lines, work.pairs, work.fallback),
+            (0, 0, 0),
+            "{work:?}"
+        );
+        assert!(work.closed > 0, "{work:?}");
+
+        // Gates that bind (the large-CAS SoC of
+        // `line_batch_gates_throttle_when_window_fills`, with a window
+        // that holds a row): segments fall back to exact walks.
+        let cfg = DramConfig {
+            channels: 1,
+            banks_per_channel: 2,
+            row_bytes: 2048,
+            bytes_per_cycle: 64.0,
+            row_miss_penalty: 4,
+            cas_latency: 500,
+        };
+        let events = [
+            Ev::Fill(PhysAddr(0), 400),
+            Ev::Evict(PhysAddr(400 * 64), PhysAddr(400 * 64 + 100 * 2048), 100),
+            Ev::Fill(PhysAddr(600 * 64), 100),
+        ];
+        let (mut fast, mut refm) = (DramModel::new(cfg, 64), DramModel::new(cfg, 64));
+        let a = run_batch(&mut fast, 0, 64, &events);
+        let b = emulate_gated(&mut refm, 0, 64, &events);
+        assert_eq!(a, b);
+        assert_same(&fast, &refm, "binding gates");
+        let work = fast.scratch.work;
+        assert!(work.fallback > 0 && work.lines > 0, "{work:?}");
     }
 
     /// Runs one [`LineBatch`] tape on the batched twin and the gated

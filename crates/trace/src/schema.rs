@@ -319,9 +319,13 @@ impl TraceReader<std::io::BufReader<std::fs::File>> {
 impl<R: BufRead> TraceReader<R> {
     /// Wraps any buffered reader and validates the header line.
     pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let mut header = String::new();
-        r.read_line(&mut header).map_err(|e| TraceError::Io {
-            detail: format!("reading trace header: {e}"),
+        let mut header = Vec::new();
+        r.read_until(b'\n', &mut header)
+            .map_err(|e| TraceError::Io {
+                detail: format!("reading trace header: {e}"),
+            })?;
+        let header = String::from_utf8(header).map_err(|e| TraceError::BadHeader {
+            detail: format!("first line is not UTF-8: {e}"),
         })?;
         let fields = parse_flat_object(&header).ok_or_else(|| TraceError::BadHeader {
             detail: format!("first line is not a JSON object: {:?}", header.trim()),
@@ -415,10 +419,12 @@ impl<R: BufRead> Iterator for TraceReader<R> {
         if self.failed {
             return None;
         }
-        let mut text = String::new();
-        loop {
-            text.clear();
-            match self.r.read_line(&mut text) {
+        // Lines are read as bytes, so a line that is not UTF-8 is a
+        // malformed record, not a failed read.
+        let mut bytes = Vec::new();
+        let text = loop {
+            bytes.clear();
+            match self.r.read_until(b'\n', &mut bytes) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => {
@@ -429,11 +435,19 @@ impl<R: BufRead> Iterator for TraceReader<R> {
                 }
             }
             self.line += 1;
-            if !text.trim().is_empty() {
-                break;
+            match std::str::from_utf8(&bytes) {
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => break text,
+                Err(e) => {
+                    self.failed = true;
+                    return Some(Err(TraceError::Malformed {
+                        line: self.line,
+                        detail: format!("not UTF-8: {e}"),
+                    }));
+                }
             }
-        }
-        let rec = match parse_record(&text, self.line) {
+        };
+        let rec = match parse_record(text, self.line) {
             Ok(rec) => rec,
             Err(e) => {
                 self.failed = true;
@@ -502,6 +516,12 @@ mod tests {
         assert!(matches!(read_all(""), Err(TraceError::BadHeader { .. })));
         assert!(matches!(
             TraceReader::new("not json\n".as_bytes()).err(),
+            Some(TraceError::BadHeader { .. })
+        ));
+        // A header that is not UTF-8 is a bad header, not an I/O failure.
+        let header = b"{\"schema\": \"camdn-trace/\xff\"}\n";
+        assert!(matches!(
+            TraceReader::new(header.as_slice()).err(),
             Some(TraceError::BadHeader { .. })
         ));
         assert_eq!(
@@ -580,6 +600,19 @@ mod tests {
         )) {
             Err(TraceError::Malformed { line: 2, detail }) => {
                 assert!(detail.contains("SLA class"), "{detail}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // A record that is not UTF-8 is malformed, not an I/O failure.
+        let mut bytes = format!("{}\n", header_line()).into_bytes();
+        bytes.extend_from_slice(
+            b"{\"ts_us\": 3, \"tenant\": \"t\xff\", \"model\": \"MB\", \"class\": \"M\"}\n",
+        );
+        let got: Result<Vec<TraceRecord>, _> =
+            TraceReader::new(bytes.as_slice()).unwrap().collect();
+        match got {
+            Err(TraceError::Malformed { line: 2, detail }) => {
+                assert!(detail.contains("UTF-8"), "{detail}")
             }
             other => panic!("expected Malformed, got {other:?}"),
         }

@@ -4,8 +4,9 @@
 //! A valid ~40-record trace written by `TraceWriter` is mutated by
 //! truncation, bit flips, splices, duplicated lines and reordered
 //! lines, and every mutant goes through `TraceReader` and the window
-//! adapter. Each must yield records or a typed `TraceError`, never a
-//! panic, and the reader must stop at its first error.
+//! adapter. Each must yield records or a typed `TraceError` other
+//! than `Io` (the bytes are in memory), never a panic, and the reader
+//! must stop at its first error.
 
 #![forbid(unsafe_code)]
 
@@ -109,16 +110,18 @@ fn read(bytes: &[u8]) -> (Vec<TraceRecord>, Option<TraceError>) {
     (records, None)
 }
 
-#[test]
-fn mutated_traces_give_records_or_typed_errors_never_panics() {
+/// Runs `mutants` mutants of the fixture from `seed`: each must yield
+/// records or a typed error that is not an I/O failure (the bytes are
+/// in memory, so no read can fail), never a panic.
+fn mutation_pass(seed: u64, mutants: u64) {
     let original = fixture();
     let (records, err) = read(&original);
     assert_eq!(err, None, "the fixture itself is valid");
     assert_eq!(records.len(), 40);
 
-    let mut rng = SimRng::new(0x7EACE5);
+    let mut rng = SimRng::new(seed);
     let (mut clean, mut failed) = (0u64, 0u64);
-    for i in 0..MUTANTS {
+    for i in 0..mutants {
         let mutant = mutate(&mut rng, &original);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (records, err) = read(&mutant);
@@ -141,6 +144,10 @@ fn mutated_traces_give_records_or_typed_errors_never_panics() {
         }));
         match outcome {
             Ok(None) => clean += 1,
+            Ok(Some(TraceError::Io { detail })) => panic!(
+                "mutant {i} read as an I/O failure ({detail}):\n{}",
+                String::from_utf8_lossy(&mutant)
+            ),
             Ok(Some(_)) => failed += 1,
             Err(_) => panic!("mutant {i} panicked:\n{}", String::from_utf8_lossy(&mutant)),
         }
@@ -148,4 +155,18 @@ fn mutated_traces_give_records_or_typed_errors_never_panics() {
     // Both outcomes occur, so the mutations reach past the header and
     // also leave some traces readable.
     assert!(clean > 0 && failed > 0, "{clean} clean, {failed} failed");
+}
+
+#[test]
+fn mutated_traces_give_records_or_typed_errors_never_panics() {
+    mutation_pass(0x7EACE5, MUTANTS);
+}
+
+/// The longer pass, from a second seed: run it with `cargo test
+/// --release -p camdn-trace --test trace_mutations -- --ignored`
+/// (~4 s in a release build on two cores).
+#[test]
+#[ignore = "200,000 mutants; CI runs it in a release build"]
+fn many_mutated_traces_give_records_or_typed_errors_never_panics() {
+    mutation_pass(0x005E_C04D_5EED, 200_000);
 }
